@@ -1,0 +1,10 @@
+import os
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = [str(BENCH), str(ROOT / "src")]
