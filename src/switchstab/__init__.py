@@ -62,7 +62,6 @@ from .models import (
     MatrixDistribution,
     UniformEntriesDistribution,
     apply_feedback,
-    compute_cone_flags,
     dump_problem,
     lift_distribution,
     load_problem,

@@ -5,7 +5,8 @@ Three certificate shapes cover the stable cases:
 * a weighted-l1 cone norm V(x) = sum_i f_i |x_i| with f > 0, for first-mean
   stable laws whose support preserves the positive orthant (degree 1);
 * a quadratic form V(x) = x.T H x with H positive definite, for mean-square
-  stable laws (degree 2);
+  stable laws (degree 2); H is the direct solution of the linear equation
+  H = I + E[A.T H A];
 * a Kronecker lift W(x) = V_base(x^(kron q)) for higher even degrees and for
   odd degrees on the orthant.
 
@@ -19,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DimensionCapError, InstabilityError, SolverFailureError
-from .linalg import dominant_left_eigenvector, kron_power
+from .errors import AssumptionError, InstabilityError
+from .linalg import dominant_left_eigenvector, kron_power, spectrum
 from .models import AtomicDistribution, MatrixDistribution, lift_distribution
-from .radius import DECISION_MARGIN, p_radius
+from .radius import DECISION_MARGIN
 
 #: fixed seed for the default validation sample plan
 DEFAULT_VALIDATION_SEED = 1729
-
-#: relative step tolerance for the quadratic fixed-point iteration
-FIXED_POINT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,58 +159,26 @@ def synthesize_cone_norm(
     return ConeNormCertificate(f=f, gamma=rho)
 
 
-def _fixed_point_h(
-    dist: MatrixDistribution, r2: float | None, max_iter: int = 100_000
-) -> np.ndarray:
-    """Solve H = I + E[A.T H A] by iteration from H = I.
-
-    The iteration map is linear with spectral radius r2^2, so it converges
-    exactly when the mean-square radius r2 is below 1. When r2 is unknown
-    (lift beyond the entry cap), divergence is caught by a growth guard.
-    """
-    d = dist.dim
-    identity = np.eye(d)
-    h = identity.copy()
-    lh = dist.expected_sandwich(h)
-    growth_guard = None if r2 is not None else 1e14
-    for _ in range(max_iter):
-        h_next = identity + lh
-        h_next = 0.5 * (h_next + h_next.T)
-        lh = dist.expected_sandwich(h_next)
-        scale = float(np.max(np.abs(h_next)))
-        step_ok = float(np.max(np.abs(h_next - h))) <= FIXED_POINT_RTOL * scale
-        residual_ok = (
-            float(np.max(np.abs(lh - (h_next - identity)))) <= FIXED_POINT_RTOL * scale
-        )
-        if step_ok and residual_ok:
-            return h_next
-        if growth_guard is not None and scale > growth_guard:
-            raise InstabilityError(
-                "fixed-point iterates are diverging; the law is not mean-square stable"
-            )
-        h = h_next
-    raise SolverFailureError(
-        f"quadratic fixed point not reached within {max_iter} iterations", partial=h
-    )
-
-
 def synthesize_quadratic(
     dist: MatrixDistribution, decision_margin: float = DECISION_MARGIN
 ) -> QuadraticCertificate:
     """Quadratic certificate for a mean-square stable law.
 
-    H solves H = I + E[A.T H A], so E[A.T H A] = H - I exactly and
+    H is the direct solution of H = I + E[A.T H A]. With M2 = E[A kron A]
+    and row-major vec, vec(E[A.T H A]) = M2.T vec(H), so one linear solve
+    (I - M2.T) vec(H) = vec(I) gives H; its operator is nonsingular because
+    rho(M2) = r2^2 < 1. Then E[A.T H A] = H - I exactly and
     gamma = 1 - 1/lambda_max(H) certifies E[(Ax).T H (Ax)] <= gamma x.T H x.
     """
-    try:
-        r2 = p_radius(dist, 2).value
-    except DimensionCapError:
-        r2 = None
-    if r2 is not None and r2 >= 1.0 - decision_margin:
+    second = dist.expected_kron_power(2)
+    r2 = spectrum(second).spectral_radius ** (1.0 / 2)
+    if r2 >= 1.0 - decision_margin:
         raise InstabilityError(
             f"mean-square radius {r2:.6g} is not below 1; no quadratic certificate exists"
         )
-    h = _fixed_point_h(dist, r2)
+    d = dist.dim
+    h = np.linalg.solve(np.eye(d * d) - second.T, np.eye(d).reshape(-1)).reshape(d, d)
+    h = 0.5 * (h + h.T)
     lam_max = float(np.linalg.eigvalsh(h).max())
     return QuadraticCertificate(h=h, gamma=1.0 - 1.0 / lam_max)
 

@@ -233,15 +233,6 @@ class ConeFlags:
         }
 
 
-def compute_cone_flags(dist: MatrixDistribution, p_max: int = 1) -> ConeFlags:
-    """Orthant-invariance of the support plus entrywise positivity of the
-    lifted means for p = 1..p_max."""
-    positive = {}
-    for p in range(1, p_max + 1):
-        positive[p] = bool(np.all(dist.expected_kron_power(p) > 0))
-    return ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
-
-
 @dataclass(frozen=True)
 class MarkovJumpSystem:
     """Mode matrices switched by a finite Markov chain.

@@ -9,18 +9,17 @@ number, because the formula is simply not known to hold there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
-from .linalg import check_entry_cap, kron_power, spectral_norm, spectrum
+from .linalg import check_entry_cap, kron_power, spectrum
 from .models import (
     AtomicDistribution,
     ConeFlags,
     MarkovJumpSystem,
     MatrixDistribution,
-    compute_cone_flags,
     lift_distribution,
 )
 
@@ -131,18 +130,24 @@ def _assumption_path(dist: MatrixDistribution, p: int) -> AssumptionPath:
     return AssumptionPath.UNSUPPORTED
 
 
+def _radius_of_lift(
+    p: int, lifted_dim: int, path: AssumptionPath, lifted: np.ndarray | None
+) -> PRadiusResult:
+    if path is AssumptionPath.UNSUPPORTED:
+        return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
+    rho = spectrum(lifted).spectral_radius
+    return PRadiusResult(
+        p=p, value=float(rho ** (1.0 / p)), lifted_dim=lifted_dim, assumption_path=path
+    )
+
+
 def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
     """p-radius rho_p = rho(E[A^(kron p)])^(1/p), when licensed."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     path = _assumption_path(dist, p)
-    lifted_dim = dist.dim**p
-    if path is AssumptionPath.UNSUPPORTED:
-        return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
-    rho = spectrum(dist.expected_kron_power(p)).spectral_radius
-    return PRadiusResult(
-        p=p, value=float(rho ** (1.0 / p)), lifted_dim=lifted_dim, assumption_path=path
-    )
+    lifted = None if path is AssumptionPath.UNSUPPORTED else dist.expected_kron_power(p)
+    return _radius_of_lift(p, dist.dim**p, path, lifted)
 
 
 def _verdict(value: float | None, margin: float) -> Verdict:
@@ -163,12 +168,18 @@ def check_mean_stability(
     Values within ``decision_margin`` of 1 are reported marginal since
     floating point cannot certify a strict inequality at the boundary.
     """
-    result = p_radius(dist, p)
-    base = compute_cone_flags(dist, p_max=1)
-    positive = dict(base.expectation_positive)
-    if result.value is not None and p > 1:
-        positive[p] = bool(np.all(dist.expected_kron_power(p) > 0))
-    flags = ConeFlags(orthant_invariant=base.orthant_invariant, expectation_positive=positive)
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    path = _assumption_path(dist, p)
+    # the p = 1 lift is the mean, whose positivity flag every report carries
+    licensed = path is not AssumptionPath.UNSUPPORTED
+    lifted = dist.expected_kron_power(p) if licensed or p == 1 else None
+    result = _radius_of_lift(p, dist.dim**p, path, lifted)
+    mean = lifted if p == 1 else dist.expected_kron_power(1)
+    positive = {1: bool(np.all(mean > 0))}
+    if licensed and p > 1:
+        positive[p] = bool(np.all(lifted > 0))
+    flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
     return StabilityReport(
         verdict=_verdict(result.value, decision_margin),
         p_radius=result,

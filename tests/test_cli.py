@@ -367,6 +367,17 @@ def test_resource_cap_exits_5(capsys, docs, monkeypatch):
     assert report["error"]["type"] == "DimensionCapError"
 
 
+def test_lyapunov_cap_exits_5(capsys, docs, monkeypatch):
+    # the stable pair certifies under the default cap; E[A kron A] has 16
+    # entries, so a cap of 8 stops quadratic synthesis before any solve
+    code, _ = run(capsys, "lyapunov", "-i", str(docs["pair.json"]), "-p", "2")
+    assert code == 0
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "8")
+    code, report = run(capsys, "lyapunov", "-i", str(docs["pair.json"]), "-p", "2")
+    assert code == 5
+    assert report["error"]["type"] == "DimensionCapError"
+
+
 def test_wrong_problem_type_exits_1(capsys, docs):
     code, _ = run(capsys, "markov", "-i", str(docs["box.json"]), "-p", "1")
     assert code == 1

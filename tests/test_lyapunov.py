@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import switchstab.lyapunov as lyapunov_module
 from switchstab import (
     AssumptionError,
     AtomicDistribution,
     ConeNormCertificate,
+    DimensionCapError,
     InstabilityError,
+    KroneckerLiftedDistribution,
     LiftedCertificate,
     QuadraticCertificate,
     UniformEntriesDistribution,
@@ -13,6 +16,7 @@ from switchstab import (
     certificate_to_dict,
     evaluate,
     is_positive_semidefinite,
+    lift_distribution,
     p_radius,
     synthesize_cone_norm,
     synthesize_degree_p,
@@ -169,6 +173,51 @@ def test_quadratic_rejects_unstable():
         synthesize_quadratic(dist)
 
 
+def test_quadratic_is_the_direct_solve_near_the_boundary():
+    rng = np.random.default_rng(25)
+    dist = random_atomic(rng, n_atoms=3, dim=3, target_r2=0.999)
+    second = sum(p * np.kron(m, m) for p, m in zip(dist.probabilities, dist.atoms))
+    exact = np.linalg.solve(np.eye(9) - second.T, np.eye(3).reshape(-1)).reshape(3, 3)
+    exact = 0.5 * (exact + exact.T)
+    cert = synthesize_quadratic(dist)
+    assert np.max(np.abs(cert.h - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert cert.gamma == pytest.approx(1.0 - 1.0 / np.linalg.eigvalsh(exact).max(), rel=1e-12)
+
+
+def test_quadratic_makes_one_lift_one_spectrum_one_solve(monkeypatch, shrunk_box):
+    calls = {"lift": [], "spectrum": 0, "solve": 0}
+    lift, spectrum, solve = (
+        UniformEntriesDistribution.expected_kron_power,
+        lyapunov_module.spectrum,
+        np.linalg.solve,
+    )
+
+    def counting_lift(self, p):
+        calls["lift"].append(p)
+        return lift(self, p)
+
+    def counting_spectrum(m):
+        calls["spectrum"] += 1
+        return spectrum(m)
+
+    def counting_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(UniformEntriesDistribution, "expected_kron_power", counting_lift)
+    monkeypatch.setattr(lyapunov_module, "spectrum", counting_spectrum)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    synthesize_quadratic(shrunk_box)
+    assert calls == {"lift": [2], "spectrum": 1, "solve": 1}
+
+
+def test_quadratic_respects_the_lift_cap(monkeypatch, shrunk_box):
+    # E[A kron A] of a 2x2 law has 16 entries
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "8")
+    with pytest.raises(DimensionCapError):
+        synthesize_quadratic(shrunk_box)
+
+
 # ---------------------------------------------------------------------------
 # degree-p synthesis
 # ---------------------------------------------------------------------------
@@ -196,6 +245,24 @@ def test_degree_four_scaled_identity():
     assert cert.gamma == pytest.approx(alpha**4, abs=1e-9)
     x = np.array([0.6, -0.8])  # unit vector: W(x) = ||x||^4 / (1 - alpha^4)
     assert evaluate(cert, x) == pytest.approx(1.0 / (1 - alpha**4), rel=1e-8)
+
+
+def test_degree_four_on_signed_box():
+    box = UniformEntriesDistribution(
+        lower=np.array([[-0.6, -0.3], [-0.2, -0.5]]),
+        upper=np.array([[0.5, 0.4], [0.3, 0.6]]),
+    )
+    assert p_radius(box, 4).value < 1
+    cert = synthesize_degree_p(box, 4)
+    assert isinstance(cert, LiftedCertificate)
+    assert cert.lift_power == 2
+    lifted = lift_distribution(box, 2)
+    assert isinstance(lifted, KroneckerLiftedDistribution)
+    h = cert.base.h
+    # E[(A kron A).T H (A kron A)] = H - I on the 4-dimensional lift
+    residual = np.max(np.abs(lifted.expected_sandwich(h) - (h - np.eye(4))))
+    assert residual <= 1e-12 * np.max(np.abs(h))
+    assert cert.gamma == pytest.approx(1.0 - 1.0 / np.linalg.eigvalsh(h).max(), rel=1e-12)
 
 
 def test_degree_three_orthant_route(shrunk_box):

@@ -10,7 +10,7 @@ from switchstab import (
     SchemaError,
     UniformEntriesDistribution,
     apply_feedback,
-    compute_cone_flags,
+    check_mean_stability,
     dump_problem,
     kron_power,
     lift_distribution,
@@ -151,18 +151,18 @@ def test_lift_atomic_pushes_atoms():
 
 
 def test_cone_flags_interval_box(interval_box):
-    flags = compute_cone_flags(interval_box, p_max=1)
+    flags = check_mean_stability(interval_box, 1).cone_flags
     assert flags.orthant_invariant
     assert flags.expectation_positive[1]
 
 
 def test_cone_flags_negative_atom():
     dist = single_atom(np.array([[1.0, -0.1], [0.0, 1.0]]))
-    assert not compute_cone_flags(dist).orthant_invariant
+    assert not check_mean_stability(dist, 1).cone_flags.orthant_invariant
 
 
 def test_cone_flags_nilpotent_atom():
-    flags = compute_cone_flags(single_atom(np.array([[0.0, 1.0], [0.0, 0.0]])), p_max=1)
+    flags = check_mean_stability(single_atom(np.array([[0.0, 1.0], [0.0, 0.0]])), 1).cone_flags
     assert flags.orthant_invariant
     assert not flags.expectation_positive[1]
 
@@ -174,7 +174,7 @@ def test_orthant_flag_implies_nonnegative_samples(interval_box):
         atoms=np.array([[[0.0, 1.0], [0.2, 0.0]], [[0.5, 0.0], [0.0, 0.5]]]),
     )
     for dist in (interval_box, atomic):
-        assert compute_cone_flags(dist).orthant_invariant
+        assert check_mean_stability(dist, 1).cone_flags.orthant_invariant
         samples = sample_matrix(dist, rng, size=10_000)
         assert np.all(samples >= 0)
 

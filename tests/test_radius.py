@@ -88,6 +88,33 @@ def test_stability_report_embeds_flags(interval_box):
     assert report.p_radius.p == 2
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stability_builds_the_lift_once(monkeypatch, interval_box, p):
+    atomic = AtomicDistribution(
+        probabilities=np.array([0.4, 0.6]),
+        atoms=np.array([[[0.2, 0.5], [0.3, 0.1]], [[0.6, 0.0], [0.1, 0.4]]]),
+    )
+    for dist in (atomic, interval_box):
+        cls = type(dist)
+        expected = {q: bool(np.all(dist.expected_kron_power(q) > 0)) for q in {1, p}}
+        calls = []
+        original = cls.expected_kron_power
+
+        def counting(self, q, original=original):
+            calls.append(q)
+            return original(self, q)
+
+        monkeypatch.setattr(cls, "expected_kron_power", counting)
+        report = check_mean_stability(dist, p)
+        monkeypatch.undo()
+        # the p-fold lift serves both the radius and its positivity flag;
+        # for p > 1 the mean is built once more for the p = 1 flag
+        assert calls.count(p) == 1
+        assert sorted(calls) == sorted({1, p})
+        assert report.cone_flags.expectation_positive == expected
+        assert report.p_radius.value == pytest.approx(p_radius(dist, p).value, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Markov lifts
 # ---------------------------------------------------------------------------
