@@ -18,11 +18,8 @@ from .linalg import (
     Spectrum,
     dominant_left_eigenvector,
     is_positive_semidefinite,
-    kron,
     kron_power,
-    spectral_norm,
     spectrum,
-    unvec,
     vec_of,
 )
 from .lyapunov import (
@@ -57,13 +54,11 @@ from .mcsim import (
 from .models import (
     AtomicDistribution,
     ConeFlags,
-    KroneckerLiftedDistribution,
     MarkovJumpSystem,
     MatrixDistribution,
     UniformEntriesDistribution,
     apply_feedback,
     dump_problem,
-    lift_distribution,
     load_problem,
     problem_to_json,
 )

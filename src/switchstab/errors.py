@@ -15,16 +15,19 @@ class SwitchstabError(Exception):
     exit_code = EXIT_IO
 
 
-class SchemaError(SwitchstabError):
+class SchemaError(SwitchstabError, ValueError):
     """Problem document violates the input schema.
 
     ``pointer`` is a JSON pointer to the offending field, e.g. ``/markov/P/0``.
+    It is also a ``ValueError``: the model constructors raise it when their
+    arguments break a schema rule.
     """
 
     exit_code = EXIT_IO
 
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
+        self.message = message
         self.pointer = pointer
 
 

@@ -44,18 +44,6 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
-def kron(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Kronecker product with an entry-cap guard.
-
-    Block (i, j) of the result equals m[i, j] * n.
-    """
-    m = check_finite(m, "first factor")
-    n = check_finite(n, "second factor")
-    entries = m.size * n.size
-    check_entry_cap(entries, "kron")
-    return np.kron(m, n)
-
-
 def kron_power(m: np.ndarray, p: int) -> np.ndarray:
     """p-fold Kronecker power of a matrix or vector; kron_power(m, 1) is m."""
     if p < 1:
@@ -80,14 +68,6 @@ def vec_of(columns) -> np.ndarray:
     return np.concatenate(cols)
 
 
-def unvec(v: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Inverse of :func:`vec_of`: split into ``parts`` equal-length vectors."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size % parts:
-        raise ValueError(f"cannot split length-{v.size} vector into {parts} parts")
-    return list(v.reshape(parts, -1))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigenvalue list (with multiplicity) and its maximum modulus."""
@@ -106,11 +86,6 @@ def spectrum(m: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
     return Spectrum(eigenvalues=eig, spectral_radius=float(np.max(np.abs(eig))))
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(m, dtype=float), 2))
 
 
 def dominant_left_eigenvector(

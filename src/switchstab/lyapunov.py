@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AssumptionError, InstabilityError
 from .linalg import dominant_left_eigenvector, kron_power, spectrum
-from .models import AtomicDistribution, MatrixDistribution, lift_distribution
+from .models import AtomicDistribution, MatrixDistribution
 from .radius import DECISION_MARGIN
 
 #: fixed seed for the default validation sample plan
@@ -159,6 +159,22 @@ def synthesize_cone_norm(
     return ConeNormCertificate(f=f, gamma=rho)
 
 
+def _quadratic_from_second_moment(
+    second: np.ndarray, dim: int, decision_margin: float
+) -> QuadraticCertificate:
+    """Quadratic certificate on R^dim from the second-moment matrix
+    ``second`` = E[B kron B] of a law of dim x dim matrices B."""
+    r2 = spectrum(second).spectral_radius ** (1.0 / 2)
+    if r2 >= 1.0 - decision_margin:
+        raise InstabilityError(
+            f"mean-square radius {r2:.6g} is not below 1; no quadratic certificate exists"
+        )
+    h = np.linalg.solve(np.eye(dim * dim) - second.T, np.eye(dim).reshape(-1)).reshape(dim, dim)
+    h = 0.5 * (h + h.T)
+    lam_max = float(np.linalg.eigvalsh(h).max())
+    return QuadraticCertificate(h=h, gamma=1.0 - 1.0 / lam_max)
+
+
 def synthesize_quadratic(
     dist: MatrixDistribution, decision_margin: float = DECISION_MARGIN
 ) -> QuadraticCertificate:
@@ -170,17 +186,7 @@ def synthesize_quadratic(
     rho(M2) = r2^2 < 1. Then E[A.T H A] = H - I exactly and
     gamma = 1 - 1/lambda_max(H) certifies E[(Ax).T H (Ax)] <= gamma x.T H x.
     """
-    second = dist.expected_kron_power(2)
-    r2 = spectrum(second).spectral_radius ** (1.0 / 2)
-    if r2 >= 1.0 - decision_margin:
-        raise InstabilityError(
-            f"mean-square radius {r2:.6g} is not below 1; no quadratic certificate exists"
-        )
-    d = dist.dim
-    h = np.linalg.solve(np.eye(d * d) - second.T, np.eye(d).reshape(-1)).reshape(d, d)
-    h = 0.5 * (h + h.T)
-    lam_max = float(np.linalg.eigvalsh(h).max())
-    return QuadraticCertificate(h=h, gamma=1.0 - 1.0 / lam_max)
+    return _quadratic_from_second_moment(dist.expected_kron_power(2), dist.dim, decision_margin)
 
 
 def synthesize_degree_p(
@@ -188,8 +194,9 @@ def synthesize_degree_p(
 ) -> LyapunovCertificate:
     """Homogeneous certificate of degree p.
 
-    Even p: a quadratic certificate for the (p/2)-fold Kronecker lift of the
-    law, composed with x -> x^(kron p/2). Odd p: a cone-norm certificate on
+    Even p = 2q: a quadratic certificate for the law of B = A^(kron q),
+    composed with x -> x^(kron q); its second moment E[B kron B] is
+    E[A^(kron p)], so no lifted law is built. Odd p: a cone-norm certificate on
     the p-fold lift, requiring an orthant-invariant support with entrywise
     positive E[A^(kron p)].
     """
@@ -201,7 +208,9 @@ def synthesize_degree_p(
         return synthesize_quadratic(dist, decision_margin)
     if p % 2 == 0:
         q = p // 2
-        base = synthesize_quadratic(lift_distribution(dist, q), decision_margin)
+        base = _quadratic_from_second_moment(
+            dist.expected_kron_power(p), dist.dim**q, decision_margin
+        )
         return LiftedCertificate(base=base, lift_power=q)
     if not dist.support_nonnegative():
         raise AssumptionError(
@@ -294,7 +303,7 @@ def validate_certificate(
         chunk = max(1, int(2e6) // max(1, n_samples * dim))
         for start in range(0, xs.shape[0], chunk):
             block = xs[start : start + chunk]
-            mapped = np.einsum("sij,nj->sni", samples, block)
+            mapped = block @ samples.transpose(0, 2, 1)
             vals = _evaluate_rows(cert, mapped.reshape(-1, mapped.shape[-1])).reshape(
                 n_samples, block.shape[0]
             )

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError
-from .linalg import kron_power, vec_of
+from .linalg import vec_of
 from .lyapunov import LyapunovCertificate, _evaluate_rows
 from .models import (
     AtomicDistribution,
-    KroneckerLiftedDistribution,
     MarkovJumpSystem,
     MatrixDistribution,
     UniformEntriesDistribution,
@@ -114,9 +113,6 @@ def sample_matrix(
     elif isinstance(dist, UniformEntriesDistribution):
         width = dist.upper - dist.lower
         out = dist.lower + rng.random((n, dist.dim, dist.dim)) * width
-    elif isinstance(dist, KroneckerLiftedDistribution):
-        base = sample_matrix(dist.base, rng, size=n)
-        out = np.stack([kron_power(m, dist.power) for m in base])
     else:
         raise TypeError(f"cannot sample from {type(dist).__name__}")
     return out[0] if size is None else out

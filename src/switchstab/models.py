@@ -7,9 +7,10 @@ expectation used downstream exactly computable:
 * entrywise-independent uniform boxes (each entry uniform on an interval;
   degenerate intervals act as point masses in that entry).
 
-``KroneckerLiftedDistribution`` is the image of a base law under the p-fold
-Kronecker power map; it is produced internally by :func:`lift_distribution`
-and never read from a file.
+Each dataclass checks its own invariants at construction. A broken schema
+rule raises :class:`SchemaError` (a ``ValueError``) whose pointer is relative
+to the law's or the chain's section of a problem document; the JSON loader
+prefixes it with that section's pointer.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ class AtomicDistribution(MatrixDistribution):
         atoms = check_finite(np.asarray(self.atoms, dtype=float), "atoms")
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("need at least one atom")
-        if np.any(probs <= 0) or np.any(probs > 1):
-            raise ValueError("atom probabilities must lie in (0, 1]")
+        bad = np.flatnonzero((probs <= 0) | (probs > 1))
+        if bad.size:
+            raise SchemaError("atom probability must lie in (0, 1]", f"/atoms/{bad[0]}/p")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
+            raise SchemaError(f"atom probabilities sum to {float(probs.sum())!r}, not 1", "/atoms")
         if atoms.ndim != 3 or atoms.shape[0] != probs.size or atoms.shape[1] != atoms.shape[2]:
             raise ValueError("atoms must be a stack of square matrices, one per probability")
         object.__setattr__(self, "probabilities", probs)
@@ -106,8 +108,10 @@ class UniformEntriesDistribution(MatrixDistribution):
         upper = check_finite(np.asarray(self.upper, dtype=float), "upper")
         if lower.ndim != 2 or lower.shape[0] != lower.shape[1] or lower.shape != upper.shape:
             raise ValueError("lower and upper must be square arrays of equal shape")
-        if np.any(lower > upper):
-            raise ValueError("lower bounds must not exceed upper bounds")
+        bad = np.argwhere(lower > upper)
+        if bad.size:
+            i, j = bad[0]
+            raise SchemaError("lower bound exceeds upper bound", f"/upper/{i}/{j}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -169,52 +173,6 @@ class UniformEntriesDistribution(MatrixDistribution):
 
 
 @dataclass(frozen=True)
-class KroneckerLiftedDistribution(MatrixDistribution):
-    """Image of ``base`` under M -> M^(kron power). Moments reduce to higher
-    moments of the base law, so everything stays exact."""
-
-    base: MatrixDistribution
-    power: int
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise ValueError("lift power must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim**self.power
-
-    def expected_matrix(self) -> np.ndarray:
-        return self.base.expected_kron_power(self.power)
-
-    def expected_kron_power(self, p: int) -> np.ndarray:
-        return self.base.expected_kron_power(self.power * p)
-
-    def support_nonnegative(self) -> bool:
-        # Kronecker powers of nonnegative matrices are nonnegative; this is a
-        # sufficient flag only, which is the safe direction.
-        return self.base.support_nonnegative()
-
-    def expected_sandwich(self, x: np.ndarray) -> np.ndarray:
-        # row-major vec identity: vec(B.T X B) = (B kron B).T vec(X)
-        x = np.asarray(x, dtype=float)
-        second = self.expected_kron_power(2)
-        return (second.T @ x.reshape(-1)).reshape(x.shape)
-
-
-def lift_distribution(dist: MatrixDistribution, power: int) -> MatrixDistribution:
-    """The pushforward of ``dist`` under the ``power``-fold Kronecker map."""
-    if power == 1:
-        return dist
-    if isinstance(dist, AtomicDistribution):
-        return AtomicDistribution(
-            probabilities=dist.probabilities,
-            atoms=np.stack([kron_power(m, power) for m in dist.atoms]),
-        )
-    return KroneckerLiftedDistribution(base=dist, power=power)
-
-
-@dataclass(frozen=True)
 class ConeFlags:
     """Recomputed (never user-supplied) positivity flags.
 
@@ -257,9 +215,12 @@ class MarkovJumpSystem:
             raise ValueError("transition matrix must be square")
         n = p.shape[0]
         if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise ValueError("transition matrix rows must sum to 1")
+            i, j = np.argwhere((p < 0) | (p > 1))[0]
+            raise SchemaError("transition probability outside [0, 1]", f"/P/{i}/{j}")
+        bad_rows = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL)
+        if bad_rows.size:
+            i = bad_rows[0]
+            raise SchemaError(f"row sums to {float(p[i].sum())!r}, not 1", f"/P/{i}")
         if modes.ndim != 3 or modes.shape[0] != n or modes.shape[1] != modes.shape[2]:
             raise ValueError(f"need {n} square mode matrices of a common dimension")
         object.__setattr__(self, "transition", p)
@@ -276,7 +237,7 @@ class MarkovJumpSystem:
                 raise ValueError(f"feedback row must have length {d}")
             object.__setattr__(self, "feedback", fb)
         if self.initial_mode is not None and not 1 <= self.initial_mode <= n:
-            raise ValueError(f"initial mode must lie in 1..{n}")
+            raise SchemaError(f"initial mode must lie in 1..{n}", "/initial_mode")
 
     @property
     def n_modes(self) -> int:
@@ -334,6 +295,14 @@ def _as_matrix(node, rows: int, cols: int, pointer: str) -> np.ndarray:
     return np.stack([_as_vector(row, cols, f"{pointer}/{i}") for i, row in enumerate(node)])
 
 
+def _build(cls, pointer: str, **fields):
+    """``cls(**fields)``, with a broken schema rule reported under ``pointer``."""
+    try:
+        return cls(**fields)
+    except SchemaError as exc:
+        raise SchemaError(exc.message, pointer + exc.pointer) from exc
+
+
 def _parse_distribution(node, dim: int, pointer: str) -> MatrixDistribution:
     if not isinstance(node, dict):
         raise SchemaError("expected an object", pointer)
@@ -347,22 +316,15 @@ def _parse_distribution(node, dim: int, pointer: str) -> MatrixDistribution:
             apt = f"{pointer}/atoms/{i}"
             if not isinstance(atom, dict):
                 raise SchemaError("expected an object with 'p' and 'M'", apt)
-            prob = _as_number(_require(atom, "p", apt), f"{apt}/p")
-            if not 0 < prob <= 1:
-                raise SchemaError("atom probability must lie in (0, 1]", f"{apt}/p")
-            probs.append(prob)
+            probs.append(_as_number(_require(atom, "p", apt), f"{apt}/p"))
             mats.append(_as_matrix(_require(atom, "M", apt), dim, dim, f"{apt}/M"))
-        if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
-            raise SchemaError(f"atom probabilities sum to {sum(probs)!r}, not 1", f"{pointer}/atoms")
-        return AtomicDistribution(probabilities=np.array(probs), atoms=np.stack(mats))
+        return _build(
+            AtomicDistribution, pointer, probabilities=np.array(probs), atoms=np.stack(mats)
+        )
     if kind == "uniform_entries":
         lower = _as_matrix(_require(node, "lower", pointer), dim, dim, f"{pointer}/lower")
         upper = _as_matrix(_require(node, "upper", pointer), dim, dim, f"{pointer}/upper")
-        bad = np.argwhere(lower > upper)
-        if bad.size:
-            i, j = bad[0]
-            raise SchemaError("lower bound exceeds upper bound", f"{pointer}/upper/{i}/{j}")
-        return UniformEntriesDistribution(lower=lower, upper=upper)
+        return _build(UniformEntriesDistribution, pointer, lower=lower, upper=upper)
     raise SchemaError(f"unknown distribution kind {kind!r}", f"{pointer}/kind")
 
 
@@ -374,13 +336,6 @@ def _parse_markov(node, dim: int, pointer: str) -> MarkovJumpSystem:
         raise SchemaError("expected a non-empty square array", f"{pointer}/P")
     n = len(p_node)
     p = _as_matrix(p_node, n, n, f"{pointer}/P")
-    if np.any(p < 0) or np.any(p > 1):
-        i, j = np.argwhere((p < 0) | (p > 1))[0]
-        raise SchemaError("transition probability outside [0, 1]", f"{pointer}/P/{i}/{j}")
-    bad_rows = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL)
-    if bad_rows.size:
-        i = bad_rows[0]
-        raise SchemaError(f"row sums to {p[i].sum()!r}, not 1", f"{pointer}/P/{i}")
     modes_node = _require(node, "modes", pointer)
     if not isinstance(modes_node, list) or len(modes_node) != n:
         raise SchemaError(f"expected {n} mode matrices", f"{pointer}/modes")
@@ -394,13 +349,16 @@ def _parse_markov(node, dim: int, pointer: str) -> MarkovJumpSystem:
     if node.get("feedback") is not None:
         feedback = _as_vector(node["feedback"], dim, f"{pointer}/feedback")
     initial = node.get("initial_mode")
-    if initial is not None:
-        if isinstance(initial, bool) or not isinstance(initial, int):
-            raise SchemaError("expected an integer", f"{pointer}/initial_mode")
-        if not 1 <= initial <= n:
-            raise SchemaError(f"initial mode must lie in 1..{n}", f"{pointer}/initial_mode")
-    return MarkovJumpSystem(
-        transition=p, modes=modes, input_vectors=inputs, feedback=feedback, initial_mode=initial
+    if initial is not None and (isinstance(initial, bool) or not isinstance(initial, int)):
+        raise SchemaError("expected an integer", f"{pointer}/initial_mode")
+    return _build(
+        MarkovJumpSystem,
+        pointer,
+        transition=p,
+        modes=modes,
+        input_vectors=inputs,
+        feedback=feedback,
+        initial_mode=initial,
     )
 
 

@@ -15,13 +15,7 @@ import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
 from .linalg import check_entry_cap, kron_power, spectrum
-from .models import (
-    AtomicDistribution,
-    ConeFlags,
-    MarkovJumpSystem,
-    MatrixDistribution,
-    lift_distribution,
-)
+from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
 DECISION_MARGIN = 1e-9
@@ -341,11 +335,21 @@ def limit_sequence(
 
 def lifting_identity_check(dist: MatrixDistribution, p: int, k: int) -> float:
     """Residual |rho_p(mu) - rho_{p/k}(lifted mu)^(1/k)| of the exact lifting
-    identity; both sides are computed by independent routes."""
+    identity, for a finite atomic law mu.
+
+    The right side is the law of the kron-powered atoms A^(kron k), so the
+    two sides are computed by independent routes. Any other law would read
+    E[A^(kron p)] on both sides, and the residual would prove nothing.
+    """
     if k < 1 or p % k:
         raise ValueError("k must be a positive divisor of p")
+    if not isinstance(dist, AtomicDistribution):
+        raise AssumptionError("the lifting identity check needs a finite atomic law")
     left = p_radius(dist, p)
-    lifted = lift_distribution(dist, k)
+    lifted = AtomicDistribution(
+        probabilities=dist.probabilities,
+        atoms=np.stack([kron_power(m, k) for m in dist.atoms]),
+    )
     right = p_radius(lifted, p // k)
     if left.value is None or right.value is None:
         raise AssumptionError("both sides of the lifting identity must be licensed")

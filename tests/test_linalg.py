@@ -7,56 +7,44 @@ from switchstab import (
     SolverFailureError,
     dominant_left_eigenvector,
     is_positive_semidefinite,
-    kron,
     kron_power,
     spectrum,
-    unvec,
     vec_of,
 )
 
 
-def test_kron_identity_blocks():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_scalar_second_factor():
-    out = kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0]]))
-    assert np.array_equal(out, np.array([[0.0, 2.0], [0.0, 0.0]]))
-
-
 def test_kron_against_index_formula():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    n = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = kron(m, n)
-    # independent oracle: entry ((i1,i2),(j1,j2)) = m[i1,j1] * n[i2,j2]
+    out = kron_power(m, 2)
+    # independent oracle: entry ((i1,i2),(j1,j2)) = m[i1,j1] * m[i2,j2]
     for i1 in range(2):
         for i2 in range(2):
             for j1 in range(2):
                 for j2 in range(2):
-                    assert out[2 * i1 + i2, 2 * j1 + j2] == m[i1, j1] * n[i2, j2]
-    assert np.array_equal(out[0:2, 2:4], 2 * n)  # block (1, 2)
+                    assert out[2 * i1 + i2, 2 * j1 + j2] == m[i1, j1] * m[i2, j2]
+    assert np.array_equal(out[0:2, 2:4], 2 * m)  # block (1, 2)
 
 
 def test_kron_dimension_cap(monkeypatch):
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "8")
     with pytest.raises(DimensionCapError) as err:
-        kron(np.eye(3), np.eye(3))
+        kron_power(np.eye(3), 2)
     assert "81" in str(err.value)
     monkeypatch.delenv("SWITCHSTAB_MAX_LIFT_ENTRIES")
-    kron(np.eye(3), np.eye(3))  # default cap admits it
+    kron_power(np.eye(3), 2)  # default cap admits it
 
 
 def test_kron_rejects_non_finite():
     with pytest.raises(ValueError):
-        kron(np.array([[np.nan]]), np.eye(1))
+        kron_power(np.array([[np.nan]]), 2)
 
 
 def test_kron_rectangular_factors():
-    m = np.array([[1.0, 2.0, 3.0]])
-    n = np.array([[1.0], [10.0]])
-    out = kron(m, n)
-    assert out.shape == (2, 3)
-    assert np.array_equal(out, [[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
+    # vectors lift too: x^(kron 2) lists x_i x_j in row-major order
+    assert np.array_equal(kron_power(np.array([1.0, 10.0]), 2), [1.0, 10.0, 10.0, 100.0])
+    out = kron_power(np.array([[1.0, 2.0, 3.0]]), 2)
+    assert out.shape == (1, 9)
+    assert np.array_equal(out, [[1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 3.0, 6.0, 9.0]])
 
 
 def test_kron_power_identity_and_scalar():
@@ -162,8 +150,6 @@ def test_vec_of_shapes_and_round_trip():
     cols = [np.arange(3, dtype=float) + 3 * i for i in range(4)]
     v = vec_of(cols)
     assert v.shape == (12,)
-    back = unvec(v, 4)
-    for a, b in zip(cols, back):
-        assert np.array_equal(a, b)
+    assert np.array_equal(v.reshape(4, 3), np.stack(cols))
     with pytest.raises(ValueError):
         vec_of([np.ones(2), np.ones(3)])

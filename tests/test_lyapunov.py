@@ -8,7 +8,6 @@ from switchstab import (
     ConeNormCertificate,
     DimensionCapError,
     InstabilityError,
-    KroneckerLiftedDistribution,
     LiftedCertificate,
     QuadraticCertificate,
     UniformEntriesDistribution,
@@ -16,7 +15,6 @@ from switchstab import (
     certificate_to_dict,
     evaluate,
     is_positive_semidefinite,
-    lift_distribution,
     p_radius,
     synthesize_cone_norm,
     synthesize_degree_p,
@@ -256,13 +254,42 @@ def test_degree_four_on_signed_box():
     cert = synthesize_degree_p(box, 4)
     assert isinstance(cert, LiftedCertificate)
     assert cert.lift_power == 2
-    lifted = lift_distribution(box, 2)
-    assert isinstance(lifted, KroneckerLiftedDistribution)
     h = cert.base.h
-    # E[(A kron A).T H (A kron A)] = H - I on the 4-dimensional lift
-    residual = np.max(np.abs(lifted.expected_sandwich(h) - (h - np.eye(4))))
+    # E[(A kron A).T H (A kron A)] = H - I on the 4-dimensional lift, through
+    # the row-major identity vec(B.T H B) = (B kron B).T vec(H)
+    sandwich = (box.expected_kron_power(4).T @ h.reshape(-1)).reshape(4, 4)
+    residual = np.max(np.abs(sandwich - (h - np.eye(4))))
     assert residual <= 1e-12 * np.max(np.abs(h))
     assert cert.gamma == pytest.approx(1.0 - 1.0 / np.linalg.eigvalsh(h).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [4, 6])
+def test_even_degree_on_signed_atoms_is_the_lifted_solve(dim, p):
+    rng = np.random.default_rng(100 * dim + p)
+    raw = random_atomic(rng, n_atoms=3, dim=dim)
+    dist = AtomicDistribution(
+        probabilities=raw.probabilities, atoms=raw.atoms * (0.9 / p_radius(raw, p).value)
+    )
+    cert = synthesize_degree_p(dist, p)
+    q = p // 2
+    assert isinstance(cert, LiftedCertificate) and cert.lift_power == q
+    # dense oracle on the law of B = A^(kron q), built with numpy alone
+    lifted = []
+    for m in dist.atoms:
+        b = m
+        for _ in range(q - 1):
+            b = np.kron(b, m)
+        lifted.append(b)
+    n = dim**q
+    second = sum(w * np.kron(b, b) for w, b in zip(dist.probabilities, lifted))
+    exact = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
+    exact = 0.5 * (exact + exact.T)
+    h = cert.base.h
+    assert np.max(np.abs(h - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # E[B.T H B] = H - I, summed atom by atom
+    sandwich = sum(w * b.T @ h @ b for w, b in zip(dist.probabilities, lifted))
+    assert np.max(np.abs(sandwich - (h - np.eye(n)))) <= 1e-12 * np.max(np.abs(h))
 
 
 def test_degree_three_orthant_route(shrunk_box):

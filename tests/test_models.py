@@ -6,14 +6,13 @@ import pytest
 from switchstab import (
     AssumptionError,
     AtomicDistribution,
-    KroneckerLiftedDistribution,
+    MarkovJumpSystem,
     SchemaError,
     UniformEntriesDistribution,
     apply_feedback,
     check_mean_stability,
     dump_problem,
     kron_power,
-    lift_distribution,
     load_problem,
     problem_to_json,
     sample_matrix,
@@ -130,21 +129,6 @@ def test_sandwich_matches_kron_route():
         assert np.allclose(dist.expected_sandwich(x), via_kron, atol=1e-12)
 
 
-def test_lifted_distribution_reduces_to_higher_powers(interval_box):
-    lifted = lift_distribution(interval_box, 2)
-    assert isinstance(lifted, KroneckerLiftedDistribution)
-    assert lifted.dim == 4
-    assert np.array_equal(lifted.expected_matrix(), interval_box.expected_kron_power(2))
-    assert np.array_equal(lifted.expected_kron_power(2), interval_box.expected_kron_power(4))
-
-
-def test_lift_atomic_pushes_atoms():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    lifted = lift_distribution(single_atom(m), 3)
-    assert isinstance(lifted, AtomicDistribution)
-    assert np.array_equal(lifted.atoms[0], kron_power(m, 3))
-
-
 # ---------------------------------------------------------------------------
 # cone flags
 # ---------------------------------------------------------------------------
@@ -185,8 +169,6 @@ def test_orthant_flag_implies_nonnegative_samples(interval_box):
 
 
 def test_apply_feedback_zero_row_keeps_modes(three_mode_system):
-    from switchstab import MarkovJumpSystem
-
     sys0 = MarkovJumpSystem(
         transition=three_mode_system.transition,
         modes=three_mode_system.modes,
@@ -210,8 +192,6 @@ def test_apply_feedback_benchmark_arithmetic(three_mode_system):
 
 
 def test_apply_feedback_requires_input_data(three_mode_system):
-    from switchstab import MarkovJumpSystem
-
     bare = MarkovJumpSystem(
         transition=three_mode_system.transition, modes=three_mode_system.modes
     )
@@ -286,6 +266,32 @@ def test_load_bounds_order_error():
     assert err.value.pointer == "/distribution/upper/0/0"
 
 
+def scalar_pair_doc(**markov):
+    """Two-mode scalar Markov document, with ``markov`` fields overridden."""
+    section = {"P": [[0.5, 0.5], [0.5, 0.5]], "modes": [[[1.0]], [[2.0]]], **markov}
+    return {"type": "markov", "dim": 1, "markov": section}
+
+
+def two_atom_doc(p0, p1):
+    atoms = [{"p": p0, "M": [[1.0]]}, {"p": p1, "M": [[2.0]]}]
+    return {"type": "iid", "dim": 1, "distribution": {"kind": "atomic", "atoms": atoms}}
+
+
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        (two_atom_doc(0.5, 1.5), "/distribution/atoms/1/p"),
+        (scalar_pair_doc(P=[[0.5, 0.5], [1.2, -0.2]]), "/markov/P/1/0"),
+        (scalar_pair_doc(initial_mode=3), "/markov/initial_mode"),
+    ],
+)
+def test_load_reports_model_invariants_under_their_section(doc, pointer):
+    with pytest.raises(SchemaError) as err:
+        load_problem(json.dumps(doc))
+    assert err.value.pointer == pointer
+    assert str(err.value).startswith(f"{pointer}: ")
+
+
 def test_load_dimension_mismatch_error():
     doc = minimal_atomic_doc()
     doc["distribution"]["atoms"][0]["M"] = [[1.0, 0.0]]
@@ -321,3 +327,8 @@ def test_invariants_rejected_at_construction():
         AtomicDistribution(
             probabilities=np.array([1.0]), atoms=np.array([[[np.inf, 0], [0, 1]]])
         )
+    # a broken schema rule is a ValueError pointing inside the model's section
+    with pytest.raises(ValueError) as err:
+        MarkovJumpSystem(transition=np.eye(2), modes=np.zeros((2, 1, 1)), initial_mode=0)
+    assert isinstance(err.value, SchemaError)
+    assert err.value.pointer == "/initial_mode"

@@ -17,7 +17,6 @@ from switchstab import (
     markov_tp,
     markov_tp_spectral_radius,
     p_radius,
-    spectral_norm,
     spectrum,
 )
 from conftest import random_atomic, scalar_uniform
@@ -216,7 +215,7 @@ def test_jsr_singleton_bracket():
     rho = spectrum(m).spectral_radius
     at_depth_1 = jsr_bounds(np.array([m]), depth=1)
     assert at_depth_1.lower == pytest.approx(rho, rel=1e-12)
-    assert at_depth_1.upper == pytest.approx(spectral_norm(m), rel=1e-12)
+    assert at_depth_1.upper == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
     deep = jsr_bounds(np.array([m]), depth=12)
     assert deep.lower == pytest.approx(rho, rel=1e-12)
     assert deep.lower <= deep.upper
@@ -315,12 +314,15 @@ def test_limit_sequence_cap_truncates(monkeypatch, interval_box):
 
 
 def test_lifting_identity_trivial_k():
-    dist = scalar_uniform(1.2)
+    dist = single_atom(np.array([[1.2]]))
     assert lifting_identity_check(dist, p=3, k=1) == 0.0
 
 
-def test_lifting_identity_scalar_uniform():
-    assert lifting_identity_check(scalar_uniform(1.0), p=2, k=2) <= 1e-10
+def test_lifting_identity_scalar_uniform(interval_box):
+    # on a box both sides would read the same E[A^(kron p)], proving nothing
+    for box in (scalar_uniform(1.0), interval_box):
+        with pytest.raises(AssumptionError):
+            lifting_identity_check(box, p=2, k=2)
 
 
 def test_lifting_identity_atomic_pairs():
