@@ -1,12 +1,16 @@
-"""Dense matrix arithmetic: Kronecker calculus, spectra, Perron vectors.
+"""Dense matrix arithmetic: Kronecker calculus, symmetric-power orbit
+tables, spectra, Perron vectors.
 
 All operations are pure functions on ndarrays and are safe to call
-concurrently. Sizes of Kronecker lifts are guarded by an entry cap
-(default 10^7 entries, overridable via SWITCHSTAB_MAX_LIFT_ENTRIES).
+concurrently; orbit tables are memoised and read-only. Sizes of lifted
+arrays are guarded by an entry cap (default 10^7 entries, overridable via
+SWITCHSTAB_MAX_LIFT_ENTRIES).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -54,6 +58,59 @@ def kron_power(m: np.ndarray, p: int) -> np.ndarray:
     for _ in range(p - 1):
         out = np.kron(out, m)
     return out
+
+
+@dataclass(frozen=True)
+class SymmetricOrbits:
+    """Orbits of the p-fold index set {0..d-1}^p under permutations of the
+    p tensor factors, with indices flattened as in :func:`kron_power`.
+
+    ``reps`` holds one nondecreasing multi-index per orbit, in increasing
+    order of the flat index; ``digits`` holds the multi-index of every flat
+    index and ``orbit`` its orbit id. The arrays are shared and read-only.
+    """
+
+    reps: np.ndarray  # (C(d+p-1, p), p)
+    digits: np.ndarray  # (d^p, p)
+    orbit: np.ndarray  # (d^p,)
+    order: np.ndarray  # flat indices grouped by orbit
+    starts: np.ndarray  # first position of each orbit in ``order``
+
+    def fold(self, block: np.ndarray) -> np.ndarray:
+        """Sum the columns of each orbit: on rows at ``reps`` of a matrix that
+        commutes with the factor permutations, this is the matrix of its
+        restriction to the symmetric tensors, in the basis of orbit sums."""
+        return np.add.reduceat(block[:, self.order], self.starts, axis=1)
+
+
+def symmetric_dim(d: int, p: int) -> int:
+    """Number of orbits, C(d+p-1, p): the dimension of Sym^p(R^d)."""
+    return math.comb(d + p - 1, p)
+
+
+@functools.lru_cache(maxsize=64)
+def symmetric_orbits(d: int, p: int) -> SymmetricOrbits:
+    """Orbit table for (d, p); callers check the entry cap first, since the
+    table holds d^p * p entries."""
+    n = d**p
+    weights = d ** np.arange(p - 1, -1, -1)
+    flat = np.arange(n)
+    digits = np.empty((n, p), dtype=np.min_scalar_type(d - 1))
+    for t, w in enumerate(weights):
+        digits[:, t] = flat // w % d
+    sorted_index = np.sort(digits, axis=1) @ weights
+    rep_index = np.flatnonzero(sorted_index == flat)
+    lookup = np.empty(n, dtype=np.intp)
+    lookup[rep_index] = np.arange(rep_index.size)
+    orbit = lookup[sorted_index]
+    order = np.argsort(orbit, kind="stable")
+    starts = np.searchsorted(orbit[order], np.arange(rep_index.size))
+    table = SymmetricOrbits(
+        reps=digits[rep_index], digits=digits, orbit=orbit, order=order, starts=starts
+    )
+    for arr in (table.reps, table.digits, table.orbit, table.order, table.starts):
+        arr.flags.writeable = False
+    return table
 
 
 def vec_of(columns) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, SchemaError
-from .linalg import check_entry_cap, check_finite, kron_power
+from .linalg import check_entry_cap, check_finite, kron_power, symmetric_dim, symmetric_orbits
 
 PROB_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
@@ -36,6 +36,13 @@ class MatrixDistribution:
         raise NotImplementedError
 
     def expected_kron_power(self, p: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def expected_kron_rows(self, p: int) -> np.ndarray:
+        """Rows of E[A^(kron p)] at the sorted multi-indices ``reps`` of
+        :func:`~switchstab.linalg.symmetric_orbits`, a C(d+p-1, p) x d^p
+        block. Every other row is a column permutation of one of these; at
+        p = 1 the block is the mean."""
         raise NotImplementedError
 
     def support_nonnegative(self) -> bool:
@@ -87,6 +94,23 @@ class AtomicDistribution(MatrixDistribution):
             out += prob * kron_power(m, p)
         return out
 
+    def expected_kron_rows(self, p: int) -> np.ndarray:
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        d = self.dim
+        m = symmetric_dim(d, p)
+        check_entry_cap(m * d**p, "expected_kron_rows")
+        reps = symmetric_orbits(d, p).reps
+        out = np.zeros((m, d**p))
+        for prob, atom in zip(self.probabilities, self.atoms):
+            # row r of atom^(kron p) is the Kronecker product of rows r_1..r_p,
+            # multiplied in the factor order of kron_power
+            rows = atom[reps[:, 0]]
+            for t in range(1, p):
+                rows = (rows[:, :, None] * atom[reps[:, t]][:, None, :]).reshape(m, -1)
+            out += prob * rows
+        return out
+
     def support_nonnegative(self) -> bool:
         return bool(np.all(self.atoms >= 0))
 
@@ -133,27 +157,49 @@ class UniformEntriesDistribution(MatrixDistribution):
         return 0.5 * (self.lower + self.upper)
 
     def expected_kron_power(self, p: int) -> np.ndarray:
-        # Each entry of the p-fold Kronecker power is a monomial in the d^2
-        # independent entries; grouping repeated cells lets the expectation
-        # factor into single-entry moments of the matching orders.
         if p < 1:
             raise ValueError("p must be >= 1")
         d = self.dim
         n = d**p
         check_entry_cap(n * n, "expected_kron_power")
-        moments = np.stack([self.entry_moment(k).reshape(-1) for k in range(p + 1)])
-        digits = np.empty((p, n), dtype=np.int64)
-        idx = np.arange(n)
-        for t in range(p):
-            digits[t] = (idx // d ** (p - 1 - t)) % d
-        counts = np.zeros((n, n, d * d), dtype=np.uint8)
-        for t in range(p):
-            cell = digits[t][:, None] * d + digits[t][None, :]
-            for c in range(d * d):
-                counts[:, :, c] += cell == c
-        out = np.ones((n, n))
-        for c in range(d * d):
-            out *= moments[counts[:, :, c], c]
+        block = self.expected_kron_rows(p)
+        if p == 1:
+            return block
+        # row i is the row of its sorted multi-index with the tensor factors
+        # of the column index permuted back; entries are copied, not recomputed
+        orbits = symmetric_orbits(d, p)
+        unsort = np.argsort(np.argsort(orbits.digits, axis=1, kind="stable"), axis=1)
+        out = np.empty((n, n))
+        for i in range(n):
+            row = block[orbits.orbit[i]].reshape((d,) * p)
+            out[i] = row.transpose(unsort[i]).reshape(n)
+        return out
+
+    def expected_kron_rows(self, p: int) -> np.ndarray:
+        # Each entry is the expectation of a monomial in the independent
+        # entries, so it factors into single-entry moments of the counts with
+        # which the (row, column) pair picks each cell. Cells are multiplied
+        # in increasing order (a count of 0 contributes an exact 1.0), so the
+        # result does not depend on the order of the tensor factors.
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        d = self.dim
+        m = symmetric_dim(d, p)
+        check_entry_cap(m * d**p, "expected_kron_rows")
+        if p == 1:
+            return self.entry_moment(1)
+        orbits = symmetric_orbits(d, p)
+        moments = np.stack([self.entry_moment(k) for k in range(p + 1)])
+        out = np.ones((m, d**p))
+        column_digits = orbits.digits.T
+        for i in range(d):
+            rows = np.flatnonzero(np.any(orbits.reps == i, axis=1))
+            at_row = (orbits.reps[rows] == i).astype(float)
+            picked = out[rows]
+            for j in range(d):
+                counts = at_row @ (column_digits == j)  # times cell (i, j) is picked
+                picked *= moments[:, i, j][counts.astype(np.intp)]
+            out[rows] = picked
         return out
 
     def support_nonnegative(self) -> bool:

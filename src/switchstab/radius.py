@@ -1,9 +1,19 @@
 """p-radius computations, Markov lifts, joint-spectral-radius brackets.
 
-The p-radius of a matrix law is computed as rho(E[A^(kron p)])^(1/p). The
-formula is licensed either by an even p or by orthant invariance of the
-support; anything else yields a typed "unsupported" result rather than a
-number, because the formula is simply not known to hold there.
+The p-radius of a matrix law is rho(E[A^(kron p)])^(1/p). The formula is
+licensed either by an even p or by orthant invariance of the support;
+anything else yields a typed "unsupported" result rather than a number,
+because the formula is simply not known to hold there.
+
+E[A^(kron p)] commutes with permutations of its p tensor factors, so the
+symmetric tensors Sym^p, of dimension C(d+p-1, p) against d^p, are an
+invariant subspace. In both licensed cases the spectral radius is attained
+there: for even p, E||A_k...A_1 x||^p pairs symmetric tensors; on the
+orthant, the all-ones vector is symmetric and positive. So the p-radius and
+the positivity flag of an i.i.d. law are read from the rows of the lift at
+the sorted multi-indices (``expected_kron_rows``), and the d^p x d^p lift
+is never built for them. The entry cap then bounds that C(d+p-1, p) x d^p
+block. Markov lifts ``markov_tp`` and certificates still use the full lift.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
-from .linalg import check_entry_cap, kron_power, spectrum
+from .linalg import check_entry_cap, kron_power, spectrum, symmetric_orbits
 from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
@@ -124,24 +134,27 @@ def _assumption_path(dist: MatrixDistribution, p: int) -> AssumptionPath:
     return AssumptionPath.UNSUPPORTED
 
 
-def _radius_of_lift(
-    p: int, lifted_dim: int, path: AssumptionPath, lifted: np.ndarray | None
+def _radius_of_rows(
+    dist: MatrixDistribution, p: int, path: AssumptionPath, block: np.ndarray | None
 ) -> PRadiusResult:
+    lifted_dim = dist.dim**p
     if path is AssumptionPath.UNSUPPORTED:
         return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
-    rho = spectrum(lifted).spectral_radius
+    on_sym = block if p == 1 else symmetric_orbits(dist.dim, p).fold(block)
+    rho = spectrum(on_sym).spectral_radius
     return PRadiusResult(
         p=p, value=float(rho ** (1.0 / p)), lifted_dim=lifted_dim, assumption_path=path
     )
 
 
 def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
-    """p-radius rho_p = rho(E[A^(kron p)])^(1/p), when licensed."""
+    """p-radius rho_p = rho(E[A^(kron p)])^(1/p), when licensed, computed on
+    the symmetric power Sym^p. ``lifted_dim`` is still d^p."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     path = _assumption_path(dist, p)
-    lifted = None if path is AssumptionPath.UNSUPPORTED else dist.expected_kron_power(p)
-    return _radius_of_lift(p, dist.dim**p, path, lifted)
+    block = None if path is AssumptionPath.UNSUPPORTED else dist.expected_kron_rows(p)
+    return _radius_of_rows(dist, p, path, block)
 
 
 def _verdict(value: float | None, margin: float) -> Verdict:
@@ -165,14 +178,16 @@ def check_mean_stability(
     if p < 1:
         raise ValueError("p must be a positive integer")
     path = _assumption_path(dist, p)
-    # the p = 1 lift is the mean, whose positivity flag every report carries
+    # every row of E[A^(kron p)] is a column permutation of a row in the
+    # block, so the block is positive exactly when the full lift is; the
+    # p = 1 block is the mean, whose positivity flag every report carries
     licensed = path is not AssumptionPath.UNSUPPORTED
-    lifted = dist.expected_kron_power(p) if licensed or p == 1 else None
-    result = _radius_of_lift(p, dist.dim**p, path, lifted)
-    mean = lifted if p == 1 else dist.expected_kron_power(1)
+    block = dist.expected_kron_rows(p) if licensed or p == 1 else None
+    result = _radius_of_rows(dist, p, path, block)
+    mean = block if p == 1 else dist.expected_kron_rows(1)
     positive = {1: bool(np.all(mean > 0))}
     if licensed and p > 1:
-        positive[p] = bool(np.all(lifted > 0))
+        positive[p] = bool(np.all(block > 0))
     flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
     return StabilityReport(
         verdict=_verdict(result.value, decision_margin),

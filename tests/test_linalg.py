@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from switchstab import (
     spectrum,
     vec_of,
 )
+from switchstab.linalg import symmetric_orbits
 
 
 def test_kron_against_index_formula():
@@ -23,6 +26,23 @@ def test_kron_against_index_formula():
                 for j2 in range(2):
                     assert out[2 * i1 + i2, 2 * j1 + j2] == m[i1, j1] * m[i2, j2]
     assert np.array_equal(out[0:2, 2:4], 2 * m)  # block (1, 2)
+
+
+@pytest.mark.parametrize("d, p", [(1, 4), (2, 3), (3, 2), (3, 4), (4, 1)])
+def test_symmetric_orbits_group_indices_by_sorted_digits(d, p):
+    orbits = symmetric_orbits(d, p)
+    # multi-indices in the flat order of kron_power: the first factor is
+    # the most significant digit
+    indices = list(itertools.product(range(d), repeat=p))
+    reps = list(itertools.combinations_with_replacement(range(d), p))
+    assert [tuple(r) for r in orbits.reps] == reps
+    assert [tuple(orbits.reps[o]) for o in orbits.orbit] == [tuple(sorted(i)) for i in indices]
+    assert [tuple(x) for x in orbits.digits] == indices
+    # summing each orbit's columns of a matrix with equal entries counts it
+    sizes = orbits.fold(np.ones((len(reps), d**p)))[0]
+    assert sizes.tolist() == [sum(tuple(sorted(i)) == r for i in indices) for r in reps]
+    assert not orbits.digits.flags.writeable
+    assert symmetric_orbits(d, p) is orbits
 
 
 def test_kron_dimension_cap(monkeypatch):

@@ -115,6 +115,40 @@ def test_expected_kron_power_uniform_matches_monte_carlo(p):
     assert np.all(np.abs(mc - exact) <= 4.0 * se + 1e-9)
 
 
+def count_array_box_lift(box, p):
+    """Reference E[A^(kron p)] of a uniform box, the former library route:
+    an (n, n, d^2) array counts how often each entry pair picks each cell,
+    and the moments of those counts are multiplied in increasing cell order."""
+    d = box.dim
+    n = d**p
+    moments = np.stack([box.entry_moment(k).reshape(-1) for k in range(p + 1)])
+    digits = np.empty((p, n), dtype=np.int64)
+    idx = np.arange(n)
+    for t in range(p):
+        digits[t] = (idx // d ** (p - 1 - t)) % d
+    counts = np.zeros((n, n, d * d), dtype=np.uint8)
+    for t in range(p):
+        cell = digits[t][:, None] * d + digits[t][None, :]
+        for c in range(d * d):
+            counts[:, :, c] += cell == c
+    out = np.ones((n, n))
+    for c in range(d * d):
+        out *= moments[counts[:, :, c], c]
+    return out
+
+
+def test_box_lift_is_the_count_array_lift_bit_for_bit(interval_box):
+    rng = np.random.default_rng(21)
+    lower = rng.uniform(-1.0, 0.5, (3, 3))
+    signed = UniformEntriesDistribution(lower=lower, upper=lower + rng.uniform(0.1, 1.5, (3, 3)))
+    upper = lower + rng.uniform(0.1, 1.5, (3, 3))
+    upper[2, 0] = lower[2, 0]
+    degenerate = UniformEntriesDistribution(lower=lower, upper=upper)
+    for box in (interval_box, signed, degenerate):
+        for p in (1, 2, 3, 4):
+            assert np.array_equal(box.expected_kron_power(p), count_array_box_lift(box, p))
+
+
 def test_sandwich_matches_kron_route():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2, 2))

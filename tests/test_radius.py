@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchstab import (
     AssumptionError,
     AssumptionPath,
     AtomicDistribution,
     MarkovJumpSystem,
+    UniformEntriesDistribution,
     Verdict,
     apply_feedback,
     check_mean_stability,
@@ -20,6 +23,7 @@ from switchstab import (
     spectrum,
 )
 from conftest import random_atomic, scalar_uniform
+from test_models import count_array_box_lift
 
 
 def single_atom(m):
@@ -96,22 +100,29 @@ def test_stability_builds_the_lift_once(monkeypatch, interval_box, p):
     for dist in (atomic, interval_box):
         cls = type(dist)
         expected = {q: bool(np.all(dist.expected_kron_power(q) > 0)) for q in {1, p}}
-        calls = []
-        original = cls.expected_kron_power
+        calls = {"expected_kron_rows": [], "expected_kron_power": []}
+        for name, log in calls.items():
 
-        def counting(self, q, original=original):
-            calls.append(q)
-            return original(self, q)
+            def counting(self, q, original=getattr(cls, name), log=log):
+                log.append(q)
+                return original(self, q)
 
-        monkeypatch.setattr(cls, "expected_kron_power", counting)
+            monkeypatch.setattr(cls, name, counting)
         report = check_mean_stability(dist, p)
+        rows, full = list(calls["expected_kron_rows"]), list(calls["expected_kron_power"])
+        for log in calls.values():
+            log.clear()
+        radius = p_radius(dist, p)
         monkeypatch.undo()
-        # the p-fold lift serves both the radius and its positivity flag;
-        # for p > 1 the mean is built once more for the p = 1 flag
-        assert calls.count(p) == 1
-        assert sorted(calls) == sorted({1, p})
+        # one row block serves both the radius and its positivity flag; for
+        # p > 1 the mean is built once more for the p = 1 flag, and the
+        # d^p x d^p lift is never built
+        assert rows.count(p) == 1
+        assert sorted(rows) == sorted({1, p})
+        assert full == []
+        assert calls == {"expected_kron_rows": [p], "expected_kron_power": []}
         assert report.cone_flags.expectation_positive == expected
-        assert report.p_radius.value == pytest.approx(p_radius(dist, p).value, rel=1e-15)
+        assert report.p_radius.value == pytest.approx(radius.value, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +321,23 @@ def test_limit_sequence_cap_truncates(monkeypatch, interval_box):
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "300")
     seq = limit_sequence(interval_box, p_max=8)
     assert seq.truncated
-    assert [p for p, _ in seq.entries] == [1, 2, 3, 4]  # 4^5 entries break the cap
+    # the p = 5 row block has 6 * 2^5 = 192 entries; at p = 6, 7 * 2^6 = 448
+    assert [p for p, _ in seq.entries] == [1, 2, 3, 4, 5]
+
+
+def test_limit_sequence_reaches_p12_at_the_default_cap(monkeypatch):
+    # the full lift at p = 12 has 4^12 > 10^7 entries; its Sym^12 rows have 13 * 2^12
+    monkeypatch.delenv("SWITCHSTAB_MAX_LIFT_ENTRIES", raising=False)
+    probs = np.array([0.3, 0.7])
+    diagonals = np.array([[0.9, 0.4], [0.5, 1.1]])
+    dist = AtomicDistribution(probabilities=probs, atoms=np.array([np.diag(x) for x in diagonals]))
+    seq = limit_sequence(dist, p_max=12)
+    assert not seq.truncated
+    assert [p for p, _ in seq.entries] == list(range(1, 13))
+    a, b = diagonals.T
+    for p, value in seq.entries:
+        closed = max(probs @ (a**m * b ** (p - m)) for m in range(p + 1)) ** (1.0 / p)
+        assert value == pytest.approx(closed, rel=1e-12)
 
 
 def test_lifting_identity_trivial_k():
@@ -339,3 +366,103 @@ def test_monotone_p_radius_even_steps():
         r2 = p_radius(dist, 2).value
         r4 = p_radius(dist, 4).value
         assert r2 <= r4 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# properties of the Sym^p route against the dense lift
+# ---------------------------------------------------------------------------
+
+
+def dense_lift(dist, p):
+    """E[A^(kron p)] built densely: np.kron powers of the atoms, or the
+    count-array lift of a box."""
+    if isinstance(dist, UniformEntriesDistribution):
+        return count_array_box_lift(dist, p)
+    out = 0.0
+    for w, m in zip(dist.probabilities, dist.atoms):
+        k = m
+        for _ in range(p - 1):
+            k = np.kron(k, m)
+        out = out + w * k
+    return out
+
+
+def dense_radius(dist, p):
+    """rho(E[A^(kron p)])^(1/p) from the dense lift, with the relative
+    tolerance a comparison with it needs: 1e-12, or more where the dominant
+    eigenvalue is ill conditioned. There the first-order Bauer-Fike bound
+    eps * cond(V) * ||T|| / (p * rho(T)) applies, and the dense and the
+    Sym^p routes both lose digits (near-defective atoms, such as a matrix
+    close to a nilpotent one)."""
+    lift = dense_lift(dist, p)
+    eigenvalues, vectors = np.linalg.eig(lift)
+    rho = float(np.max(np.abs(eigenvalues)))
+    bound = np.finfo(float).eps * np.linalg.cond(vectors) * np.linalg.norm(lift, 2) / (p * rho)
+    return rho ** (1.0 / p), max(1e-12, bound)
+
+
+#: (d, p) with d <= 4, p <= 6 and a dense lift of at most 256 x 256
+SIZES = [(d, p) for d in range(1, 5) for p in range(1, 7) if d**p <= 256]
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def licensed_laws(draw):
+    """A law and a licensed p: signed atoms at even p, nonnegative atoms or
+    boxes at odd p, with entries drawn from a drawn seed."""
+    d, p = draw(st.sampled_from(SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 4.0))
+    if p % 2 and draw(st.booleans()):
+        lower = scale * rng.uniform(0.0, 1.0, (d, d))
+        upper = lower + scale * rng.uniform(0.0, 1.0, (d, d))
+        return UniformEntriesDistribution(lower=lower, upper=upper), p
+    n_atoms = draw(st.integers(1, 3))
+    probs = rng.dirichlet(np.ones(n_atoms)) * 0.9 + 0.1 / n_atoms
+    atoms = scale * rng.standard_normal((n_atoms, d, d))
+    if p % 2:
+        atoms = np.abs(atoms)
+    return AtomicDistribution(probabilities=probs / probs.sum(), atoms=atoms), p
+
+
+@PROPERTY_SETTINGS
+@given(licensed_laws())
+def test_sym_route_matches_the_dense_lift(law):
+    dist, p = law
+    report = check_mean_stability(dist, p)
+    value, rel = dense_radius(dist, p)
+    assert report.p_radius.value == pytest.approx(value, rel=rel)
+    assert report.p_radius.lifted_dim == dist.dim**p
+    assert report.cone_flags.expectation_positive == {
+        q: bool(np.all(dense_lift(dist, q) > 0)) for q in {1, p}
+    }
+
+
+@PROPERTY_SETTINGS
+@given(licensed_laws(), st.floats(0.2, 5.0), st.booleans())
+def test_p_radius_is_absolutely_homogeneous(law, c, negate):
+    dist, p = law
+    if isinstance(dist, AtomicDistribution):
+        # a negative factor keeps odd p licensed only on the orthant, so
+        # it is tried at even p
+        c = -c if negate and p % 2 == 0 else c
+        scaled = AtomicDistribution(probabilities=dist.probabilities, atoms=c * dist.atoms)
+    else:
+        scaled = UniformEntriesDistribution(lower=c * dist.lower, upper=c * dist.upper)
+    rel = dense_radius(dist, p)[1]
+    assert p_radius(scaled, p).value == pytest.approx(abs(c) * p_radius(dist, p).value, rel=rel)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(SIZES), st.integers(0, 2**32 - 1))
+def test_degenerate_box_is_its_single_atom(size, seed):
+    d, p = size
+    m = np.random.default_rng(seed).standard_normal((d, d))
+    if p % 2:
+        m = np.abs(m)
+    box = UniformEntriesDistribution(lower=m, upper=m)
+    atom = single_atom(m)
+    box_report, atom_report = check_mean_stability(box, p), check_mean_stability(atom, p)
+    rel = dense_radius(atom, p)[1]
+    assert box_report.p_radius.value == pytest.approx(atom_report.p_radius.value, rel=rel)
+    assert box_report.cone_flags == atom_report.cone_flags
