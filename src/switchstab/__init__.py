@@ -17,7 +17,6 @@ from .errors import (
 from .linalg import (
     Spectrum,
     dominant_left_eigenvector,
-    is_positive_semidefinite,
     kron_power,
     spectrum,
     vec_of,

@@ -176,17 +176,3 @@ def dominant_left_eigenvector(
     raise SolverFailureError(
         f"power iteration stagnated after {max_iter} iterations", partial=(lam, f)
     )
-
-
-def is_positive_semidefinite(s: np.ndarray, tol: float) -> bool:
-    """True iff the symmetric part of s has minimum eigenvalue >= -tol.
-
-    s must be symmetric to within tol; larger asymmetry is a usage error.
-    """
-    s = check_finite(s, "matrix")
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    if float(np.max(np.abs(s - s.T))) > tol:
-        raise AssumptionError("matrix is asymmetric beyond the stated tolerance")
-    sym = 0.5 * (s + s.T)
-    return float(np.linalg.eigvalsh(sym).min()) >= -tol

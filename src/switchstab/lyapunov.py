@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InstabilityError
-from .linalg import dominant_left_eigenvector, kron_power, spectrum
+from .linalg import check_entry_cap, dominant_left_eigenvector, kron_power, spectrum
 from .models import AtomicDistribution, MatrixDistribution
 from .radius import DECISION_MARGIN
 
@@ -107,15 +107,21 @@ LyapunovCertificate = ConeNormCertificate | QuadraticCertificate | LiftedCertifi
 def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
     """Value of the certificate function at x."""
     x = np.asarray(x, dtype=float)
+    if isinstance(cert, LiftedCertificate):
+        return evaluate(cert.base, kron_power(x, cert.lift_power))
+    if x.shape != (cert.dim,):
+        raise ValueError(f"expected a vector of length {cert.dim}")
     if isinstance(cert, ConeNormCertificate):
-        if x.shape != (cert.dim,):
-            raise ValueError(f"expected a vector of length {cert.dim}")
         return float(cert.f @ np.abs(x))
-    if isinstance(cert, QuadraticCertificate):
-        if x.shape != (cert.dim,):
-            raise ValueError(f"expected a vector of length {cert.dim}")
-        return float(x @ cert.h @ x)
-    return evaluate(cert.base, kron_power(x, cert.lift_power))
+    return float(x @ cert.h @ x)
+
+
+def _kron_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """Row-wise q-fold Kronecker power of a stack of row vectors."""
+    lifted = rows
+    for _ in range(q - 1):
+        lifted = np.einsum("ni,nj->nij", lifted, rows).reshape(rows.shape[0], -1)
+    return lifted
 
 
 def _evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
@@ -124,10 +130,7 @@ def _evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
         return np.abs(rows) @ cert.f
     if isinstance(cert, QuadraticCertificate):
         return np.einsum("ni,ij,nj->n", rows, cert.h, rows)
-    lifted = rows
-    for _ in range(cert.lift_power - 1):
-        lifted = np.einsum("ni,nj->nij", lifted, rows).reshape(rows.shape[0], -1)
-    return _evaluate_rows(cert.base, lifted)
+    return _evaluate_rows(cert.base, _kron_rows(rows, cert.lift_power))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +263,43 @@ def default_test_vectors(dim: int, count: int = 1000, seed: int = DEFAULT_VALIDA
     return np.vstack([pts, np.eye(dim)])
 
 
+def _mc_estimates(
+    cert: LyapunovCertificate, samples: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and standard error of V(A x) over the draws ``samples``,
+    at every row x of ``xs``."""
+    n, d = samples.shape[:2]
+    base, q = (cert.base, cert.lift_power) if isinstance(cert, LiftedCertificate) else (cert, 1)
+    if isinstance(base, QuadraticCertificate):
+        # V(A_s x) = w . vec(B_s) with B_s = L_s.T H L_s, L_s = A_s^(kron q) and
+        # w = x^(kron 2q), so the mean is w . vec(mean(B)) and the variance is
+        # w.T Q w, Q the covariance of the vec(B_s) formed from centred B_s
+        check_entry_cap(max(n, d ** (2 * q)) * d ** (2 * q), "Monte Carlo sandwiches")
+        powers = samples
+        for t in range(2, q + 1):
+            powers = np.einsum("sij,skl->sikjl", powers, samples).reshape(n, d**t, -1)
+        sandwiches = powers.transpose(0, 2, 1) @ base.h @ powers
+        mean = sandwiches.mean(axis=0)
+        centred = (sandwiches - mean).reshape(n, -1)
+        covariance = centred.T @ centred / (n - 1)
+        w = _kron_rows(xs, 2 * q)
+        var = np.einsum("ni,ni->n", w @ covariance, w)
+        return w @ mean.reshape(-1), np.sqrt(np.maximum(var, 0.0) / n)
+    # cone norms: each chunk of vectors is mapped by every draw in one matrix
+    # product, and the values are summed over the draws in draw order
+    check_entry_cap(n * base.f.size, "Monte Carlo certificate values")
+    draws = samples.reshape(-1, d).T
+    expected, stderr = np.empty(xs.shape[0]), np.empty(xs.shape[0])
+    chunk = max(1, int(2e6) // (n * base.f.size))
+    for start in range(0, xs.shape[0], chunk):
+        block = xs[start : start + chunk]
+        mapped = (block @ draws).reshape(-1, d)  # A_s x_k, draw-major within each x_k
+        vals = np.ascontiguousarray(_evaluate_rows(cert, mapped).reshape(-1, n).T)
+        expected[start : start + chunk] = vals.mean(axis=0)
+        stderr[start : start + chunk] = vals.std(axis=0, ddof=1) / np.sqrt(n)
+    return expected, stderr
+
+
 def validate_certificate(
     cert: LyapunovCertificate,
     dist: MatrixDistribution,
@@ -271,8 +311,12 @@ def validate_certificate(
     """Check E[V(A x)] <= gamma V(x) over a panel of test vectors.
 
     mode "exact" evaluates the expectation atom by atom (finite laws only);
-    mode "mc" estimates it from n_samples draws and allows a four-standard-
-    error band on top of the decay bound.
+    mode "mc" estimates it from n_samples >= 2 draws and allows a four-
+    standard-error band on top of the decay bound. A (lifted) quadratic
+    certificate gets the sample mean and variance from moment matrices of
+    the draws, a cone norm from V at every draw and vector. The entry cap
+    guards the n_samples d^2 draws and, for a quadratic base on x^(kron q),
+    the n_samples d^(2q) sandwiches and their d^(4q) covariance.
     """
     from .mcsim import sample_matrix  # sampling lives with the simulators
 
@@ -284,33 +328,22 @@ def validate_certificate(
         raise ValueError(f"test vectors must have shape (n, {dim})")
     evaluate(cert, np.zeros(dim))  # fails fast on a dimension mismatch
     gamma = cert.gamma
+    vx = _evaluate_rows(cert, xs)
 
     if mode == "exact":
         if not isinstance(dist, AtomicDistribution):
             raise AssumptionError("exact validation needs a finite atomic law")
-        vx = _evaluate_rows(cert, xs)
         expected = np.zeros(xs.shape[0])
         for prob, m in zip(dist.probabilities, dist.atoms):
             expected += prob * _evaluate_rows(cert, xs @ m.T)
-        bound = gamma * vx * (1.0 + 1e-9)
-        slack = bound + 1e-15 * np.maximum(vx, 1.0)
+        slack = gamma * vx * (1.0 + 1e-9) + 1e-15 * np.maximum(vx, 1.0)
     elif mode == "mc":
-        rng = np.random.default_rng(seed)
-        samples = sample_matrix(dist, rng, size=n_samples)
-        vx = _evaluate_rows(cert, xs)
-        expected = np.empty(xs.shape[0])
-        stderr = np.empty(xs.shape[0])
-        chunk = max(1, int(2e6) // max(1, n_samples * dim))
-        for start in range(0, xs.shape[0], chunk):
-            block = xs[start : start + chunk]
-            mapped = block @ samples.transpose(0, 2, 1)
-            vals = _evaluate_rows(cert, mapped.reshape(-1, mapped.shape[-1])).reshape(
-                n_samples, block.shape[0]
-            )
-            expected[start : start + chunk] = vals.mean(axis=0)
-            stderr[start : start + chunk] = vals.std(axis=0, ddof=1) / np.sqrt(n_samples)
-        bound = gamma * vx
-        slack = bound + 4.0 * stderr + 1e-12 * np.maximum(vx, 1.0)
+        if n_samples < 2:
+            raise ValueError("Monte Carlo validation needs at least 2 samples")
+        check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")
+        samples = sample_matrix(dist, np.random.default_rng(seed), size=n_samples)
+        expected, stderr = _mc_estimates(cert, samples, xs)
+        slack = gamma * vx + 4.0 * stderr + 1e-12 * np.maximum(vx, 1.0)
     else:
         raise ValueError("mode must be 'exact' or 'mc'")
 

@@ -51,10 +51,6 @@ class MatrixDistribution:
         invariant."""
         raise NotImplementedError
 
-    def expected_sandwich(self, x: np.ndarray) -> np.ndarray:
-        """Exact E[A.T @ x @ A] for this law."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class AtomicDistribution(MatrixDistribution):
@@ -113,10 +109,6 @@ class AtomicDistribution(MatrixDistribution):
 
     def support_nonnegative(self) -> bool:
         return bool(np.all(self.atoms >= 0))
-
-    def expected_sandwich(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.einsum("n,nki,kl,nlj->ij", self.probabilities, self.atoms, x, self.atoms)
 
 
 @dataclass(frozen=True)
@@ -206,16 +198,6 @@ class UniformEntriesDistribution(MatrixDistribution):
         # the support is the full box, so nonnegative lower bounds are
         # necessary as well as sufficient
         return bool(np.all(self.lower >= 0))
-
-    def expected_sandwich(self, x: np.ndarray) -> np.ndarray:
-        # E[(A.T X A)_ij] = sum_{k,l} X_kl E[a_ki a_lj]; entries factor except
-        # when (k,i) == (l,j), which contributes the per-entry variance.
-        x = np.asarray(x, dtype=float)
-        mean = self.expected_matrix()
-        var = self.entry_moment(2) - mean**2
-        out = mean.T @ x @ mean
-        out[np.diag_indices_from(out)] += np.diagonal(x) @ var
-        return out
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from switchstab import (
+    AssumptionError,
     AtomicDistribution,
     MarkovJumpSystem,
     UniformEntriesDistribution,
@@ -55,3 +56,35 @@ def random_atomic(rng, n_atoms=2, dim=2, target_r2=None):
         r2 = p_radius(dist, 2).value
         dist = AtomicDistribution(probabilities=probs, atoms=atoms * (target_r2 / r2))
     return dist
+
+
+def expected_sandwich(dist, x):
+    """Exact E[A.T @ x @ A] for an atomic law or a uniform box, computed
+    without Kronecker lifts: the independent oracle of the certificate
+    equation H = I + E[A.T H A]."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(dist, AtomicDistribution):
+        return np.einsum("n,nki,kl,nlj->ij", dist.probabilities, dist.atoms, x, dist.atoms)
+    # E[(A.T X A)_ij] = sum_{k,l} X_kl E[a_ki a_lj]; entries factor except
+    # when (k,i) == (l,j), which contributes the per-entry variance.
+    mean = dist.expected_matrix()
+    var = dist.entry_moment(2) - mean**2
+    out = mean.T @ x @ mean
+    out[np.diag_indices_from(out)] += np.diagonal(x) @ var
+    return out
+
+
+def is_positive_semidefinite(s, tol):
+    """True iff the symmetric part of s has minimum eigenvalue >= -tol.
+
+    s must be symmetric to within tol; larger asymmetry is a usage error.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("matrix contains non-finite entries")
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    if float(np.max(np.abs(s - s.T))) > tol:
+        raise AssumptionError("matrix is asymmetric beyond the stated tolerance")
+    sym = 0.5 * (s + s.T)
+    return float(np.linalg.eigvalsh(sym).min()) >= -tol

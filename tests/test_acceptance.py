@@ -16,7 +16,6 @@ from switchstab import (
     SimulationPlan,
     apply_feedback,
     check_q_recursion,
-    is_positive_semidefinite,
     jsr_bounds,
     lifting_identity_check,
     p_radius,
@@ -26,7 +25,12 @@ from switchstab import (
     synthesize_quadratic,
 )
 from switchstab.cli import main as cli_main
-from conftest import random_atomic, scalar_uniform
+from conftest import (
+    expected_sandwich,
+    is_positive_semidefinite,
+    random_atomic,
+    scalar_uniform,
+)
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> bool:
@@ -175,10 +179,10 @@ def test_criterion_06_quadratic_certificate_suite():
         dist = random_atomic(rng, n_atoms=int(rng.integers(2, 4)), dim=2, target_r2=target)
         cert = synthesize_quadratic(dist)
         h = cert.h
-        residual = float(np.max(np.abs(dist.expected_sandwich(h) - (h - np.eye(2)))))
+        residual = float(np.max(np.abs(expected_sandwich(dist, h) - (h - np.eye(2)))))
         if residual > 1e-9 * float(np.max(np.abs(h))):
             ok, detail = False, f"trial {trial}: fixed-point residual {residual:.2e}"
-        if not is_positive_semidefinite(cert.gamma * h - dist.expected_sandwich(h), 1e-9):
+        if not is_positive_semidefinite(cert.gamma * h - expected_sandwich(dist, h), 1e-9):
             ok, detail = False, f"trial {trial}: gamma*H - E[A'HA] not PSD"
     rejected = 0
     for trial in range(5):

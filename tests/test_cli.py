@@ -378,6 +378,19 @@ def test_lyapunov_cap_exits_5(capsys, docs, monkeypatch):
     assert report["error"]["type"] == "DimensionCapError"
 
 
+def test_validate_mc_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "lyapunov", "-i", str(docs["box.json"]), "-p", "1", "-o", str(cert_path))
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    argv = ["validate", "--cert", str(cert_path), "-i", str(docs["box.json"]), "--mode"]
+    code, report = run(capsys, *argv, "mc:250")  # 250 draws of 2x2: 1000 entries
+    assert code == 0
+    assert report["results"]["passed"] is True
+    code, report = run(capsys, *argv, "mc:251")
+    assert code == 5
+    assert report["error"]["type"] == "DimensionCapError"
+
+
 def test_wrong_problem_type_exits_1(capsys, docs):
     code, _ = run(capsys, "markov", "-i", str(docs["box.json"]), "-p", "1")
     assert code == 1

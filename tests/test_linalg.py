@@ -8,12 +8,12 @@ from switchstab import (
     DimensionCapError,
     SolverFailureError,
     dominant_left_eigenvector,
-    is_positive_semidefinite,
     kron_power,
     spectrum,
     vec_of,
 )
 from switchstab.linalg import symmetric_orbits
+from conftest import is_positive_semidefinite
 
 
 def test_kron_against_index_formula():

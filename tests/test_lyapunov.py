@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchstab.lyapunov as lyapunov_module
 from switchstab import (
@@ -14,14 +16,19 @@ from switchstab import (
     certificate_from_dict,
     certificate_to_dict,
     evaluate,
-    is_positive_semidefinite,
     p_radius,
+    sample_matrix,
     synthesize_cone_norm,
     synthesize_degree_p,
     synthesize_quadratic,
     validate_certificate,
 )
-from conftest import random_atomic, scalar_uniform
+from conftest import (
+    expected_sandwich,
+    is_positive_semidefinite,
+    random_atomic,
+    scalar_uniform,
+)
 
 
 def single_atom(m):
@@ -145,9 +152,9 @@ def test_quadratic_fixed_point_identity():
         dist = random_atomic(rng, n_atoms=3, dim=2, target_r2=0.85)
         cert = synthesize_quadratic(dist)
         h = cert.h
-        residual = np.max(np.abs(dist.expected_sandwich(h) - (h - np.eye(2))))
+        residual = np.max(np.abs(expected_sandwich(dist, h) - (h - np.eye(2))))
         assert residual <= 1e-9 * np.max(np.abs(h))
-        assert is_positive_semidefinite(cert.gamma * h - dist.expected_sandwich(h), 1e-9)
+        assert is_positive_semidefinite(cert.gamma * h - expected_sandwich(dist, h), 1e-9)
 
 
 def test_quadratic_rejects_raw_interval_box(interval_box):
@@ -161,7 +168,7 @@ def test_quadratic_on_shrunk_box(shrunk_box):
     assert p_radius(shrunk_box, 2).value < 1
     cert = synthesize_quadratic(shrunk_box)
     h = cert.h
-    assert is_positive_semidefinite(cert.gamma * h - shrunk_box.expected_sandwich(h), 1e-9)
+    assert is_positive_semidefinite(cert.gamma * h - expected_sandwich(shrunk_box, h), 1e-9)
 
 
 def test_quadratic_rejects_unstable():
@@ -360,6 +367,136 @@ def test_validation_interval_box_monte_carlo(interval_box):
     report = validate_certificate(cert, interval_box, mode="mc", n_samples=100_000, seed=42)
     assert report.passed
     assert report.n_vectors == 1002  # 1000 sphere points plus the basis
+
+
+def test_validation_mc_needs_two_samples():
+    # one draw has no standard error; it must not pass a bogus certificate
+    dist = single_atom(2.0 * np.eye(2))
+    bogus = QuadraticCertificate(h=np.eye(2), gamma=0.5)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            validate_certificate(bogus, dist, mode="mc", n_samples=n)
+    report = validate_certificate(bogus, dist, mode="mc", n_samples=2)
+    assert not report.passed
+    assert report.worst_margin == pytest.approx(8.0, rel=1e-12)
+
+
+def test_mc_validation_respects_the_lift_cap(monkeypatch):
+    rng = np.random.default_rng(31)
+    plane = random_atomic(rng, n_atoms=2, dim=2, target_r2=0.8)
+    space = random_atomic(rng, n_atoms=2, dim=3, target_r2=0.8)
+    quadratic = synthesize_quadratic(plane)
+    quartic_plane = synthesize_degree_p(plane, 4)
+    quartic_space = synthesize_degree_p(space, 4)
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    # under the cap: 200 x 4 draws, 200 x 4 sandwiches, a 4 x 4 covariance
+    assert validate_certificate(quadratic, plane, mode="mc", n_samples=200).passed
+    cone = ConeNormCertificate(f=np.ones(2), gamma=0.5)
+    cases = [
+        (quadratic, plane, 600, "Monte Carlo samples", 2400),  # the draws
+        (cone, plane, 600, "Monte Carlo samples", 2400),
+        (quartic_plane, plane, 100, "Monte Carlo sandwiches", 1600),  # 100 x 4 x 4
+        (quartic_space, space, 2, "Monte Carlo sandwiches", 6561),  # covariance 9^4
+    ]
+    for cert, dist, n, context, requested in cases:
+        with pytest.raises(DimensionCapError, match=context) as caught:
+            validate_certificate(cert, dist, mode="mc", n_samples=n)
+        assert caught.value.requested == requested
+
+
+def per_sample_estimates(cert, samples, xs):
+    """Oracle: V(A_s x) at every draw and vector, then the sample mean and
+    the ddof=1 standard error over the draws."""
+    base, q = (cert.base, cert.lift_power) if isinstance(cert, LiftedCertificate) else (cert, 1)
+    vals = np.empty((samples.shape[0], xs.shape[0]))
+    for s, a in enumerate(samples):
+        y = xs @ a.T
+        phi = y
+        for _ in range(q - 1):
+            phi = (phi[:, :, None] * y[:, None, :]).reshape(y.shape[0], -1)
+        if isinstance(base, ConeNormCertificate):
+            vals[s] = np.abs(phi) @ base.f
+        else:
+            vals[s] = np.einsum("ni,ij,nj->n", phi, base.h, phi)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+
+
+@pytest.mark.parametrize("d, p, n", [(2, 1, 2000), (3, 1, 999), (5, 1, 500), (2, 3, 500)])
+def test_cone_norm_mc_matches_the_per_sample_route(d, p, n):
+    # one matrix product maps the vectors by all draws; it may round a
+    # mapped vector differently in the last bit from per-draw products
+    rng = np.random.default_rng(40 + d + p)
+    upper = rng.uniform(0.2, 1.0, (d, d))
+    upper *= 0.8 / p_radius(UniformEntriesDistribution(lower=0 * upper, upper=upper), p).value
+    box = UniformEntriesDistribution(lower=np.zeros((d, d)), upper=upper)
+    cert = synthesize_degree_p(box, p)
+    xs = lyapunov_module.default_test_vectors(d)
+    samples = sample_matrix(box, np.random.default_rng(7), size=n)
+    expected, stderr = lyapunov_module._mc_estimates(cert, samples, xs)
+    oracle_expected, oracle_stderr = per_sample_estimates(cert, samples, xs)
+    np.testing.assert_allclose(expected, oracle_expected, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(stderr, oracle_stderr, rtol=1e-12, atol=0)
+    report = validate_certificate(cert, box, mode="mc", n_samples=n, seed=7)
+    vx = np.array([evaluate(cert, x) for x in xs])
+    margins = oracle_expected / (cert.gamma * vx)
+    assert report.worst_margin == pytest.approx(margins.max(), rel=1e-14)
+    assert np.array_equal(report.worst_x, xs[np.argmax(margins)])
+
+
+@st.composite
+def quadratic_validations(draw):
+    """A law (atomic or a box, d <= 4), a random quadratic certificate of
+    degree 2 or lifted degree 4, a sample count and a seed."""
+    d = draw(st.integers(1, 4))
+    q = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        n_atoms = draw(st.integers(1, 3))
+        probs = rng.dirichlet(np.ones(n_atoms)) * 0.9 + 0.1 / n_atoms
+        atoms = scale * rng.standard_normal((n_atoms, d, d))
+        dist = AtomicDistribution(probabilities=probs / probs.sum(), atoms=atoms)
+    else:
+        # narrow boxes have a variance far below the squared mean, where an
+        # uncentred variance loses its digits
+        width = scale * 10.0 ** -draw(st.integers(0, 5))
+        lower = scale * rng.standard_normal((d, d))
+        upper = lower + width * rng.uniform(0.0, 1.0, (d, d))
+        dist = UniformEntriesDistribution(lower=lower, upper=upper)
+    g = rng.standard_normal((d**q, d**q))
+    base = QuadraticCertificate(h=g @ g.T + d**q * np.eye(d**q), gamma=draw(st.floats(0.05, 0.95)))
+    cert = base if q == 1 else LiftedCertificate(base=base, lift_power=q)
+    return cert, dist, draw(st.sampled_from((2, 3, 500))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratic_validations())
+def test_quadratic_mc_moments_match_the_per_sample_oracle(case):
+    cert, dist, n, seed = case
+    xs = lyapunov_module.default_test_vectors(dist.dim, count=40, seed=seed)
+    samples = sample_matrix(dist, np.random.default_rng(seed), size=n)
+    expected, stderr = lyapunov_module._mc_estimates(cert, samples, xs)
+    oracle_expected, oracle_stderr = per_sample_estimates(cert, samples, xs)
+    vx = np.array([evaluate(cert, x) for x in xs])
+    # the moment route rounds on the scale of the terms of w . vec(B_s), not
+    # of V(A x), so errors are relative to the scale the check compares:
+    # max(E[V(A x)], V(x)) for the mean, over sqrt(n) for the standard error
+    scale = np.maximum(oracle_expected, vx)
+    assert np.all(np.abs(expected - oracle_expected) <= 1e-10 * scale)
+    tolerance = 1e-10 * (oracle_stderr + scale / np.sqrt(n))
+    assert np.all(np.abs(stderr - oracle_stderr) <= tolerance)
+    report = validate_certificate(cert, dist, xs=xs, mode="mc", n_samples=n, seed=seed)
+    slack = cert.gamma * vx + 4.0 * oracle_stderr + 1e-12 * np.maximum(vx, 1.0)
+    # the verdict and the worst vector agree unless the oracle's own values
+    # tie within the bounds above; margins E / (gamma V(x)) inherit the
+    # mean's bound, 1e-10 max(margin, 1 / gamma)
+    if np.min(np.abs(oracle_expected - slack) / slack) > 1e-7:
+        assert report.passed == bool(np.all(oracle_expected <= slack))
+    margins = oracle_expected / (cert.gamma * vx)
+    top, runner_up = np.sort(margins)[-2:][::-1]
+    if top - runner_up > 1e-8 * max(top, 1.0 / cert.gamma):
+        assert np.array_equal(report.worst_x, xs[np.argmax(margins)])
+    assert abs(report.worst_margin - top) <= 1e-10 * max(top, 1.0 / cert.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from switchstab import (
     problem_to_json,
     sample_matrix,
 )
-from conftest import scalar_uniform
+from conftest import expected_sandwich, scalar_uniform
 
 
 def single_atom(m):
@@ -160,7 +160,7 @@ def test_sandwich_matches_kron_route():
     )
     for dist in (uni, atomic):
         via_kron = (dist.expected_kron_power(2).T @ x.reshape(-1)).reshape(2, 2)
-        assert np.allclose(dist.expected_sandwich(x), via_kron, atol=1e-12)
+        assert np.allclose(expected_sandwich(dist, x), via_kron, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
