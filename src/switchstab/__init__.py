@@ -23,12 +23,12 @@ from .linalg import (
 )
 from .lyapunov import (
     ConeNormCertificate,
-    LiftedCertificate,
     QuadraticCertificate,
     ValidationReport,
     certificate_from_dict,
     certificate_to_dict,
     evaluate,
+    evaluate_rows,
     synthesize_cone_norm,
     synthesize_degree_p,
     synthesize_quadratic,

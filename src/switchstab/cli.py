@@ -93,7 +93,7 @@ def _need_markov(problem) -> models.MarkovJumpSystem:
 def _parse_mode(text: str) -> tuple[str, int]:
     if text == "exact":
         return "exact", 0
-    if text.startswith("mc:"):
+    if text.startswith("mc:") and text[3:].isdecimal():
         n = int(text[3:])
         if n < 2:
             raise SwitchstabError("mc sample count must be at least 2")

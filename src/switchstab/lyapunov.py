@@ -1,14 +1,12 @@
 """Homogeneous Lyapunov certificates: synthesis, evaluation, validation.
 
-Three certificate shapes cover the stable cases:
+Two certificate shapes cover the stable cases, each a function of the
+q-fold Kronecker power y = x^(kron q) of the state, q = ``lift_power`` >= 1:
 
-* a weighted-l1 cone norm V(x) = sum_i f_i |x_i| with f > 0, for first-mean
-  stable laws whose support preserves the positive orthant (degree 1);
-* a quadratic form V(x) = x.T H x with H positive definite, for mean-square
-  stable laws (degree 2); H is the direct solution of the linear equation
-  H = I + E[A.T H A];
-* a Kronecker lift W(x) = V_base(x^(kron q)) for higher even degrees and for
-  odd degrees on the orthant.
+* a weighted-l1 cone norm V(x) = sum_i f_i |y_i| with f > 0, of degree q, for
+  laws whose support preserves the positive orthant (q = p odd);
+* a quadratic form V(x) = y.T H y with H positive definite, of degree 2q
+  (p = 2q), where H solves H = I + E[B.T H B] for B = A^(kron q).
 
 Every certificate carries a decay factor gamma < 1 with
 E[V(A x)] <= gamma * V(x) for all x.
@@ -16,12 +14,13 @@ E[V(A x)] <= gamma * V(x) for all x.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, InstabilityError
-from .linalg import check_entry_cap, dominant_left_eigenvector, kron_power, spectrum
+from .linalg import check_entry_cap, dominant_left_eigenvector, spectrum
 from .models import AtomicDistribution, MatrixDistribution
 from .radius import DECISION_MARGIN
 
@@ -29,36 +28,53 @@ from .radius import DECISION_MARGIN
 DEFAULT_VALIDATION_SEED = 1729
 
 
+def _check_shared_fields(cert, lifted_size: int) -> None:
+    """Checks on the fields both shapes share; ``lifted_size`` is the length
+    of the lifted vector y the weights or H act on, which must be d^q."""
+    if not 0.0 <= cert.gamma < 1.0:
+        raise ValueError("decay factor must lie in [0, 1)")
+    q = cert.lift_power
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
+        raise ValueError(f"lift power must be an integer >= 1, got {q!r}")
+    object.__setattr__(cert, "lift_power", int(q))
+    if cert.dim**q != lifted_size:
+        raise ValueError(f"{lifted_size} lifted coordinates are not a {q}-fold Kronecker power")
+
+
 @dataclass(frozen=True)
 class ConeNormCertificate:
-    """V(x) = f . |x|: linear on the positive orthant, absolute elsewhere."""
+    """V(x) = f . |x^(kron lift_power)|: linear on the positive orthant,
+    absolute elsewhere."""
 
     f: np.ndarray
     gamma: float
+    lift_power: int = 1
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
         if f.ndim != 1 or not np.all(f > 0):
             raise ValueError("cone-norm weights must be an entrywise-positive vector")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("decay factor must lie in [0, 1)")
         object.__setattr__(self, "f", f)
+        _check_shared_fields(self, f.size)
 
     @property
     def degree(self) -> int:
-        return 1
+        return self.lift_power
 
     @property
     def dim(self) -> int:
-        return self.f.shape[0]
+        """Dimension d of the state x."""
+        return round(self.f.size ** (1.0 / self.lift_power))
 
 
 @dataclass(frozen=True)
 class QuadraticCertificate:
-    """V(x) = x.T H x with H symmetric positive definite."""
+    """V(x) = y.T H y with y = x^(kron lift_power) and H symmetric positive
+    definite."""
 
     h: np.ndarray
     gamma: float
+    lift_power: int = 1
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -68,52 +84,20 @@ class QuadraticCertificate:
             raise ValueError("H must be symmetric")
         if float(np.linalg.eigvalsh(0.5 * (h + h.T)).min()) <= 0:
             raise ValueError("H must be positive definite")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("decay factor must lie in [0, 1)")
         object.__setattr__(self, "h", h)
+        _check_shared_fields(self, h.shape[0])
 
     @property
     def degree(self) -> int:
-        return 2
+        return 2 * self.lift_power
 
     @property
     def dim(self) -> int:
-        return self.h.shape[0]
+        """Dimension d of the state x."""
+        return round(self.h.shape[0] ** (1.0 / self.lift_power))
 
 
-@dataclass(frozen=True)
-class LiftedCertificate:
-    """W(x) = base(x^(kron lift_power)); homogeneous of the product degree."""
-
-    base: ConeNormCertificate | QuadraticCertificate
-    lift_power: int
-
-    def __post_init__(self):
-        if self.lift_power < 2:
-            raise ValueError("a lift power below 2 is just the base certificate")
-
-    @property
-    def gamma(self) -> float:
-        return self.base.gamma
-
-    @property
-    def degree(self) -> int:
-        return self.base.degree * self.lift_power
-
-
-LyapunovCertificate = ConeNormCertificate | QuadraticCertificate | LiftedCertificate
-
-
-def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
-    """Value of the certificate function at x."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(cert, LiftedCertificate):
-        return evaluate(cert.base, kron_power(x, cert.lift_power))
-    if x.shape != (cert.dim,):
-        raise ValueError(f"expected a vector of length {cert.dim}")
-    if isinstance(cert, ConeNormCertificate):
-        return float(cert.f @ np.abs(x))
-    return float(x @ cert.h @ x)
+LyapunovCertificate = ConeNormCertificate | QuadraticCertificate
 
 
 def _kron_rows(rows: np.ndarray, q: int) -> np.ndarray:
@@ -124,13 +108,19 @@ def _kron_rows(rows: np.ndarray, q: int) -> np.ndarray:
     return lifted
 
 
-def _evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over a stack of row vectors."""
+def evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
+    """Values of the certificate function at every row of ``rows``."""
+    if rows.ndim != 2 or rows.shape[1] != cert.dim:
+        raise ValueError(f"expected vectors of length {cert.dim}")
+    lifted = _kron_rows(rows, cert.lift_power)
     if isinstance(cert, ConeNormCertificate):
-        return np.abs(rows) @ cert.f
-    if isinstance(cert, QuadraticCertificate):
-        return np.einsum("ni,ij,nj->n", rows, cert.h, rows)
-    return _evaluate_rows(cert.base, _kron_rows(rows, cert.lift_power))
+        return np.abs(lifted) @ cert.f
+    return np.einsum("ni,ij,nj->n", lifted, cert.h, lifted)
+
+
+def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
+    """Value of the certificate function at the vector x."""
+    return float(evaluate_rows(cert, np.asarray(x, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +128,7 @@ def _evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def synthesize_cone_norm(
-    dist: MatrixDistribution, decision_margin: float = DECISION_MARGIN
-) -> ConeNormCertificate:
+def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
     """Weighted-l1 certificate for a first-mean stable orthant-invariant law.
 
     The weight vector is the dominant left eigenvector of E[A]: on the
@@ -155,32 +143,29 @@ def synthesize_cone_norm(
     # tighter than the solver's own contract so the decay identity
     # f @ (E[A] x) = gamma * (f @ x) holds to 1e-9 relative on the orthant
     rho, f = dominant_left_eigenvector(mean, rtol=1e-12)
-    if rho >= 1.0 - decision_margin:
+    if rho >= 1.0 - DECISION_MARGIN:
         raise InstabilityError(
             f"first-mean radius {rho:.6g} is not below 1; no certificate exists"
         )
     return ConeNormCertificate(f=f, gamma=rho)
 
 
-def _quadratic_from_second_moment(
-    second: np.ndarray, dim: int, decision_margin: float
-) -> QuadraticCertificate:
-    """Quadratic certificate on R^dim from the second-moment matrix
-    ``second`` = E[B kron B] of a law of dim x dim matrices B."""
+def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> QuadraticCertificate:
+    """Quadratic certificate on x^(kron q), x in R^d, from the second-moment
+    matrix ``second`` = E[B kron B] of the law of B = A^(kron q)."""
     r2 = spectrum(second).spectral_radius ** (1.0 / 2)
-    if r2 >= 1.0 - decision_margin:
+    if r2 >= 1.0 - DECISION_MARGIN:
         raise InstabilityError(
             f"mean-square radius {r2:.6g} is not below 1; no quadratic certificate exists"
         )
-    h = np.linalg.solve(np.eye(dim * dim) - second.T, np.eye(dim).reshape(-1)).reshape(dim, dim)
+    n = d**q
+    h = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
     h = 0.5 * (h + h.T)
     lam_max = float(np.linalg.eigvalsh(h).max())
-    return QuadraticCertificate(h=h, gamma=1.0 - 1.0 / lam_max)
+    return QuadraticCertificate(h=h, gamma=1.0 - 1.0 / lam_max, lift_power=q)
 
 
-def synthesize_quadratic(
-    dist: MatrixDistribution, decision_margin: float = DECISION_MARGIN
-) -> QuadraticCertificate:
+def synthesize_quadratic(dist: MatrixDistribution) -> QuadraticCertificate:
     """Quadratic certificate for a mean-square stable law.
 
     H is the direct solution of H = I + E[A.T H A]. With M2 = E[A kron A]
@@ -189,32 +174,24 @@ def synthesize_quadratic(
     rho(M2) = r2^2 < 1. Then E[A.T H A] = H - I exactly and
     gamma = 1 - 1/lambda_max(H) certifies E[(Ax).T H (Ax)] <= gamma x.T H x.
     """
-    return _quadratic_from_second_moment(dist.expected_kron_power(2), dist.dim, decision_margin)
+    return _quadratic_from_second_moment(dist.expected_kron_power(2), dist.dim, 1)
 
 
-def synthesize_degree_p(
-    dist: MatrixDistribution, p: int, decision_margin: float = DECISION_MARGIN
-) -> LyapunovCertificate:
+def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate:
     """Homogeneous certificate of degree p.
 
-    Even p = 2q: a quadratic certificate for the law of B = A^(kron q),
-    composed with x -> x^(kron q); its second moment E[B kron B] is
-    E[A^(kron p)], so no lifted law is built. Odd p: a cone-norm certificate on
-    the p-fold lift, requiring an orthant-invariant support with entrywise
-    positive E[A^(kron p)].
+    Even p = 2q: a quadratic certificate with lift power q, i.e. a quadratic
+    certificate for the law of B = A^(kron q) composed with x -> x^(kron q);
+    its second moment E[B kron B] is E[A^(kron p)], so no lifted law is
+    built. Odd p: a cone norm with lift power p, requiring an
+    orthant-invariant support with entrywise positive E[A^(kron p)].
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     if p == 1:
-        return synthesize_cone_norm(dist, decision_margin)
-    if p == 2:
-        return synthesize_quadratic(dist, decision_margin)
+        return synthesize_cone_norm(dist)
     if p % 2 == 0:
-        q = p // 2
-        base = _quadratic_from_second_moment(
-            dist.expected_kron_power(p), dist.dim**q, decision_margin
-        )
-        return LiftedCertificate(base=base, lift_power=q)
+        return _quadratic_from_second_moment(dist.expected_kron_power(p), dist.dim, p // 2)
     if not dist.support_nonnegative():
         raise AssumptionError(
             f"odd degree {p} requires an orthant-invariant support"
@@ -225,11 +202,11 @@ def synthesize_degree_p(
             f"odd degree {p} requires an entrywise-positive lifted mean E[A^(kron {p})]"
         )
     rho, f = dominant_left_eigenvector(lifted_mean, rtol=1e-12)
-    if rho >= 1.0 - decision_margin:
+    if rho >= 1.0 - DECISION_MARGIN:
         raise InstabilityError(
             f"degree-{p} radius {rho ** (1.0 / p):.6g} is not below 1; no certificate exists"
         )
-    return LiftedCertificate(base=ConeNormCertificate(f=f, gamma=rho), lift_power=p)
+    return ConeNormCertificate(f=f, gamma=rho, lift_power=p)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +246,8 @@ def _mc_estimates(
     """Sample mean and standard error of V(A x) over the draws ``samples``,
     at every row x of ``xs``."""
     n, d = samples.shape[:2]
-    base, q = (cert.base, cert.lift_power) if isinstance(cert, LiftedCertificate) else (cert, 1)
-    if isinstance(base, QuadraticCertificate):
+    q = cert.lift_power
+    if isinstance(cert, QuadraticCertificate):
         # V(A_s x) = w . vec(B_s) with B_s = L_s.T H L_s, L_s = A_s^(kron q) and
         # w = x^(kron 2q), so the mean is w . vec(mean(B)) and the variance is
         # w.T Q w, Q the covariance of the vec(B_s) formed from centred B_s
@@ -278,7 +255,7 @@ def _mc_estimates(
         powers = samples
         for t in range(2, q + 1):
             powers = np.einsum("sij,skl->sikjl", powers, samples).reshape(n, d**t, -1)
-        sandwiches = powers.transpose(0, 2, 1) @ base.h @ powers
+        sandwiches = powers.transpose(0, 2, 1) @ cert.h @ powers
         mean = sandwiches.mean(axis=0)
         centred = (sandwiches - mean).reshape(n, -1)
         covariance = centred.T @ centred / (n - 1)
@@ -287,14 +264,14 @@ def _mc_estimates(
         return w @ mean.reshape(-1), np.sqrt(np.maximum(var, 0.0) / n)
     # cone norms: each chunk of vectors is mapped by every draw in one matrix
     # product, and the values are summed over the draws in draw order
-    check_entry_cap(n * base.f.size, "Monte Carlo certificate values")
+    check_entry_cap(n * cert.f.size, "Monte Carlo certificate values")
     draws = samples.reshape(-1, d).T
     expected, stderr = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-    chunk = max(1, int(2e6) // (n * base.f.size))
+    chunk = max(1, int(2e6) // (n * cert.f.size))
     for start in range(0, xs.shape[0], chunk):
         block = xs[start : start + chunk]
         mapped = (block @ draws).reshape(-1, d)  # A_s x_k, draw-major within each x_k
-        vals = np.ascontiguousarray(_evaluate_rows(cert, mapped).reshape(-1, n).T)
+        vals = np.ascontiguousarray(evaluate_rows(cert, mapped).reshape(-1, n).T)
         expected[start : start + chunk] = vals.mean(axis=0)
         stderr[start : start + chunk] = vals.std(axis=0, ddof=1) / np.sqrt(n)
     return expected, stderr
@@ -315,8 +292,9 @@ def validate_certificate(
     standard-error band on top of the decay bound. A (lifted) quadratic
     certificate gets the sample mean and variance from moment matrices of
     the draws, a cone norm from V at every draw and vector. The entry cap
-    guards the n_samples d^2 draws and, for a quadratic base on x^(kron q),
-    the n_samples d^(2q) sandwiches and their d^(4q) covariance.
+    guards the n_samples d^2 draws and, for a quadratic certificate with
+    lift power q, the n_samples d^(2q) sandwiches and their d^(4q)
+    covariance.
     """
     from .mcsim import sample_matrix  # sampling lives with the simulators
 
@@ -326,16 +304,15 @@ def validate_certificate(
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"test vectors must have shape (n, {dim})")
-    evaluate(cert, np.zeros(dim))  # fails fast on a dimension mismatch
     gamma = cert.gamma
-    vx = _evaluate_rows(cert, xs)
+    vx = evaluate_rows(cert, xs)
 
     if mode == "exact":
         if not isinstance(dist, AtomicDistribution):
             raise AssumptionError("exact validation needs a finite atomic law")
         expected = np.zeros(xs.shape[0])
         for prob, m in zip(dist.probabilities, dist.atoms):
-            expected += prob * _evaluate_rows(cert, xs @ m.T)
+            expected += prob * evaluate_rows(cert, xs @ m.T)
         slack = gamma * vx * (1.0 + 1e-9) + 1e-15 * np.maximum(vx, 1.0)
     elif mode == "mc":
         if n_samples < 2:
@@ -367,33 +344,29 @@ def validate_certificate(
 
 def certificate_to_dict(cert: LyapunovCertificate) -> dict:
     out: dict = {"degree": cert.degree, "gamma": cert.gamma}
-    base = cert.base if isinstance(cert, LiftedCertificate) else cert
-    if isinstance(cert, LiftedCertificate):
+    if cert.lift_power > 1:
         out["lift_power"] = cert.lift_power
-    if isinstance(base, ConeNormCertificate):
+    if isinstance(cert, ConeNormCertificate):
         out["kind"] = "cone_norm"
-        out["f"] = base.f.tolist()
+        out["f"] = cert.f.tolist()
     else:
         out["kind"] = "quadratic"
-        out["H"] = base.h.tolist()
+        out["H"] = cert.h.tolist()
     return out
 
 
 def certificate_from_dict(doc: dict) -> LyapunovCertificate:
     kind = doc.get("kind")
     gamma = float(doc["gamma"])
+    lift = doc.get("lift_power", 1)
     if kind == "cone_norm":
-        base: ConeNormCertificate | QuadraticCertificate = ConeNormCertificate(
-            f=np.asarray(doc["f"], dtype=float), gamma=gamma
+        cert: LyapunovCertificate = ConeNormCertificate(
+            f=np.asarray(doc["f"], dtype=float), gamma=gamma, lift_power=lift
         )
     elif kind == "quadratic":
-        base = QuadraticCertificate(h=np.asarray(doc["H"], dtype=float), gamma=gamma)
+        cert = QuadraticCertificate(h=np.asarray(doc["H"], dtype=float), gamma=gamma, lift_power=lift)
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    lift = int(doc.get("lift_power", 1))
-    if lift == 1:
-        return base
-    cert = LiftedCertificate(base=base, lift_power=lift)
-    if "degree" in doc and int(doc["degree"]) != cert.degree:
+    if "degree" in doc and doc["degree"] != cert.degree:
         raise ValueError("stated degree is inconsistent with kind and lift power")
     return cert

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AssumptionError
 from .linalg import vec_of
-from .lyapunov import LyapunovCertificate, _evaluate_rows
+from .lyapunov import LyapunovCertificate, evaluate_rows
 from .models import (
     AtomicDistribution,
     MarkovJumpSystem,
@@ -187,9 +187,20 @@ def simulate_iid(
     cert_series = None
     if certificate is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
+            vals = evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
         cert_series = _moment_series(vals, "certificate")
     return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
+
+
+def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) -> int:
+    """The 1-based initial mode ``sigma0``, else the system's, checked to lie
+    in 1..N; ``needed_by`` names the computation in the error for neither."""
+    sigma0 = system.initial_mode if sigma0 is None else sigma0
+    if sigma0 is None:
+        raise AssumptionError(f"{needed_by} requires an initial mode")
+    if not 1 <= sigma0 <= system.n_modes:
+        raise ValueError(f"initial mode must lie in 1..{system.n_modes}")
+    return sigma0
 
 
 def simulate_markov(
@@ -200,11 +211,7 @@ def simulate_markov(
     d, n_modes = system.dim, system.n_modes
     if plan.initial_state.shape != (d,):
         raise ValueError(f"initial state must have dimension {d}")
-    sigma0 = plan.initial_mode if plan.initial_mode is not None else system.initial_mode
-    if sigma0 is None:
-        raise AssumptionError("Markov simulation requires an initial mode")
-    if not 1 <= sigma0 <= n_modes:
-        raise ValueError(f"initial mode must lie in 1..{n_modes}")
+    sigma0 = _initial_mode(system, plan.initial_mode, "Markov simulation")
     n, h, p = plan.paths, plan.horizon, plan.moment_exponent
     states = np.empty((n, h + 1, d))
     modes = np.empty((n, h + 1), dtype=np.int64)
@@ -263,8 +270,7 @@ def propagate_conditional_moments(
     """
     x0 = np.asarray(x0, dtype=float)
     n_modes, d = system.n_modes, system.dim
-    if not 1 <= sigma0 <= n_modes:
-        raise ValueError(f"initial mode must lie in 1..{n_modes}")
+    sigma0 = _initial_mode(system, sigma0, "conditional-moment propagation")
     q = np.zeros((horizon + 1, n_modes, d))
     q[0, sigma0 - 1] = x0
     for k in range(horizon):
@@ -295,9 +301,7 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     cross-check compares simulated conditional moments against the analytic
     ones within four standard errors.
     """
-    sigma0 = plan.initial_mode if plan.initial_mode is not None else system.initial_mode
-    if sigma0 is None:
-        raise AssumptionError("the conditional-moment check requires an initial mode")
+    sigma0 = _initial_mode(system, plan.initial_mode, "the conditional-moment check")
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
     t1 = markov_tp(system, 1)
     residual = 0.0
@@ -338,15 +342,15 @@ class DecayEstimate:
         }
 
 
-def estimate_decay_rate(series: MomentSeries, tail_only: bool = True) -> DecayEstimate:
+def estimate_decay_rate(series: MomentSeries) -> DecayEstimate:
     """Per-step decay rate from ordinary least squares on the log means.
 
-    Uses the second half of the horizon by default, where the dominant mode
-    has settled. The rate is exp(slope) with a delta-method standard error.
+    Uses the second half of the horizon, where the dominant mode has
+    settled. The rate is exp(slope) with a delta-method standard error.
     """
     means = series.means
     ks = np.arange(means.shape[0])
-    start = means.shape[0] // 2 if tail_only else 0
+    start = means.shape[0] // 2
     ks, ys = ks[start:], means[start:]
     keep = np.isfinite(ys) & (ys > 0)
     ks, ys = ks[keep], np.log(ys[keep])

@@ -74,14 +74,13 @@ class StabilityReport:
     verdict: Verdict
     p_radius: PRadiusResult
     cone_flags: ConeFlags
-    decision_margin: float = DECISION_MARGIN
 
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,
             "p_radius": self.p_radius.to_dict(),
             "cone_flags": self.cone_flags.to_dict(),
-            "decision_margin": self.decision_margin,
+            "decision_margin": DECISION_MARGIN,
         }
 
 
@@ -157,22 +156,20 @@ def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
     return _radius_of_rows(dist, p, path, block)
 
 
-def _verdict(value: float | None, margin: float) -> Verdict:
+def _verdict(value: float | None) -> Verdict:
     if value is None:
         return Verdict.UNSUPPORTED
-    if value < 1.0 - margin:
+    if value < 1.0 - DECISION_MARGIN:
         return Verdict.STABLE
-    if value > 1.0 + margin:
+    if value > 1.0 + DECISION_MARGIN:
         return Verdict.UNSTABLE
     return Verdict.MARGINAL
 
 
-def check_mean_stability(
-    dist: MatrixDistribution, p: int, decision_margin: float = DECISION_MARGIN
-) -> StabilityReport:
+def check_mean_stability(dist: MatrixDistribution, p: int) -> StabilityReport:
     """Decide p-th mean stability: stable iff the p-radius is below 1.
 
-    Values within ``decision_margin`` of 1 are reported marginal since
+    Values within ``DECISION_MARGIN`` of 1 are reported marginal since
     floating point cannot certify a strict inequality at the boundary.
     """
     if p < 1:
@@ -189,12 +186,7 @@ def check_mean_stability(
     if licensed and p > 1:
         positive[p] = bool(np.all(block > 0))
     flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
-    return StabilityReport(
-        verdict=_verdict(result.value, decision_margin),
-        p_radius=result,
-        cone_flags=flags,
-        decision_margin=decision_margin,
-    )
+    return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +247,11 @@ def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
     )
 
 
-def markov_stability(
-    system: MarkovJumpSystem, p: int, decision_margin: float = DECISION_MARGIN
-) -> StabilityReport:
+def markov_stability(system: MarkovJumpSystem, p: int) -> StabilityReport:
     """Stability verdict for a Markov jump system from its p-radius."""
     result = markov_p_radius(system, p)
     flags = ConeFlags(orthant_invariant=bool(np.all(system.modes >= 0)))
-    return StabilityReport(
-        verdict=_verdict(result.value, decision_margin),
-        p_radius=result,
-        cone_flags=flags,
-        decision_margin=decision_margin,
-    )
+    return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +297,10 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     return JsrBounds(lower=lower, upper=upper, depth=completed, truncated=truncated)
 
 
-def limit_sequence(
-    dist: MatrixDistribution,
-    p_max: int,
-    even_only: bool = False,
-    jsr_depth: int = 8,
-) -> LimitSequence:
+def limit_sequence(dist: MatrixDistribution, p_max: int, even_only: bool = False) -> LimitSequence:
     """p-radius sequence for p = 1..p_max (or even p only), which climbs
-    toward the joint spectral radius of the support.
+    toward the joint spectral radius of the support. An atomic law also
+    gets the depth-8 enumeration bracket on that radius as a reference.
 
     even_only works for any law since even p needs no cone hypothesis; the
     full sequence requires orthant invariance for its odd entries. A
@@ -344,7 +325,7 @@ def limit_sequence(
         entries.append((p, result.value))
     reference = None
     if isinstance(dist, AtomicDistribution):
-        reference = jsr_bounds(dist.atoms, depth=jsr_depth)
+        reference = jsr_bounds(dist.atoms, depth=8)
     return LimitSequence(entries=entries, jsr_reference=reference, truncated=truncated)
 
 

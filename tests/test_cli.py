@@ -396,3 +396,38 @@ def test_wrong_problem_type_exits_1(capsys, docs):
     assert code == 1
     code, _ = run(capsys, "pradius", "-i", str(docs["markov.json"]), "-p", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "validate"])
+def test_bad_mc_sample_count_names_the_option(capsys, docs, tmp_path, command):
+    box = str(docs["box.json"])
+    if command == "lyapunov":
+        argv = ["lyapunov", "-i", box, "-p", "1", "--validate", "mc:abc"]
+    else:
+        cert_path = tmp_path / "cert.json"
+        run(capsys, "lyapunov", "-i", box, "-p", "1", "-o", str(cert_path))
+        argv = ["validate", "--cert", str(cert_path), "-i", box, "--mode", "mc:abc"]
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["error"]["type"] == "SwitchstabError"
+    assert "mc:N" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("field", [{"degree": 5}, {"lift_power": 1.7}])
+def test_validate_rejects_an_inconsistent_certificate(capsys, docs, tmp_path, field):
+    cert_path = tmp_path / "cert.json"
+    doc = {"degree": 2, "gamma": 0.5, "kind": "quadratic", "H": [[1.0, 0.0], [0.0, 1.0]]}
+    cert_path.write_text(json.dumps({**doc, **field}), encoding="utf-8")
+    code, report = run(capsys, "validate", "--cert", str(cert_path), "-i", str(docs["pair.json"]))
+    assert code == 1
+    assert report["results"] is None
+
+
+def test_simulate_sigma0_outside_the_modes_exits_1(capsys, docs, tmp_path):
+    code, report = run(
+        capsys, "simulate", "-i", str(docs["markov.json"]), "--paths", "10", "--horizon", "3",
+        "--seed", "1", "--x0", "1,1", "--sigma0", "4", "--out-dir", str(tmp_path / "mk"),
+    )
+    assert code == 1
+    assert report["results"] is None
+    assert "initial mode must lie in 1..3" in report["warnings"][0]

@@ -10,7 +10,6 @@ from switchstab import (
     ConeNormCertificate,
     DimensionCapError,
     InstabilityError,
-    LiftedCertificate,
     QuadraticCertificate,
     UniformEntriesDistribution,
     certificate_from_dict,
@@ -245,7 +244,7 @@ def test_degree_one_is_cone_norm(interval_box):
 def test_degree_four_scaled_identity():
     alpha = 0.7
     cert = synthesize_degree_p(single_atom(alpha * np.eye(2)), 4)
-    assert isinstance(cert, LiftedCertificate)
+    assert isinstance(cert, QuadraticCertificate) and cert.lift_power == 2
     assert cert.degree == 4
     assert cert.gamma == pytest.approx(alpha**4, abs=1e-9)
     x = np.array([0.6, -0.8])  # unit vector: W(x) = ||x||^4 / (1 - alpha^4)
@@ -259,9 +258,9 @@ def test_degree_four_on_signed_box():
     )
     assert p_radius(box, 4).value < 1
     cert = synthesize_degree_p(box, 4)
-    assert isinstance(cert, LiftedCertificate)
+    assert isinstance(cert, QuadraticCertificate)
     assert cert.lift_power == 2
-    h = cert.base.h
+    h = cert.h
     # E[(A kron A).T H (A kron A)] = H - I on the 4-dimensional lift, through
     # the row-major identity vec(B.T H B) = (B kron B).T vec(H)
     sandwich = (box.expected_kron_power(4).T @ h.reshape(-1)).reshape(4, 4)
@@ -280,7 +279,7 @@ def test_even_degree_on_signed_atoms_is_the_lifted_solve(dim, p):
     )
     cert = synthesize_degree_p(dist, p)
     q = p // 2
-    assert isinstance(cert, LiftedCertificate) and cert.lift_power == q
+    assert isinstance(cert, QuadraticCertificate) and cert.lift_power == q
     # dense oracle on the law of B = A^(kron q), built with numpy alone
     lifted = []
     for m in dist.atoms:
@@ -292,7 +291,7 @@ def test_even_degree_on_signed_atoms_is_the_lifted_solve(dim, p):
     second = sum(w * np.kron(b, b) for w, b in zip(dist.probabilities, lifted))
     exact = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
     exact = 0.5 * (exact + exact.T)
-    h = cert.base.h
+    h = cert.h
     assert np.max(np.abs(h - exact)) <= 1e-12 * np.max(np.abs(exact))
     # E[B.T H B] = H - I, summed atom by atom
     sandwich = sum(w * b.T @ h @ b for w, b in zip(dist.probabilities, lifted))
@@ -301,7 +300,7 @@ def test_even_degree_on_signed_atoms_is_the_lifted_solve(dim, p):
 
 def test_degree_three_orthant_route(shrunk_box):
     cert = synthesize_degree_p(shrunk_box, 3)
-    assert isinstance(cert, LiftedCertificate)
+    assert isinstance(cert, ConeNormCertificate) and cert.lift_power == 3
     assert cert.degree == 3
     assert cert.gamma == pytest.approx(p_radius(shrunk_box, 3).value ** 3, rel=1e-8)
 
@@ -407,17 +406,17 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
 def per_sample_estimates(cert, samples, xs):
     """Oracle: V(A_s x) at every draw and vector, then the sample mean and
     the ddof=1 standard error over the draws."""
-    base, q = (cert.base, cert.lift_power) if isinstance(cert, LiftedCertificate) else (cert, 1)
+    q = cert.lift_power
     vals = np.empty((samples.shape[0], xs.shape[0]))
     for s, a in enumerate(samples):
         y = xs @ a.T
         phi = y
         for _ in range(q - 1):
             phi = (phi[:, :, None] * y[:, None, :]).reshape(y.shape[0], -1)
-        if isinstance(base, ConeNormCertificate):
-            vals[s] = np.abs(phi) @ base.f
+        if isinstance(cert, ConeNormCertificate):
+            vals[s] = np.abs(phi) @ cert.f
         else:
-            vals[s] = np.einsum("ni,ij,nj->n", phi, base.h, phi)
+            vals[s] = np.einsum("ni,ij,nj->n", phi, cert.h, phi)
     return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
 
 
@@ -464,8 +463,9 @@ def quadratic_validations(draw):
         upper = lower + width * rng.uniform(0.0, 1.0, (d, d))
         dist = UniformEntriesDistribution(lower=lower, upper=upper)
     g = rng.standard_normal((d**q, d**q))
-    base = QuadraticCertificate(h=g @ g.T + d**q * np.eye(d**q), gamma=draw(st.floats(0.05, 0.95)))
-    cert = base if q == 1 else LiftedCertificate(base=base, lift_power=q)
+    cert = QuadraticCertificate(
+        h=g @ g.T + d**q * np.eye(d**q), gamma=draw(st.floats(0.05, 0.95)), lift_power=q
+    )
     return cert, dist, draw(st.sampled_from((2, 3, 500))), draw(st.integers(0, 2**32 - 1))
 
 
@@ -525,3 +525,34 @@ def test_certificate_schema_fields(shrunk_box):
     assert 0 <= doc["gamma"] < 1
     with pytest.raises(ValueError):
         certificate_from_dict({**doc, "degree": 6})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a stated degree that the kind and lift power contradict
+        {"kind": "quadratic", "degree": 5, "H": [[1.0, 0.0], [0.0, 1.0]]},
+        {"kind": "cone_norm", "degree": 3, "f": [1.0, 1.0]},
+        # lift powers that are not integers >= 1
+        {"kind": "quadratic", "lift_power": 1.7, "H": [[1.0, 0.0], [0.0, 1.0]]},
+        {"kind": "cone_norm", "lift_power": True, "f": [1.0, 1.0]},
+        {"kind": "cone_norm", "lift_power": 0, "f": [1.0]},
+        {"kind": "cone_norm", "lift_power": "2", "f": [1.0] * 4},
+        # two weights are no 2-fold lift of a state space
+        {"kind": "cone_norm", "lift_power": 2, "f": [1.0, 1.0]},
+    ],
+)
+def test_certificate_from_dict_rejects_inconsistent_fields(doc):
+    with pytest.raises(ValueError):
+        certificate_from_dict({"gamma": 0.5, **doc})
+
+
+def test_lift_power_is_a_field_of_both_shapes():
+    x = np.array([0.6, -0.8])
+    cone = ConeNormCertificate(f=np.ones(4), gamma=0.5, lift_power=2)
+    quartic = QuadraticCertificate(h=np.eye(4), gamma=0.5, lift_power=2)
+    assert (cone.dim, cone.degree, quartic.dim, quartic.degree) == (2, 2, 2, 4)
+    assert evaluate(cone, x) == pytest.approx(np.abs(x).sum() ** 2, rel=1e-15)
+    assert evaluate(quartic, x) == pytest.approx(1.0, rel=1e-15)  # ||x kron x||^2 = ||x||^4
+    with pytest.raises(ValueError, match="length 2"):
+        evaluate(cone, np.ones(4))

@@ -196,6 +196,27 @@ def test_markov_requires_initial_mode(three_mode_system):
         simulate_markov(system, plan)
 
 
+@pytest.mark.parametrize("mode", [0, 4])
+def test_plan_initial_mode_outside_the_modes(three_mode_system, mode):
+    plan = SimulationPlan(
+        paths=2, horizon=2, seed=1, initial_state=np.array([1.0, 1.0]), initial_mode=mode
+    )
+    for run in (simulate_markov, check_q_recursion):
+        with pytest.raises(ValueError, match=r"initial mode must lie in 1\.\.3"):
+            run(three_mode_system, plan)
+    with pytest.raises(ValueError, match=r"initial mode must lie in 1\.\.3"):
+        propagate_conditional_moments(three_mode_system, np.array([1.0, 1.0]), mode, horizon=2)
+
+
+def test_conditional_moment_check_requires_initial_mode(three_mode_system):
+    system = MarkovJumpSystem(
+        transition=three_mode_system.transition, modes=three_mode_system.modes
+    )
+    plan = SimulationPlan(paths=2, horizon=2, seed=1, initial_state=np.array([1.0, 1.0]))
+    with pytest.raises(AssumptionError, match="conditional-moment check requires an initial mode"):
+        check_q_recursion(system, plan)
+
+
 def test_markov_open_loop_trends_upward(three_mode_system):
     plan = SimulationPlan(
         paths=2_000, horizon=25, seed=5, initial_state=np.array([1.0, 1.0]), initial_mode=1

@@ -293,7 +293,7 @@ def test_limit_sequence_dominated_by_jsr_upper():
     rng = np.random.default_rng(10)
     atoms = np.abs(rng.standard_normal((2, 2, 2)))
     dist = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms)
-    seq = limit_sequence(dist, p_max=6, jsr_depth=8)
+    seq = limit_sequence(dist, p_max=6)
     assert seq.jsr_reference is not None
     for _, v in seq.entries:
         assert v <= seq.jsr_reference.upper + 1e-9
@@ -466,3 +466,30 @@ def test_degenerate_box_is_its_single_atom(size, seed):
     rel = dense_radius(atom, p)[1]
     assert box_report.p_radius.value == pytest.approx(atom_report.p_radius.value, rel=rel)
     assert box_report.cone_flags == atom_report.cone_flags
+
+
+@PROPERTY_SETTINGS
+@given(licensed_laws(), st.integers(0, 2**32 - 1))
+def test_p_radius_is_invariant_under_a_common_similarity(law, seed):
+    """rho_p is unchanged when every atom A becomes T A T^-1, because
+    E[(T A T^-1)^(kron p)] is similar to E[A^(kron p)] through T^(kron p).
+    T has singular values in [1/2, 2]. At odd p it is a positive diagonal,
+    which keeps the law on the orthant and maps a box to a box."""
+    dist, p = law
+    rng = np.random.default_rng(seed)
+    d = dist.dim
+    scales = rng.uniform(0.5, 2.0, d)
+    if isinstance(dist, UniformEntriesDistribution):
+        # entry (i, j) of D A D^-1 is a_ij s_i / s_j
+        ratio = scales[:, None] / scales[None, :]
+        similar = UniformEntriesDistribution(lower=ratio * dist.lower, upper=ratio * dist.upper)
+    else:
+        t = np.diag(scales)
+        if p % 2 == 0:
+            left, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            right, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            t = left @ t @ right
+        atoms = t @ dist.atoms @ np.linalg.inv(t)
+        similar = AtomicDistribution(probabilities=dist.probabilities, atoms=atoms)
+    rel = dense_radius(dist, p)[1] + dense_radius(similar, p)[1]
+    assert p_radius(similar, p).value == pytest.approx(p_radius(dist, p).value, rel=rel)
