@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         if args.input.exists():
             digest = _digest(args.input)
         results, code = _HANDLERS[args.command](args, warnings)
-    except SwitchstabError as exc:
+    except (SwitchstabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report = _report(args.command, argv, digest, None, warnings)
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -364,11 +364,7 @@ def main(argv=None) -> int:
         if pointer:
             report["error"]["pointer"] = pointer
         _emit(report)
-        return exc.exit_code
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(_report(args.command, argv, digest, None, [str(exc)]))
-        return EXIT_IO
+        return getattr(exc, "exit_code", EXIT_IO)
     _emit(_report(args.command, argv, digest, results, warnings))
     return code
 

@@ -53,14 +53,9 @@ class AssumptionError(SwitchstabError):
 
 
 class SolverFailureError(SwitchstabError):
-    """An iterative solver exhausted its budget. ``partial`` holds whatever
-    intermediate result was available, or None."""
+    """A dense solver failed or missed the accuracy its result promises."""
 
     exit_code = EXIT_SOLVER
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class InstabilityError(SwitchstabError):

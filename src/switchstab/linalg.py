@@ -1,10 +1,11 @@
 """Dense matrix arithmetic: Kronecker calculus, symmetric-power orbit
 tables, spectra, Perron vectors.
 
-All operations are pure functions on ndarrays and are safe to call
-concurrently; orbit tables are memoised and read-only. Sizes of lifted
-arrays are guarded by an entry cap (default 10^7 entries, overridable via
-SWITCHSTAB_MAX_LIFT_ENTRIES).
+Spectra and Perron vectors come from one dense LAPACK eigensolve each, with
+no iteration budget. All operations are pure functions on ndarrays and are
+safe to call concurrently; orbit tables are memoised and read-only. Sizes
+of lifted arrays are guarded by an entry cap (default 10^7 entries,
+overridable via SWITCHSTAB_MAX_LIFT_ENTRIES).
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import numpy as np
 from .errors import AssumptionError, DimensionCapError, SolverFailureError
 
 DEFAULT_LIFT_ENTRY_CAP = 10_000_000
-
-#: relative tolerance for eigenvalue computations on well-conditioned inputs
-EIG_RTOL = 1e-9
 
 
 def lift_entry_cap() -> int:
@@ -81,6 +79,13 @@ class SymmetricOrbits:
         commutes with the factor permutations, this is the matrix of its
         restriction to the symmetric tensors, in the basis of orbit sums."""
         return np.add.reduceat(block[:, self.order], self.starts, axis=1)
+
+    def expand_left(self, h: np.ndarray) -> np.ndarray:
+        """Left eigenvector of the full matrix from a left eigenvector ``h`` of
+        its :meth:`fold`, for the same eigenvalue: entry i is
+        h[orbit(i)] / |orbit(i)|."""
+        sizes = np.diff(self.starts, append=self.order.size)
+        return (h / sizes)[self.orbit]
 
 
 def symmetric_dim(d: int, p: int) -> int:
@@ -145,17 +150,15 @@ def spectrum(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=eig, spectral_radius=float(np.max(np.abs(eig))))
 
 
-def dominant_left_eigenvector(
-    m: np.ndarray, rtol: float = EIG_RTOL, max_iter: int = 100_000
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and left eigenvector of an entrywise-positive matrix.
+def dominant_left_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and left Perron vector of an entrywise-positive matrix.
 
-    Power iteration on m.T. The returned f is entrywise positive with maximum
-    entry 1 and satisfies ``norm(f @ m - lam * f, inf) <= rtol * lam``.
+    One dense eigensolve of m.T. The returned f is entrywise positive with
+    maximum entry 1 and satisfies ``norm(f @ m - lam * f, inf) <= 1e-12 * lam``.
 
     Raises AssumptionError if m is not entrywise positive (the positivity is
     what guarantees a simple dominant eigenvalue with a positive eigenvector),
-    SolverFailureError if the residual target is not met within the budget.
+    SolverFailureError if the eigensolve fails or misses that residual.
     """
     m = check_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -164,15 +167,14 @@ def dominant_left_eigenvector(
         raise AssumptionError(
             "dominant_left_eigenvector requires an entrywise-positive matrix"
         )
-    f = np.ones(m.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        g = f @ m
-        lam = float(g.max())  # g > 0 and max(f) == 1, so this estimates rho
-        f_next = g / lam
-        if float(np.max(np.abs(f_next @ m - lam * f_next))) <= rtol * lam:
-            return lam, f_next
-        f = f_next
-    raise SolverFailureError(
-        f"power iteration stagnated after {max_iter} iterations", partial=(lam, f)
-    )
+    try:
+        values, vectors = np.linalg.eig(m.T)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
+    # the Perron root is real and the only eigenvalue of largest real part
+    k = int(np.argmax(values.real))
+    lam, v = float(values[k].real), vectors[:, k].real
+    f = v / v[np.argmax(np.abs(v))]
+    if not (np.all(f > 0) and float(np.max(np.abs(f @ m - lam * f))) <= 1e-12 * lam):
+        raise SolverFailureError("eigensolve missed the Perron residual bound 1e-12")
+    return lam, f

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InstabilityError
-from .linalg import check_entry_cap, dominant_left_eigenvector, spectrum
+from .linalg import check_entry_cap, dominant_left_eigenvector, spectrum, symmetric_orbits
 from .models import AtomicDistribution, MatrixDistribution
 from .radius import DECISION_MARGIN
 
@@ -128,6 +128,35 @@ def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
+    """Cone norm with lift power p (p odd) for an orthant-invariant law whose
+    E[A^(kron p)] is entrywise positive.
+
+    The weights are the left Perron vector of E[A^(kron p)], so on the orthant
+    f . (E[A^(kron p)] y) = rho f . y and the decay factor is rho. The vector
+    is solved on Sym^p: the rows at the sorted multi-indices fold to a
+    C(d+p-1, p) square matrix whose left Perron vector expands to f, so the
+    d^p x d^p lift is never built.
+    """
+    subject = "cone-norm synthesis" if p == 1 else f"odd degree {p}"
+    if not dist.support_nonnegative():
+        raise AssumptionError(f"{subject} requires an orthant-invariant support")
+    # every row of the lift is a column permutation of a row of the block
+    block = dist.expected_kron_rows(p)
+    if not np.all(block > 0):
+        mean = "mean" if p == 1 else f"lifted mean E[A^(kron {p})]"
+        raise AssumptionError(f"{subject} requires an entrywise-positive {mean}")
+    orbits = symmetric_orbits(dist.dim, p)
+    rho, h = dominant_left_eigenvector(orbits.fold(block))
+    if rho >= 1.0 - DECISION_MARGIN:
+        radius = "first-mean" if p == 1 else f"degree-{p}"
+        raise InstabilityError(
+            f"{radius} radius {rho ** (1.0 / p):.6g} is not below 1; no certificate exists"
+        )
+    f = orbits.expand_left(h)
+    return ConeNormCertificate(f=f / f.max(), gamma=rho, lift_power=p)
+
+
 def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
     """Weighted-l1 certificate for a first-mean stable orthant-invariant law.
 
@@ -135,19 +164,7 @@ def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
     orthant the norm of E[A] induced by it equals rho(E[A]), which becomes
     the decay factor.
     """
-    if not dist.support_nonnegative():
-        raise AssumptionError("cone-norm synthesis requires an orthant-invariant support")
-    mean = dist.expected_matrix()
-    if not np.all(mean > 0):
-        raise AssumptionError("cone-norm synthesis requires an entrywise-positive mean")
-    # tighter than the solver's own contract so the decay identity
-    # f @ (E[A] x) = gamma * (f @ x) holds to 1e-9 relative on the orthant
-    rho, f = dominant_left_eigenvector(mean, rtol=1e-12)
-    if rho >= 1.0 - DECISION_MARGIN:
-        raise InstabilityError(
-            f"first-mean radius {rho:.6g} is not below 1; no certificate exists"
-        )
-    return ConeNormCertificate(f=f, gamma=rho)
+    return _cone_norm(dist, 1)
 
 
 def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> QuadraticCertificate:
@@ -184,29 +201,14 @@ def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate
     certificate for the law of B = A^(kron q) composed with x -> x^(kron q);
     its second moment E[B kron B] is E[A^(kron p)], so no lifted law is
     built. Odd p: a cone norm with lift power p, requiring an
-    orthant-invariant support with entrywise positive E[A^(kron p)].
+    orthant-invariant support with entrywise positive E[A^(kron p)]; it is
+    solved on Sym^p, so the entry cap bounds the C(d+p-1, p) x d^p row block.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if p == 1:
-        return synthesize_cone_norm(dist)
     if p % 2 == 0:
         return _quadratic_from_second_moment(dist.expected_kron_power(p), dist.dim, p // 2)
-    if not dist.support_nonnegative():
-        raise AssumptionError(
-            f"odd degree {p} requires an orthant-invariant support"
-        )
-    lifted_mean = dist.expected_kron_power(p)
-    if not np.all(lifted_mean > 0):
-        raise AssumptionError(
-            f"odd degree {p} requires an entrywise-positive lifted mean E[A^(kron {p})]"
-        )
-    rho, f = dominant_left_eigenvector(lifted_mean, rtol=1e-12)
-    if rho >= 1.0 - DECISION_MARGIN:
-        raise InstabilityError(
-            f"degree-{p} radius {rho ** (1.0 / p):.6g} is not below 1; no certificate exists"
-        )
-    return ConeNormCertificate(f=f, gamma=rho, lift_power=p)
+    return _cone_norm(dist, p)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +358,23 @@ def certificate_to_dict(cert: LyapunovCertificate) -> dict:
 
 
 def certificate_from_dict(doc: dict) -> LyapunovCertificate:
+    """Certificate from its document; ValueError names what is malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError("a certificate document must be a JSON object")
     kind = doc.get("kind")
-    gamma = float(doc["gamma"])
-    lift = doc.get("lift_power", 1)
-    if kind == "cone_norm":
-        cert: LyapunovCertificate = ConeNormCertificate(
-            f=np.asarray(doc["f"], dtype=float), gamma=gamma, lift_power=lift
-        )
-    elif kind == "quadratic":
-        cert = QuadraticCertificate(h=np.asarray(doc["H"], dtype=float), gamma=gamma, lift_power=lift)
-    else:
+    shapes = {"cone_norm": (ConeNormCertificate, "f"), "quadratic": (QuadraticCertificate, "H")}
+    if kind not in shapes:
         raise ValueError(f"unknown certificate kind {kind!r}")
+    cls, weights = shapes[kind]
+    for key in ("gamma", weights):
+        if key not in doc:
+            raise ValueError(f"{kind} certificate document has no '{key}' field")
+    try:
+        gamma = float(doc["gamma"])
+        values = np.asarray(doc[weights], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"certificate fields 'gamma' and '{weights}' must be numeric") from exc
+    cert = cls(values, gamma, lift_power=doc.get("lift_power", 1))
     if "degree" in doc and doc["degree"] != cert.degree:
         raise ValueError("stated degree is inconsistent with kind and lift power")
     return cert

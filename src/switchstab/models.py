@@ -16,6 +16,7 @@ prefixes it with that section's pointer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,6 @@ class MatrixDistribution:
     """Common surface of all distribution families."""
 
     dim: int
-
-    def expected_matrix(self) -> np.ndarray:
-        raise NotImplementedError
 
     def expected_kron_power(self, p: int) -> np.ndarray:
         raise NotImplementedError
@@ -77,9 +75,6 @@ class AtomicDistribution(MatrixDistribution):
     @property
     def dim(self) -> int:
         return self.atoms.shape[1]
-
-    def expected_matrix(self) -> np.ndarray:
-        return np.einsum("n,nij->ij", self.probabilities, self.atoms)
 
     def expected_kron_power(self, p: int) -> np.ndarray:
         if p < 1:
@@ -136,17 +131,19 @@ class UniformEntriesDistribution(MatrixDistribution):
         return self.lower.shape[0]
 
     def entry_moment(self, order: int) -> np.ndarray:
-        """Elementwise E[a_ij^order] for a uniform interval, order >= 0."""
-        if order == 0:
-            return np.ones_like(self.lower)
-        l, u = self.lower, self.upper
-        degenerate = l == u
-        width = np.where(degenerate, 1.0, u - l)
-        mom = (u ** (order + 1) - l ** (order + 1)) / ((order + 1) * width)
-        return np.where(degenerate, l**order, mom)
+        """Elementwise E[a_ij^order] for a uniform interval, order >= 0.
 
-    def expected_matrix(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        Expanded about the midpoint c with half-width h as the sum over even
+        j <= order of C(order, j) c^(order-j) h^j / (j+1). The terms share one
+        sign, so narrow intervals do not cancel; a degenerate entry gets
+        exactly l^order, and order 1 exactly the midpoint.
+        """
+        c = 0.5 * (self.lower + self.upper)
+        h = 0.5 * (self.upper - self.lower)
+        return sum(
+            math.comb(order, j) * c ** (order - j) * h**j / (j + 1)
+            for j in range(0, order + 1, 2)
+        )
 
     def expected_kron_power(self, p: int) -> np.ndarray:
         if p < 1:

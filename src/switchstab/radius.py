@@ -12,8 +12,9 @@ there: for even p, E||A_k...A_1 x||^p pairs symmetric tensors; on the
 orthant, the all-ones vector is symmetric and positive. So the p-radius and
 the positivity flag of an i.i.d. law are read from the rows of the lift at
 the sorted multi-indices (``expected_kron_rows``), and the d^p x d^p lift
-is never built for them. The entry cap then bounds that C(d+p-1, p) x d^p
-block. Markov lifts ``markov_tp`` and certificates still use the full lift.
+is never built for them or for cone-norm certificates, which read the same
+block. The entry cap then bounds that C(d+p-1, p) x d^p block. Even-degree
+certificates and the Markov lift ``markov_tp`` still use the full lift.
 """
 
 from __future__ import annotations

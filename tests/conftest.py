@@ -58,6 +58,14 @@ def random_atomic(rng, n_atoms=2, dim=2, target_r2=None):
     return dist
 
 
+def expected_matrix(dist):
+    """Exact E[A] for an atomic law or a uniform box, without moment tables:
+    the probability-weighted atoms or the interval midpoints."""
+    if isinstance(dist, AtomicDistribution):
+        return np.einsum("n,nij->ij", dist.probabilities, dist.atoms)
+    return 0.5 * (dist.lower + dist.upper)
+
+
 def expected_sandwich(dist, x):
     """Exact E[A.T @ x @ A] for an atomic law or a uniform box, computed
     without Kronecker lifts: the independent oracle of the certificate
@@ -67,7 +75,7 @@ def expected_sandwich(dist, x):
         return np.einsum("n,nki,kl,nlj->ij", dist.probabilities, dist.atoms, x, dist.atoms)
     # E[(A.T X A)_ij] = sum_{k,l} X_kl E[a_ki a_lj]; entries factor except
     # when (k,i) == (l,j), which contributes the per-entry variance.
-    mean = dist.expected_matrix()
+    mean = expected_matrix(dist)
     var = dist.entry_moment(2) - mean**2
     out = mean.T @ x @ mean
     out[np.diag_indices_from(out)] += np.diagonal(x) @ var

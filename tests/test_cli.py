@@ -423,6 +423,30 @@ def test_validate_rejects_an_inconsistent_certificate(capsys, docs, tmp_path, fi
     assert report["results"] is None
 
 
+@pytest.mark.parametrize(
+    "text, error_type",
+    [
+        ('{"kind": "quadratic", "H": [[1, 0], [0, 1]]}', "ValueError"),
+        ("[1, 2]", "ValueError"),
+        (None, "FileNotFoundError"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_unreadable_certificate_gets_one_error_report(capsys, docs, tmp_path, text, error_type, command):
+    cert_path = tmp_path / "cert.json"
+    if text is not None:
+        cert_path.write_text(text, encoding="utf-8")
+    argv = [command, "--cert", str(cert_path), "-i", str(docs["pair.json"])]
+    if command == "simulate":
+        argv += ["--paths", "10", "--horizon", "3", "--seed", "1", "--x0", "1,1",
+                 "--out-dir", str(tmp_path / "sim")]
+    code, report = run(capsys, *argv)  # json.loads fails unless stdout is one document
+    assert code == 1
+    assert report["results"] is None
+    assert report["error"]["type"] == error_type
+    assert report["error"]["message"]
+
+
 def test_simulate_sigma0_outside_the_modes_exits_1(capsys, docs, tmp_path):
     code, report = run(
         capsys, "simulate", "-i", str(docs["markov.json"]), "--paths", "10", "--horizon", "3",
@@ -430,4 +454,4 @@ def test_simulate_sigma0_outside_the_modes_exits_1(capsys, docs, tmp_path):
     )
     assert code == 1
     assert report["results"] is None
-    assert "initial mode must lie in 1..3" in report["warnings"][0]
+    assert "initial mode must lie in 1..3" in report["error"]["message"]

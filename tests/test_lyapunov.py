@@ -1,3 +1,6 @@
+import functools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from switchstab import (
     validate_certificate,
 )
 from conftest import (
+    expected_matrix,
     expected_sandwich,
     is_positive_semidefinite,
     random_atomic,
@@ -114,7 +118,7 @@ def test_cone_norm_rejects_unstable(interval_box):
 def test_cone_norm_eigen_identity_on_orthant(interval_box):
     cert = synthesize_cone_norm(interval_box)
     rng = np.random.default_rng(4)
-    mean = interval_box.expected_matrix()
+    mean = expected_matrix(interval_box)
     for _ in range(20):
         x = rng.uniform(0.0, 2.0, size=2)
         lhs = float(cert.f @ (mean @ x))
@@ -303,6 +307,80 @@ def test_degree_three_orthant_route(shrunk_box):
     assert isinstance(cert, ConeNormCertificate) and cert.lift_power == 3
     assert cert.degree == 3
     assert cert.gamma == pytest.approx(p_radius(shrunk_box, 3).value ** 3, rel=1e-8)
+
+
+def kron_oracle_perron(dist, p):
+    """Perron pair of the dense np.kron lift by a full numpy eigensolve."""
+    lift = sum(w * functools.reduce(np.kron, [a] * p) for w, a in zip(dist.probabilities, dist.atoms))
+    values, vectors = np.linalg.eig(lift.T)
+    k = int(np.argmax(values.real))
+    f = vectors[:, k].real
+    return values[k].real, f / f[np.argmax(np.abs(f))]
+
+
+def stable_nonnegative_law(rng, d, p, radius=0.8):
+    """Two positive atoms rescaled so that the p-radius is ``radius``."""
+    atoms = rng.uniform(0.1, 1.0, (2, d, d))
+    dist = AtomicDistribution(probabilities=np.array([0.3, 0.7]), atoms=atoms)
+    scale = radius / p_radius(dist, p).value
+    return AtomicDistribution(probabilities=dist.probabilities, atoms=scale * atoms)
+
+
+@pytest.mark.parametrize("d, p", [(2, 1), (3, 1), (2, 3), (3, 3), (3, 5), (4, 3)])
+def test_cone_norm_matches_the_dense_kron_oracle(d, p):
+    dist = stable_nonnegative_law(np.random.default_rng(10 * d + p), d, p)
+    cert = synthesize_degree_p(dist, p)
+    gamma, f = kron_oracle_perron(dist, p)
+    assert isinstance(cert, ConeNormCertificate) and cert.lift_power == p
+    assert np.max(np.abs(cert.f - f)) <= 1e-12
+    assert abs(cert.gamma - gamma) <= 1e-12
+
+
+def test_cone_norm_near_degenerate_atom_is_one_direct_solve():
+    # eigenvalues 1e-5 apart, which a power iteration needs millions of steps to separate
+    m = np.array([[0.9, 1e-6], [1e-6, 0.89999]])
+    start = time.perf_counter()
+    cert = synthesize_cone_norm(single_atom(m))
+    assert time.perf_counter() - start < 0.1
+    gamma, f = kron_oracle_perron(single_atom(m), 1)
+    assert np.max(np.abs(cert.f - f)) <= 1e-12
+    assert abs(cert.gamma - gamma) <= 1e-12
+
+
+def test_degree_thirteen_cone_norm_without_the_full_lift():
+    # E[A^(kron 13)] has 2^26 entries, above the default cap; the Sym^13
+    # route reads a 14 x 8192 row block
+    dist = stable_nonnegative_law(np.random.default_rng(13), 2, 13, radius=0.95)
+    cert = synthesize_degree_p(dist, 13)
+    assert cert.lift_power == 13 and cert.f.size == 2**13
+    # f . E[A^(kron 13)], matrix-free: contract every tensor axis of f with
+    # the atom, then weight by the probability
+    tensor = cert.f.reshape((2,) * 13)
+    left = np.zeros_like(tensor)
+    for w, a in zip(dist.probabilities, dist.atoms):
+        t = tensor
+        for _ in range(13):
+            # contracting the leading axis and appending the new one cycles
+            # the axes back into their order after 13 steps
+            t = np.tensordot(t, a, axes=([0], [0]))
+        left += w * t
+    residual = np.max(np.abs(left.reshape(-1) - cert.gamma * cert.f))
+    assert residual <= 1e-12 * cert.gamma
+    assert cert.gamma == pytest.approx(0.95**13, rel=1e-12)
+
+
+def test_odd_degree_reads_the_row_block_once(monkeypatch, shrunk_box):
+    calls = []
+    for name in ("expected_kron_rows", "expected_kron_power"):
+        method = getattr(UniformEntriesDistribution, name)
+
+        def counted(self, p, _name=name, _method=method):
+            calls.append((_name, p))
+            return _method(self, p)
+
+        monkeypatch.setattr(UniformEntriesDistribution, name, counted)
+    synthesize_degree_p(shrunk_box, 3)
+    assert calls == [("expected_kron_rows", 3)]
 
 
 def test_degree_three_requires_orthant():
@@ -545,6 +623,20 @@ def test_certificate_schema_fields(shrunk_box):
 def test_certificate_from_dict_rejects_inconsistent_fields(doc):
     with pytest.raises(ValueError):
         certificate_from_dict({"gamma": 0.5, **doc})
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 1.0]]}, "'gamma'"),
+        ({"kind": "cone_norm", "gamma": 0.5}, "'f'"),
+        ({"kind": "quadratic", "gamma": 0.5, "H": {"a": 1}}, "numeric"),
+        ([1, 2], "JSON object"),
+    ],
+)
+def test_certificate_from_dict_names_what_is_missing(doc, names):
+    with pytest.raises(ValueError, match=names):
+        certificate_from_dict(doc)
 
 
 def test_lift_power_is_a_field_of_both_shapes():

@@ -17,7 +17,7 @@ from switchstab import (
     problem_to_json,
     sample_matrix,
 )
-from conftest import expected_sandwich, scalar_uniform
+from conftest import expected_matrix, expected_sandwich, scalar_uniform
 
 
 def single_atom(m):
@@ -31,19 +31,21 @@ def single_atom(m):
 
 def test_expected_matrix_single_atom():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(single_atom(m).expected_matrix(), m)
+    assert np.array_equal(expected_matrix(single_atom(m)), m)
+    assert np.array_equal(single_atom(m).expected_kron_rows(1), m)
 
 
 def test_expected_matrix_interval_box_midpoints(interval_box):
-    assert np.array_equal(
-        interval_box.expected_matrix(), np.array([[0.75, 0.9], [0.075, 0.6]])
-    )
+    midpoints = np.array([[0.75, 0.9], [0.075, 0.6]])
+    assert np.array_equal(expected_matrix(interval_box), midpoints)
+    assert np.array_equal(interval_box.expected_kron_rows(1), midpoints)
 
 
 def test_expected_matrix_symmetric_atoms_cancel():
     m = np.array([[1.0, -2.0], [0.5, 3.0]])
     dist = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=np.array([m, -m]))
-    assert np.allclose(dist.expected_matrix(), 0.0, atol=1e-15)
+    assert np.allclose(expected_matrix(dist), 0.0, atol=1e-15)
+    assert np.allclose(dist.expected_kron_rows(1), 0.0, atol=1e-15)
 
 
 def test_expected_kron_power_single_atom_any_p():
@@ -69,12 +71,12 @@ def test_expected_kron_power_interval_box_second_moment(interval_box):
 
 
 def test_expected_kron_power_equals_mean_at_p1(interval_box):
-    assert np.array_equal(interval_box.expected_kron_power(1), interval_box.expected_matrix())
+    assert np.array_equal(interval_box.expected_kron_power(1), expected_matrix(interval_box))
     dist = AtomicDistribution(
         probabilities=np.array([0.25, 0.75]),
         atoms=np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]),
     )
-    assert np.array_equal(dist.expected_kron_power(1), dist.expected_matrix())
+    assert np.array_equal(dist.expected_kron_power(1), expected_matrix(dist))
 
 
 def test_expected_kron_power_atomic_is_weighted_sum():

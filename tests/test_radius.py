@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,21 @@ def test_p_radius_scalar_uniform_closed_form():
                 AssumptionPath.ORTHANT_INVARIANT,
             )
             assert result.value == pytest.approx(g * (p + 1) ** (-1.0 / p), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(0.3, 0.3 + 1e-9), (1e4, 1e4 + 1e-6), (0.9999999945, 0.9999999955)]
+)
+def test_p_radius_of_a_narrow_box_is_its_exact_moment(lower, upper):
+    # the closed form (u^(p+1) - l^(p+1)) / ((p+1)(u-l)) cancels on these
+    box = UniformEntriesDistribution(lower=np.array([[lower]]), upper=np.array([[upper]]))
+    lo, up = Fraction(lower), Fraction(upper)
+    for p in range(1, 5):
+        moment = (up ** (p + 1) - lo ** (p + 1)) / ((p + 1) * (up - lo))
+        assert p_radius(box, p).value == pytest.approx(float(moment) ** (1.0 / p), rel=1e-14)
+        # the last box lies 4.5e-9 to 5.5e-9 below 1, outside the marginal band
+        verdict = Verdict.STABLE if upper < 1 else Verdict.UNSTABLE
+        assert check_mean_stability(box, p).verdict is verdict
 
 
 def test_p_radius_interval_box(interval_box):
