@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
-from .linalg import check_entry_cap, kron_power, spectrum, symmetric_orbits
+from .linalg import check_entry_cap, kron_power, lift_entry_cap, spectrum, symmetric_orbits
 from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
@@ -100,7 +100,7 @@ class JsrBounds:
     truncated: bool = False
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
+        if self.lower > self.upper * (1.0 + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
 
     def to_dict(self) -> dict:
@@ -261,17 +261,46 @@ def markov_stability(system: MarkovJumpSystem, p: int) -> StabilityReport:
 
 JSR_PRODUCT_BUDGET = 1_000_000
 
+#: a Frobenius norm from a plain sum of squares is exact to rounding inside
+#: this range; the squares underflow below about 1e-154 and overflow above
+#: about 1e154
+_FRO_TRUSTED = (1e-140, 1e140)
+
+
+def _may_reach(fro: np.ndarray, bound: float) -> np.ndarray:
+    """Mask of the products that may have a norm of at least ``bound``: all
+    but those whose Frobenius norm ``fro`` is surely below it. A non-finite
+    product (NaN or inf norm) is always in the mask."""
+    low, high = _FRO_TRUSTED
+    if not bound >= low:
+        return np.ones(fro.shape, dtype=bool)
+    return ~(fro < min(bound, high))
+
 
 def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds:
     """Bracket the joint spectral radius by enumerating products up to
-    ``depth``. If the enumeration would exceed ``budget`` products the result
-    stops at the deepest completed length and is flagged truncated."""
+    ``depth``. The enumeration stops at the deepest completed length, and
+    the result is flagged truncated, if the next length would exceed
+    ``budget`` products in all or hold more than the lift entry cap of
+    doubles (m^l d^2 for m atoms of size d at length l).
+
+    Every product is enumerated, but only those that can move the bracket
+    reach LAPACK. Since rho(P) <= ||P||_2 <= ||P||_F, a product cannot raise
+    the lower bound if ||P||_F < lower^l, lower being the bound from the
+    shorter lengths, and cannot hold the level's largest spectral norm if
+    ||P||_F is below the spectral norm of the level's largest-||P||_F product.
+    Both tests carry a 1e-9 relative margin, far above the rounding of the
+    norms and of the backward-stable eigvals and svd, and each kept product
+    is solved on its own, so the bracket is the one that solving every
+    product gives, to the last bit.
+    """
     mats = np.asarray(atoms, dtype=float)
     if mats.ndim != 3 or mats.shape[0] == 0 or mats.shape[1] != mats.shape[2]:
         raise ValueError("need a non-empty stack of square matrices")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    m = mats.shape[0]
+    m, d = mats.shape[0], mats.shape[1]
+    cap = lift_entry_cap()
     lower = 0.0
     upper = np.inf
     produced = 0
@@ -280,17 +309,27 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     completed = 0
     for length in range(1, depth + 1):
         if length > 1:
-            if produced + level.shape[0] * m > budget:
+            count = level.shape[0] * m
+            if produced + count > budget or count * d * d > cap:
                 truncated = True
                 break
-            level = np.einsum("aij,bjk->abik", level, mats).reshape(-1, *mats.shape[1:])
+            level = np.einsum("aij,bjk->abik", level, mats).reshape(-1, d, d)
         elif level.shape[0] > budget:
             truncated = True
             break
         produced += level.shape[0]
-        eigs = np.linalg.eigvals(level)
-        lower = max(lower, float(np.max(np.abs(eigs)) ** (1.0 / length)))
-        norms = np.linalg.svd(level, compute_uv=False)[:, 0]
+        flat = level.reshape(level.shape[0], -1)
+        fro = np.sqrt(np.einsum("ni,ni->n", flat, flat))
+        # eigvals first: it raises LinAlgError on a non-finite product
+        with np.errstate(over="ignore", under="ignore"):
+            floor = np.float64(lower * (1.0 - 1e-9)) ** length
+        reach = _may_reach(fro, floor)
+        if reach.any():
+            eigs = np.linalg.eigvals(level[reach])
+            lower = max(lower, float(np.max(np.abs(eigs)) ** (1.0 / length)))
+        top = np.linalg.svd(level[np.argmax(fro)], compute_uv=False)[0]
+        reach = _may_reach(fro, top * (1.0 - 1e-9))
+        norms = np.linalg.svd(level[reach], compute_uv=False)[:, 0]
         upper = min(upper, float(np.max(norms) ** (1.0 / length)))
         completed = length
     if completed == 0:

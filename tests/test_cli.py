@@ -186,6 +186,33 @@ def test_jsr_bracket_and_type_requirements(capsys, docs):
     assert code == 4
 
 
+def scalar_atoms_doc(tmp_path, values):
+    path = tmp_path / "scalar_atoms.json"
+    atoms = [{"p": 1.0 / len(values), "M": [[v]]} for v in values]
+    doc = {"type": "iid", "dim": 1, "distribution": {"kind": "atomic", "atoms": atoms}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_jsr_and_limit_accept_large_scale_laws(capsys, tmp_path):
+    # rho(P) = ||P|| here, so the two bounds differ by rounding only, which
+    # at this scale is far above 1e-12 in absolute terms
+    path = scalar_atoms_doc(tmp_path, [1.1e6, 3e5])
+    code, report = run(capsys, "jsr", "-i", str(path), "--depth", "3")
+    assert code == 0
+    assert report["results"]["lower"] == pytest.approx(1.1e6, rel=1e-15)
+    code, report = run(capsys, "limit", "-i", str(path), "--pmax", "4")
+    assert code == 0
+    assert report["results"]["jsr_reference"]["upper"] == pytest.approx(1.1e6, rel=1e-15)
+
+
+def test_jsr_with_overflowing_products_exits_1(capsys, tmp_path):
+    path = scalar_atoms_doc(tmp_path, [1e200, 0.5])
+    code, report = run(capsys, "jsr", "-i", str(path), "--depth", "3")
+    assert code == 1
+    assert report["error"]["type"] == "LinAlgError"
+
+
 def test_limit_writes_csv_and_json(capsys, docs, tmp_path):
     csv_path = tmp_path / "seq.csv"
     code, report = run(

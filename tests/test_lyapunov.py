@@ -439,6 +439,32 @@ def test_validation_exact_needs_atomic(interval_box):
         validate_certificate(cert, interval_box, mode="exact")
 
 
+def test_exact_validation_guards_its_lifted_test_vectors():
+    # 1002 default test vectors lifted to d^p coordinates: 8.2e6 entries at
+    # d = 2, p = 13 and 3.3e7, above the default cap of 1e7, at p = 15
+    dist = stable_nonnegative_law(np.random.default_rng(13), 2, 15, radius=0.95)
+    assert validate_certificate(synthesize_degree_p(dist, 13), dist, mode="exact").passed
+    cert = synthesize_degree_p(dist, 15)
+    with pytest.raises(DimensionCapError, match="exact validation vectors"):
+        validate_certificate(cert, dist, mode="exact")
+
+
+def test_worst_x_is_not_picked_by_rounding_noise():
+    # the law of problems/atomic_pair.json: E[V(Ax)] = gamma V(x) on the
+    # whole orthant for its cone norm, so every orthant vector has margin 1
+    # to rounding
+    dist = AtomicDistribution(
+        probabilities=np.array([0.5, 0.5]),
+        atoms=np.array([[[0.4, 0.2], [0.0, 0.3]], [[0.1, 0.0], [0.5, 0.2]]]),
+    )
+    cert = synthesize_cone_norm(dist)
+    report = validate_certificate(cert, dist, mode="exact")
+    moved = ConeNormCertificate(f=cert.f * (1.0 + 1e-13), gamma=cert.gamma)
+    again = validate_certificate(moved, dist, mode="exact")
+    assert np.array_equal(again.worst_x, report.worst_x)
+    assert report.worst_margin == pytest.approx(1.0, rel=1e-12)
+
+
 def test_validation_interval_box_monte_carlo(interval_box):
     cert = synthesize_cone_norm(interval_box)
     report = validate_certificate(cert, interval_box, mode="mc", n_samples=100_000, seed=42)

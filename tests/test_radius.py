@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import switchstab.radius as radius_module
 from switchstab import (
     AssumptionError,
     AssumptionPath,
     AtomicDistribution,
+    JsrBounds,
     MarkovJumpSystem,
     UniformEntriesDistribution,
     Verdict,
@@ -281,6 +283,156 @@ def test_jsr_budget_truncation():
     bounds = jsr_bounds(atoms, depth=10, budget=3 + 9 + 27)
     assert bounds.truncated
     assert bounds.depth == 3
+
+
+def full_enumeration_jsr_bounds(atoms, depth: int, budget: int = 1_000_000) -> JsrBounds:
+    """Reference: one eigvals and one svd on every product up to ``depth``."""
+    mats = np.asarray(atoms, dtype=float)
+    m = mats.shape[0]
+    lower = 0.0
+    upper = np.inf
+    produced = 0
+    truncated = False
+    level = mats
+    completed = 0
+    for length in range(1, depth + 1):
+        if length > 1:
+            if produced + level.shape[0] * m > budget:
+                truncated = True
+                break
+            level = np.einsum("aij,bjk->abik", level, mats).reshape(-1, *mats.shape[1:])
+        elif level.shape[0] > budget:
+            truncated = True
+            break
+        produced += level.shape[0]
+        eigs = np.linalg.eigvals(level)
+        lower = max(lower, float(np.max(np.abs(eigs)) ** (1.0 / length)))
+        norms = np.linalg.svd(level, compute_uv=False)[:, 0]
+        upper = min(upper, float(np.max(norms) ** (1.0 / length)))
+        completed = length
+    return JsrBounds(lower=lower, upper=upper, depth=completed, truncated=truncated)
+
+
+def jsr_outcome(bracket, *args, **kwargs):
+    """The bracket's fields, or the type of the exception it raises."""
+    try:
+        bounds = bracket(*args, **kwargs)
+    except ValueError as exc:  # LinAlgError is one
+        return type(exc)
+    return bounds.lower, bounds.upper, bounds.depth, bounds.truncated
+
+
+@st.composite
+def jsr_supports(draw):
+    """m <= 3 atoms of size d <= 5 and a depth <= 8: signed, nonnegative or
+    jointly nilpotent (strictly upper triangular in a common rotated basis),
+    scaled by 1 or e^(+-30)."""
+    m, d, depth = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.standard_normal((m, d, d))
+    kind = draw(st.sampled_from(["signed", "nonnegative", "nilpotent"]))
+    if kind == "nonnegative":
+        atoms = np.abs(atoms)
+    elif kind == "nilpotent":
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        atoms = basis @ np.triu(atoms, 1) @ basis.T
+    return atoms * draw(st.sampled_from([1.0, np.exp(30.0), np.exp(-30.0)])), depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(jsr_supports())
+def test_jsr_bracket_equals_full_enumeration(support):
+    atoms, depth = support
+    assert jsr_outcome(jsr_bounds, atoms, depth) == jsr_outcome(
+        full_enumeration_jsr_bounds, atoms, depth
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1.0, 1e40])
+def test_jsr_bracket_equals_full_enumeration_where_squares_leave_the_range(scale):
+    # at 1e+-40 the depth-5 products reach 1e+-200, whose squares overflow
+    # or underflow, so the Frobenius norms are only trusted where finite
+    atoms = scale * np.random.default_rng(21).standard_normal((2, 3, 3))
+    atoms[1] *= 1e3
+    assert jsr_outcome(jsr_bounds, atoms, 5) == jsr_outcome(full_enumeration_jsr_bounds, atoms, 5)
+
+
+def test_jsr_budget_truncation_equals_full_enumeration():
+    atoms = np.random.default_rng(9).standard_normal((3, 3, 3))
+    bounds = jsr_outcome(jsr_bounds, atoms, 10, budget=3 + 9 + 27 + 81)
+    assert bounds == jsr_outcome(full_enumeration_jsr_bounds, atoms, 10, budget=3 + 9 + 27 + 81)
+    assert bounds[2:] == (4, True)
+
+
+def test_jsr_overflowing_products_still_raise():
+    atoms = np.array([[[1e200, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1e200]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        full_enumeration_jsr_bounds(atoms, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        jsr_bounds(atoms, 3)
+
+
+def test_jsr_level_stops_under_the_entry_cap(monkeypatch):
+    atoms = np.random.default_rng(4).standard_normal((2, 3, 3))
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", str(2**5 * 9))
+    bounds = jsr_bounds(atoms, depth=8)
+    assert (bounds.depth, bounds.truncated) == (5, True)
+    reference = full_enumeration_jsr_bounds(atoms, 5)
+    assert (bounds.lower, bounds.upper) == (reference.lower, reference.upper)
+
+
+def test_jsr_solves_only_products_that_can_move_the_bracket(monkeypatch):
+    solved = {"eigvals": 0, "svd": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            solved[name] += a.shape[0] if a.ndim == 3 else 1
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    atoms = np.random.default_rng(3).standard_normal((2, 4, 4))
+    reference = full_enumeration_jsr_bounds(atoms, 14)
+    for name in solved:
+        monkeypatch.setattr(radius_module.np.linalg, name, counting(name))
+    bounds = jsr_bounds(atoms, 14)
+    assert (bounds.lower, bounds.upper) == (reference.lower, reference.upper)
+    # the full enumeration solves each of the 2^15 - 2 products twice
+    full_enumeration = 2 * (2**15 - 2)
+    assert full_enumeration == 65_532
+    assert solved["eigvals"] + solved["svd"] < 0.05 * full_enumeration
+
+
+def test_jsr_bracket_check_is_relative():
+    # rho(P) = ||P|| for a 1 x 1 atom, so the bounds differ by rounding only
+    bounds = jsr_bounds(np.array([[[1.1e6]]]), 3)
+    assert bounds.lower == pytest.approx(1.1e6, rel=1e-15)
+    assert bounds.upper == pytest.approx(1.1e6, rel=1e-15)
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        JsrBounds(lower=1.0 + 1e-11, upper=1.0, depth=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.floats(-6.0, 6.0),
+)
+@example(1, 1, 3, 0, True, 6.0)
+def test_jsr_bracket_is_absolutely_homogeneous(m, d, depth, seed, nonnegative, log_c):
+    atoms = np.random.default_rng(seed).standard_normal((m, d, d))
+    if nonnegative:
+        atoms = np.abs(atoms)
+    c = 10.0**log_c
+    bounds, scaled = jsr_bounds(atoms, depth), jsr_bounds(c * atoms, depth)
+    assert scaled.lower == pytest.approx(c * bounds.lower, rel=1e-12)
+    assert scaled.upper == pytest.approx(c * bounds.upper, rel=1e-12)
+    assert (scaled.depth, scaled.truncated) == (bounds.depth, bounds.truncated)
 
 
 # ---------------------------------------------------------------------------
