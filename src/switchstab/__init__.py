@@ -19,7 +19,6 @@ from .linalg import (
     dominant_left_eigenvector,
     kron_power,
     spectrum,
-    vec_of,
 )
 from .lyapunov import (
     ConeNormCertificate,
@@ -35,9 +34,7 @@ from .lyapunov import (
     validate_certificate,
 )
 from .mcsim import (
-    ConditionalMoments,
     DecayEstimate,
-    MarkovSimulationResult,
     MomentSeries,
     QRecursionReport,
     SimulationPlan,

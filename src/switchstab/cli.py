@@ -211,7 +211,10 @@ def _cmd_jsr(args, warnings):
         raise AssumptionError("'jsr' requires a finite atomic law")
     bounds = radius.jsr_bounds(dist.atoms, depth=args.depth)
     if bounds.truncated:
-        warnings.append(f"product budget reached at depth {bounds.depth}; bracket is valid but coarser")
+        warnings.append(
+            f"enumeration stopped at depth {bounds.depth} by the product budget or the lift"
+            " entry cap; bracket is valid but coarser"
+        )
     return bounds.to_dict(), EXIT_OK
 
 
@@ -293,8 +296,6 @@ def _cmd_simulate(args, warnings):
     }
     if isinstance(problem, models.MarkovJumpSystem):
         sim = mcsim.simulate_markov(problem, plan, threads=args.threads)
-        results["series"]["euclidean"] = _series_sidecar(out_dir, stem, "euclidean", sim.euclidean)
-        main_series = sim.euclidean
         if args.cert:
             warnings.append("certificate series are only produced for iid runs")
     else:
@@ -302,12 +303,11 @@ def _cmd_simulate(args, warnings):
         if args.cert:
             cert = lyap.certificate_from_dict(json.loads(args.cert.read_text(encoding="utf-8")))
         sim = mcsim.simulate_iid(problem, plan, certificate=cert, threads=args.threads)
-        results["series"]["euclidean"] = _series_sidecar(out_dir, stem, "euclidean", sim.euclidean)
-        if sim.certificate is not None:
-            results["series"]["certificate"] = _series_sidecar(
-                out_dir, stem, "certificate", sim.certificate
-            )
-        main_series = sim.certificate if sim.certificate is not None else sim.euclidean
+    for label in ("euclidean", "certificate"):
+        series = getattr(sim, label)
+        if series is not None:
+            results["series"][label] = _series_sidecar(out_dir, stem, label, series)
+            main_series = series
     if main_series.truncated_paths:
         warnings.append(f"{main_series.truncated_paths} paths overflowed and were truncated")
     try:

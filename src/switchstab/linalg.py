@@ -118,18 +118,6 @@ def symmetric_orbits(d: int, p: int) -> SymmetricOrbits:
     return table
 
 
-def vec_of(columns) -> np.ndarray:
-    """Stack vectors into one long vector, in list order."""
-    cols = [check_finite(np.atleast_1d(c), "column") for c in columns]
-    if not cols:
-        raise ValueError("vec_of needs at least one vector")
-    d = cols[0].shape[0]
-    for i, c in enumerate(cols):
-        if c.shape != (d,):
-            raise ValueError(f"column {i} has shape {c.shape}, expected ({d},)")
-    return np.concatenate(cols)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigenvalue list (with multiplicity) and its maximum modulus."""

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AssumptionError
-from .linalg import vec_of
+from .linalg import check_entry_cap
 from .lyapunov import LyapunovCertificate, evaluate_rows
 from .models import (
     AtomicDistribution,
@@ -71,26 +71,11 @@ class MomentSeries:
 
 
 @dataclass(frozen=True)
-class ConditionalMoments:
-    """q[k, i] estimates E[x(k) restricted to the event mode(k) = i+1]."""
-
-    q: np.ndarray  # (horizon+1, N, d)
-    stderr: np.ndarray  # same shape
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     paths: np.ndarray  # (n_paths, horizon+1, d)
     euclidean: MomentSeries
     certificate: MomentSeries | None = None
-
-
-@dataclass(frozen=True)
-class MarkovSimulationResult:
-    paths: np.ndarray
-    modes: np.ndarray  # (n_paths, horizon+1), 0-based
-    euclidean: MomentSeries
-    conditional: ConditionalMoments
+    modes: np.ndarray | None = None  # (n_paths, horizon+1), 0-based; Markov runs only
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -142,14 +127,56 @@ def _moment_series(values: np.ndarray, label: str) -> MomentSeries:
     )
 
 
-def _run_chunks(n_paths: int, threads: int, worker) -> None:
-    chunks = [(c, slice(c * CHUNK, min((c + 1) * CHUNK, n_paths))) for c in range((n_paths + CHUNK - 1) // CHUNK)]
+def _check_plan(plan: SimulationPlan, d: int) -> None:
+    """Reject an initial state of the wrong dimension, then a path array
+    larger than the entry cap (the Markov mode array is no larger)."""
+    if plan.initial_state.shape != (d,):
+        raise ValueError(f"initial state must have dimension {d}")
+    check_entry_cap(plan.paths * (plan.horizon + 1) * d, "simulation paths")
+
+
+def _simulate(
+    plan: SimulationPlan, d: int, threads: int, start, certificate=None
+) -> SimulationResult:
+    """Run x(k+1) = A_k x(k) over the plan's paths in fixed-size chunks.
+
+    ``start(rng, sl)`` is called once per chunk with the chunk's stream and
+    path slice, and returns ``draw(k)``: the stack of step-k matrices,
+    A_(k-1), for the chunk's paths. Returns the paths with their Euclidean
+    moment series and, given a certificate, its value series.
+    """
+    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
+    if certificate is not None:
+        # evaluate_rows lifts every state to d^q coordinates
+        check_entry_cap(n * (h + 1) * d**certificate.lift_power, "simulated certificate rows")
+    states = np.empty((n, h + 1, d))
+
+    def worker(chunk_idx: int) -> None:
+        sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
+        draw = start(_chunk_rng(plan.seed, chunk_idx), sl)
+        x = np.broadcast_to(plan.initial_state, (sl.stop - sl.start, d)).copy()
+        states[sl, 0] = x
+        for k in range(1, h + 1):
+            x = np.einsum("nij,nj->ni", draw(k), x)
+            states[sl, k] = x
+
+    chunks = range((n + CHUNK - 1) // CHUNK)
     if threads <= 1:
-        for c, sl in chunks:
-            worker(c, sl)
+        for c in chunks:
+            worker(c)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda args: worker(*args), chunks))
+            list(pool.map(worker, chunks))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(states, axis=2) ** p
+    euclid = _moment_series(norms, f"euclidean^{p}")
+    cert_series = None
+    if certificate is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
+        cert_series = _moment_series(vals, "certificate")
+    return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
 
 
 def simulate_iid(
@@ -164,32 +191,12 @@ def simulate_iid(
     to the plan's exponent, and optionally the certificate-value series.
     """
     d = dist.dim
-    if plan.initial_state.shape != (d,):
-        raise ValueError(f"initial state must have dimension {d}")
-    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
-    states = np.empty((n, h + 1, d))
+    _check_plan(plan, d)
 
-    def worker(chunk_idx: int, sl: slice) -> None:
-        rng = _chunk_rng(plan.seed, chunk_idx)
-        m = sl.stop - sl.start
-        x = np.broadcast_to(plan.initial_state, (m, d)).copy()
-        states[sl, 0] = x
-        for k in range(1, h + 1):
-            a = sample_matrix(dist, rng, size=m)
-            x = np.einsum("nij,nj->ni", a, x)
-            states[sl, k] = x
+    def start(rng, sl):
+        return lambda k: sample_matrix(dist, rng, size=sl.stop - sl.start)
 
-    _run_chunks(n, threads, worker)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(states, axis=2) ** p
-    euclid = _moment_series(norms, f"euclidean^{p}")
-    cert_series = None
-    if certificate is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
-        cert_series = _moment_series(vals, "certificate")
-    return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
+    return _simulate(plan, d, threads, start, certificate)
 
 
 def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) -> int:
@@ -205,54 +212,30 @@ def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) 
 
 def simulate_markov(
     system: MarkovJumpSystem, plan: SimulationPlan, threads: int = 1
-) -> MarkovSimulationResult:
+) -> SimulationResult:
     """Simulate x(k+1) = M_(mode k) x(k) with the mode chain driven by the
-    transition matrix from the plan's initial mode."""
-    d, n_modes = system.dim, system.n_modes
-    if plan.initial_state.shape != (d,):
-        raise ValueError(f"initial state must have dimension {d}")
+    transition matrix from the plan's initial mode; the result carries the
+    0-based mode of every path at every step."""
+    _check_plan(plan, system.dim)
     sigma0 = _initial_mode(system, plan.initial_mode, "Markov simulation")
-    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
-    states = np.empty((n, h + 1, d))
-    modes = np.empty((n, h + 1), dtype=np.int64)
+    modes = np.empty((plan.paths, plan.horizon + 1), dtype=np.int64)
     cum_rows = np.cumsum(system.transition, axis=1)
 
-    def worker(chunk_idx: int, sl: slice) -> None:
-        rng = _chunk_rng(plan.seed, chunk_idx)
+    def start(rng, sl):
         m = sl.stop - sl.start
-        x = np.broadcast_to(plan.initial_state, (m, d)).copy()
-        sigma = np.full(m, sigma0 - 1, dtype=np.int64)
-        states[sl, 0] = x
-        modes[sl, 0] = sigma
-        for k in range(1, h + 1):
-            x = np.einsum("nij,nj->ni", system.modes[sigma], x)
+        modes[sl, 0] = sigma0 - 1
+
+        def draw(k):
+            sigma = modes[sl, k - 1]
             u = rng.random(m)
-            sigma = np.minimum(
-                (u[:, None] >= cum_rows[sigma]).sum(axis=1), n_modes - 1
+            modes[sl, k] = np.minimum(
+                (u[:, None] >= cum_rows[sigma]).sum(axis=1), system.n_modes - 1
             )
-            states[sl, k] = x
-            modes[sl, k] = sigma
+            return system.modes[sigma]
 
-    _run_chunks(n, threads, worker)
+        return draw
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(states, axis=2) ** p
-    euclid = _moment_series(norms, f"euclidean^{p}")
-
-    # conditional first moments: mean over all paths of x(k) * 1{mode k = i}
-    q = np.zeros((h + 1, n_modes, d))
-    stderr = np.zeros((h + 1, n_modes, d))
-    for i in range(n_modes):
-        indicator = (modes == i)[:, :, None]
-        vals = states * indicator
-        q[:, i, :] = vals.mean(axis=0)
-        stderr[:, i, :] = vals.std(axis=0, ddof=1) / np.sqrt(n)
-    return MarkovSimulationResult(
-        paths=states,
-        modes=modes,
-        euclidean=euclid,
-        conditional=ConditionalMoments(q=q, stderr=stderr),
-    )
+    return replace(_simulate(plan, system.dim, threads, start), modes=modes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +289,22 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     t1 = markov_tp(system, 1)
     residual = 0.0
     for k in range(plan.horizon):
-        lhs = vec_of(list(q[k + 1]))
-        rhs = t1 @ vec_of(list(q[k]))
+        lhs = q[k + 1].reshape(-1)
+        rhs = t1 @ q[k].reshape(-1)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
 
     sim = simulate_markov(system, plan)
-    diff = np.abs(sim.conditional.q - q)
+    # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}
+    q_mc = np.zeros_like(q)
+    stderr = np.zeros_like(q)
+    for i in range(system.n_modes):
+        vals = sim.paths * (sim.modes == i)[:, :, None]
+        q_mc[:, i, :] = vals.mean(axis=0)
+        stderr[:, i, :] = vals.std(axis=0, ddof=1) / np.sqrt(plan.paths)
+    diff = np.abs(q_mc - q)
     # deterministic components (stderr 0) must agree to rounding noise
     scale = np.maximum(np.abs(q), 1.0)
-    sigma = diff / np.maximum(sim.conditional.stderr, 1e-12 * scale)
+    sigma = diff / np.maximum(stderr, 1e-12 * scale)
     max_sigma = float(sigma.max())
     return QRecursionReport(
         max_residual=residual, mc_max_sigma=max_sigma, mc_agrees=bool(max_sigma <= 4.0)

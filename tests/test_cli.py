@@ -418,6 +418,32 @@ def test_validate_mc_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
     assert report["error"]["type"] == "DimensionCapError"
 
 
+def test_simulate_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    argv = ["simulate", "-i", str(docs["scalar.json"]), "--horizon", "10", "--seed", "1",
+            "--x0", "1", "--out-dir", str(tmp_path / "sim"), "--paths"]
+    code, _ = run(capsys, *argv, "90")
+    assert code == 0
+    code, report = run(capsys, *argv, "100")  # 100 paths x 11 states x d = 1
+    assert code == 5
+    assert report["results"] is None
+    assert report["error"]["type"] == "DimensionCapError"
+    assert "1100 entries" in report["error"]["message"]
+
+
+def test_jsr_stopped_by_the_entry_cap_warns(capsys, docs, monkeypatch):
+    # two 2x2 atoms: length 4 holds 16 products (64 doubles), length 5 would hold 128
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "64")
+    code, report = run(capsys, "jsr", "-i", str(docs["pair.json"]), "--depth", "8")
+    assert code == 0
+    assert report["results"]["truncated"] is True
+    assert report["results"]["depth"] == 4
+    assert report["warnings"] == [
+        "enumeration stopped at depth 4 by the product budget or the lift entry cap;"
+        " bracket is valid but coarser"
+    ]
+
+
 def test_wrong_problem_type_exits_1(capsys, docs):
     code, _ = run(capsys, "markov", "-i", str(docs["box.json"]), "-p", "1")
     assert code == 1

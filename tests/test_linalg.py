@@ -9,7 +9,6 @@ from switchstab import (
     dominant_left_eigenvector,
     kron_power,
     spectrum,
-    vec_of,
 )
 from switchstab.linalg import symmetric_orbits
 from conftest import is_positive_semidefinite
@@ -147,19 +146,3 @@ def test_is_positive_semidefinite():
     assert not is_positive_semidefinite(np.diag([1.0, -1.0]), 1e-12)
     with pytest.raises(AssumptionError):
         is_positive_semidefinite(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-12)
-
-
-def test_vec_of_basic_cases():
-    e1 = np.array([1.0, 0.0])
-    assert np.array_equal(vec_of([e1]), e1)
-    out = vec_of([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-    assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_vec_of_shapes_and_round_trip():
-    cols = [np.arange(3, dtype=float) + 3 * i for i in range(4)]
-    v = vec_of(cols)
-    assert v.shape == (12,)
-    assert np.array_equal(v.reshape(4, 3), np.stack(cols))
-    with pytest.raises(ValueError):
-        vec_of([np.ones(2), np.ones(3)])

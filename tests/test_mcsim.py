@@ -4,7 +4,9 @@ import pytest
 from switchstab import (
     AssumptionError,
     AtomicDistribution,
+    DimensionCapError,
     MarkovJumpSystem,
+    QuadraticCertificate,
     SimulationPlan,
     apply_feedback,
     check_q_recursion,
@@ -17,7 +19,6 @@ from switchstab import (
     simulate_iid,
     simulate_markov,
     synthesize_cone_norm,
-    vec_of,
     write_moment_csv,
 )
 from conftest import scalar_uniform
@@ -171,6 +172,44 @@ def test_certificate_decay_pathwise_expectation():
             assert one_step <= cert.gamma * evaluate(cert, x) * (1 + 1e-9)
 
 
+def scalar_markov():
+    return MarkovJumpSystem(
+        transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
+        modes=np.array([[[0.9]], [[0.5]]]),
+        initial_mode=1,
+    )
+
+
+@pytest.mark.parametrize("markov", [False, True])
+def test_simulation_paths_respect_the_entry_cap(monkeypatch, markov):
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+
+    def simulate(paths):
+        plan = SimulationPlan(
+            paths=paths, horizon=10, seed=1, initial_state=np.array([1.0]), initial_mode=1
+        )
+        if markov:
+            return simulate_markov(scalar_markov(), plan)
+        return simulate_iid(scalar_uniform(0.5), plan)
+
+    simulate(90)
+    with pytest.raises(DimensionCapError) as info:
+        simulate(100)  # 100 paths x 11 states x d = 1
+    assert info.value.requested == 1100
+
+
+def test_certificate_rows_respect_the_entry_cap(monkeypatch):
+    # 100 paths x 5 states x d = 2 is 1000 entries; lifted to d^2 they are 2000
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    cert = QuadraticCertificate(h=np.eye(4), gamma=0.5, lift_power=2)
+    plan = SimulationPlan(paths=100, horizon=4, seed=1, initial_state=np.array([1.0, 0.0]))
+    dist = single_atom(0.5 * np.eye(2))
+    assert simulate_iid(dist, plan).paths.size == 1000
+    with pytest.raises(DimensionCapError) as info:
+        simulate_iid(dist, plan, certificate=cert)
+    assert info.value.requested == 2000
+
+
 # ---------------------------------------------------------------------------
 # Markov simulation
 # ---------------------------------------------------------------------------
@@ -248,17 +287,6 @@ def test_markov_reproducible_across_threads(three_mode_system):
     r8 = simulate_markov(three_mode_system, plan, threads=8)
     assert np.array_equal(r1.paths, r8.paths)
     assert np.array_equal(r1.modes, r8.modes)
-    assert np.array_equal(r1.conditional.q, r8.conditional.q)
-
-
-def test_conditional_moments_sum_to_state_mean(three_mode_system):
-    plan = SimulationPlan(
-        paths=3_000, horizon=8, seed=13, initial_state=np.array([1.0, 1.0]), initial_mode=1
-    )
-    result = simulate_markov(three_mode_system, plan)
-    summed = result.conditional.q.sum(axis=1)  # over modes
-    plain = result.paths.mean(axis=0)
-    assert np.allclose(summed, plain, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +328,8 @@ def test_q_vec_identity_matches_lifted_operator(three_mode_system):
     )
     t1 = markov_tp(three_mode_system, 1)
     for k in range(6):
-        lhs = vec_of(list(q[k + 1]))
-        rhs = t1 @ vec_of(list(q[k]))
+        lhs = q[k + 1].reshape(-1)
+        rhs = t1 @ q[k].reshape(-1)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from switchstab import (
     AssumptionError,
@@ -352,6 +355,46 @@ def test_round_trip_identity(interval_box, three_mode_system):
         text = problem_to_json(problem)
         again = load_problem(text)
         assert dump_problem(again) == dump_problem(problem)
+
+
+def finite_arrays(shape):
+    return arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def random_problems(draw):
+    """An atomic law, a box, or a Markov system with optional inputs,
+    feedback and initial mode, its entries any finite doubles."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["atomic", "box", "markov"]))
+    if kind == "box":
+        a, b = draw(finite_arrays((d, d))), draw(finite_arrays((d, d)))
+        return UniformEntriesDistribution(lower=np.minimum(a, b), upper=np.maximum(a, b))
+    if kind == "atomic":
+        probs = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+        return AtomicDistribution(probabilities=probs / probs.sum(), atoms=draw(finite_arrays((n, d, d))))
+    return MarkovJumpSystem(
+        transition=rng.dirichlet(np.ones(n), size=n),
+        modes=draw(finite_arrays((n, d, d))),
+        input_vectors=draw(st.none() | finite_arrays((n, d))),
+        feedback=draw(st.none() | finite_arrays((d,))),
+        initial_mode=draw(st.none() | st.integers(1, n)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_problems())
+def test_json_round_trip_is_bit_exact(problem):
+    again = load_problem(problem_to_json(problem))
+    assert type(again) is type(problem)
+    for field, value in vars(problem).items():
+        other = getattr(again, field)
+        if isinstance(value, np.ndarray):
+            assert other.shape == value.shape
+            assert other.tobytes() == value.tobytes()
+        else:
+            assert other == value
 
 
 def test_invariants_rejected_at_construction():

@@ -662,3 +662,40 @@ def test_p_radius_is_invariant_under_a_common_similarity(law, seed):
         similar = AtomicDistribution(probabilities=dist.probabilities, atoms=atoms)
     rel = dense_radius(dist, p)[1] + dense_radius(similar, p)[1]
     assert p_radius(similar, p).value == pytest.approx(p_radius(dist, p).value, rel=rel)
+
+
+@st.composite
+def positive_laws_and_permutations(draw):
+    """A law with strictly positive entries (atoms with d <= 4 and m <= 3, or
+    a box), the same law under a permutation similarity P A P^T, and p."""
+    d, p = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = np.array(draw(st.permutations(range(d))))
+
+    def permuted(a):  # P a P^T, on the last two axes
+        return a[..., perm, :][..., :, perm]
+
+    if draw(st.booleans()):
+        lower = rng.uniform(0.05, 1.0, (d, d))
+        upper = lower + rng.uniform(0.0, 1.0, (d, d))
+        box = UniformEntriesDistribution(lower=lower, upper=upper)
+        return box, UniformEntriesDistribution(lower=permuted(lower), upper=permuted(upper)), p
+    m = draw(st.integers(1, 3))
+    probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    probs /= probs.sum()
+    atoms = rng.uniform(0.05, 2.0, (m, d, d))
+    return (
+        AtomicDistribution(probabilities=probs, atoms=atoms),
+        AtomicDistribution(probabilities=probs, atoms=permuted(atoms)),
+        p,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(positive_laws_and_permutations())
+def test_p_radius_is_invariant_under_a_permutation_similarity(laws):
+    """E[(P A P^T)^(kron p)] is E[A^(kron p)] with its rows and columns
+    permuted by P^(kron p), so the Sym^p fold only sums in another order.
+    Positive entries keep the Perron root simple, hence well conditioned."""
+    dist, permuted, p = laws
+    assert p_radius(permuted, p).value == pytest.approx(p_radius(dist, p).value, rel=1e-12)
