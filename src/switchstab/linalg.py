@@ -1,11 +1,12 @@
-"""Dense matrix arithmetic: Kronecker calculus, symmetric-power orbit
-tables, spectra, Perron vectors.
+"""Dense matrix arithmetic: Kronecker calculus, monomial tables and
+induced matrices on symmetric powers, spectra, Perron vectors.
 
 Spectra and Perron vectors come from one dense LAPACK eigensolve each, with
 no iteration budget. All operations are pure functions on ndarrays and are
-safe to call concurrently; orbit tables are memoised and read-only. Sizes
-of lifted arrays are guarded by an entry cap (default 10^7 entries,
-overridable via SWITCHSTAB_MAX_LIFT_ENTRIES).
+safe to call concurrently; monomial tables are memoised and read-only.
+Sizes of lifted arrays and of every builder table are guarded by an entry
+cap (default 10^7 entries, overridable via SWITCHSTAB_MAX_LIFT_ENTRIES),
+checked on every call, also when a table is memoised.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,64 +60,149 @@ def kron_power(m: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SymmetricOrbits:
-    """Orbits of the p-fold index set {0..d-1}^p under permutations of the
-    p tensor factors, with indices flattened as in :func:`kron_power`.
-
-    ``reps`` holds one nondecreasing multi-index per orbit, in increasing
-    order of the flat index; ``digits`` holds the multi-index of every flat
-    index and ``orbit`` its orbit id. The arrays are shared and read-only.
-    """
-
-    reps: np.ndarray  # (C(d+p-1, p), p)
-    digits: np.ndarray  # (d^p, p)
-    orbit: np.ndarray  # (d^p,)
-    order: np.ndarray  # flat indices grouped by orbit
-    starts: np.ndarray  # first position of each orbit in ``order``
-
-    def fold(self, block: np.ndarray) -> np.ndarray:
-        """Sum the columns of each orbit: on rows at ``reps`` of a matrix that
-        commutes with the factor permutations, this is the matrix of its
-        restriction to the symmetric tensors, in the basis of orbit sums."""
-        return np.add.reduceat(block[:, self.order], self.starts, axis=1)
-
-    def expand_left(self, h: np.ndarray) -> np.ndarray:
-        """Left eigenvector of the full matrix from a left eigenvector ``h`` of
-        its :meth:`fold`, for the same eigenvalue: entry i is
-        h[orbit(i)] / |orbit(i)|."""
-        sizes = np.diff(self.starts, append=self.order.size)
-        return (h / sizes)[self.orbit]
-
-
 def symmetric_dim(d: int, p: int) -> int:
-    """Number of orbits, C(d+p-1, p): the dimension of Sym^p(R^d)."""
+    """Number of degree-p monomials in d variables, C(d+p-1, p): the
+    dimension of Sym^p(R^d)."""
     return math.comb(d + p - 1, p)
 
 
-@functools.lru_cache(maxsize=64)
-def symmetric_orbits(d: int, p: int) -> SymmetricOrbits:
-    """Orbit table for (d, p); callers check the entry cap first, since the
-    table holds d^p * p entries."""
-    n = d**p
-    weights = d ** np.arange(p - 1, -1, -1)
-    flat = np.arange(n)
-    digits = np.empty((n, p), dtype=np.min_scalar_type(d - 1))
-    for t, w in enumerate(weights):
-        digits[:, t] = flat // w % d
-    sorted_index = np.sort(digits, axis=1) @ weights
-    rep_index = np.flatnonzero(sorted_index == flat)
-    lookup = np.empty(n, dtype=np.intp)
-    lookup[rep_index] = np.arange(rep_index.size)
-    orbit = lookup[sorted_index]
-    order = np.argsort(orbit, kind="stable")
-    starts = np.searchsorted(orbit[order], np.arange(rep_index.size))
-    table = SymmetricOrbits(
-        reps=digits[rep_index], digits=digits, orbit=orbit, order=order, starts=starts
-    )
-    for arr in (table.reps, table.digits, table.orbit, table.order, table.starts):
+class Monomials(NamedTuple):
+    """Index tables of the degree-k monomials x^alpha in d variables.
+
+    Monomials are numbered in increasing order of their sorted multi-index
+    (x_0^2 x_1 is (0, 0, 1)), which is the order of their first coordinates
+    in the flat Kronecker index of :func:`kron_power`. A table refers to the
+    numbering of degree k - 1 and holds O(C(d+k-1, k)) entries; the arrays
+    are shared and read-only.
+    """
+
+    last: np.ndarray  # (C,) largest variable index in alpha
+    parent: np.ndarray  # (C,) x^alpha / x_last
+    run: np.ndarray  # (C,) exponent alpha_last
+    start: np.ndarray  # (C_{k-1},) first monomial whose parent is monomial r
+    sizes: np.ndarray  # (C,) k!/prod(alpha_i!), the Kronecker coordinates of x^alpha
+
+
+def _read_only(tables):
+    for arr in tables:
         arr.flags.writeable = False
-    return table
+    return tables
+
+
+def children(last: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials of degree k as children of those of degree k - 1,
+    whose largest variable indices are ``last``: each child appends one
+    index >= its parent's last, in the numbering of :class:`Monomials`.
+    Returns the parent and the last index of every child."""
+    counts = d - last
+    parent = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return parent, np.arange(parent.size) - first[parent] + last[parent]
+
+
+@functools.lru_cache(maxsize=256)
+def monomials(d: int, k: int) -> Monomials:
+    """Tables of degree k, built from those of degree k - 1; callers walk
+    the degrees in ascending order, so the recursion stays shallow, and
+    check the entry cap first."""
+    if k == 0:
+        zero = np.zeros(1, dtype=np.intp)
+        return _read_only(Monomials(zero, zero, zero, zero, np.ones(1)))
+    prev = monomials(d, k - 1)
+    parent, last = children(prev.last, d)
+    start = np.searchsorted(parent, np.arange(prev.last.size))
+    run = np.where(last == prev.last[parent], prev.run[parent] + 1, 1)
+    sizes = prev.sizes[parent] * k / run
+    return _read_only(Monomials(last, parent, run, start, sizes))
+
+
+@functools.lru_cache(maxsize=256)
+def shift_up(d: int, k: int) -> np.ndarray:
+    """A C(d+k-2, k-1) x d table: entry (r, j) numbers x_j times monomial r
+    of degree k - 1 >= 0. Built like :func:`monomials`, shared and
+    read-only; callers check the entry cap first."""
+    prev, tables = monomials(d, k - 1), monomials(d, k)
+    j = np.arange(d)
+    prev_last = prev.last[:, None]
+    up = tables.start[:, None] + j - prev_last
+    if k > 1:
+        # x_j below the last index: append the last index to x_j times the
+        # parent, a monomial of degree k - 1
+        lower = shift_up(d, k - 1)[prev.parent]
+        up = np.where(j >= prev_last, up, tables.start[lower] + prev_last - prev.last[lower])
+    up.flags.writeable = False
+    return up
+
+
+@functools.lru_cache(maxsize=256)
+def shift_down(d: int, k: int) -> np.ndarray:
+    """A C(d+k-1, k) x d table: entry (r, j) numbers monomial r of degree
+    k >= 1 divided by x_j, or is C(d+k-2, k-1) where x_j does not divide
+    it. Shared and read-only; callers check the entry cap first."""
+    up, below = shift_up(d, k), monomials(d, k - 1).last.size
+    down = np.full((monomials(d, k).last.size, d), below, dtype=np.intp)
+    down[up, np.arange(d)] = np.arange(below)[:, None]
+    down.flags.writeable = False
+    return down
+
+
+def sorted_indices(d: int, p: int) -> np.ndarray:
+    """The sorted multi-index of every degree-p monomial, a C(d+p-1, p) x p
+    array in the numbering of :class:`Monomials`; built without memoised
+    tables, since its callers keep only what they derive from it."""
+    out = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(p):
+        parent, last = children(out[:, -1] if out.shape[1] else np.zeros(1, np.intp), d)
+        out = np.column_stack([out[parent], last])
+    return out
+
+
+def orbit_index(d: int, p: int) -> np.ndarray:
+    """Monomial of every Kronecker coordinate: entry i is the number of the
+    monomial whose sorted multi-index is the sorted digits of flat index i.
+    This d^p array is checked against the entry cap."""
+    check_entry_cap(d**p, "orbit index")
+    orbit = np.zeros(1, dtype=np.intp)
+    for k in range(1, p + 1):
+        orbit = shift_up(d, k)[orbit].reshape(-1)
+    return orbit
+
+
+#: products gathered at once by :func:`symmetric_power`; larger degrees are
+#: built in blocks of rows, so only the C x C result is counted by the cap
+GATHER_BLOCK = 1 << 17
+
+
+def symmetric_power(mats: np.ndarray, p: int) -> np.ndarray:
+    """Induced matrices S_p(A) of a stack of d x d matrices, shape
+    (m, C, C) with C = C(d+p-1, p).
+
+    With m_p(x) the vector of degree-p monomials of x, S_p(A) is defined by
+    m_p(A x) = S_p(A) m_p(x); it is the restriction of A^(kron p) to the
+    symmetric tensors in the basis of orbit sums. It is built degree by
+    degree: row alpha of S_k is row alpha - e_last of S_(k-1) times the
+    linear form of row ``last`` of A, whose d terms are gathered at once
+    for up to ``GATHER_BLOCK`` products. No array has a d^p axis; the entry
+    cap bounds the m C^2 entries of the result.
+    """
+    mats = check_finite(mats, "matrices")
+    m, d = mats.shape[0], mats.shape[1]
+    check_entry_cap(m * symmetric_dim(d, p) ** 2, "symmetric power")
+    out = mats
+    for k in range(2, p + 1):
+        tables, down = monomials(d, k), shift_down(d, k)
+        size = tables.last.size
+        # a zero column after the last one stands for the absent x^alpha / x_j
+        padded = np.zeros((m, out.shape[1], out.shape[2] + 1))
+        padded[:, :, :-1] = out
+        forms = np.take(mats, tables.last, axis=1)[..., None]  # (m, C, d, 1)
+        out = np.empty((m, size, size))
+        step = max(1, GATHER_BLOCK // (m * size * d))
+        for r in range(0, size, step):
+            rows = np.take(padded, tables.parent[r : r + step], axis=1)
+            terms = np.take(rows, down, axis=2)  # (m, rows, C, d)
+            out[:, r : r + step] = (terms @ forms[:, r : r + step])[..., 0]
+    return out
 
 
 @dataclass(frozen=True)

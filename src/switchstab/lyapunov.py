@@ -10,6 +10,12 @@ q-fold Kronecker power y = x^(kron q) of the state, q = ``lift_power`` >= 1:
 
 Every certificate carries a decay factor gamma < 1 with
 E[V(A x)] <= gamma * V(x) for all x.
+
+Cone norms are solved on Sym^p: the left Perron vector of the C(d+p-1, p)
+matrix E[S_p(A)] spreads over the Kronecker coordinates of each monomial,
+so f and the index array that maps its coordinates to their monomials are
+the only d^p-length arrays. Quadratic certificates solve on the full lift
+E[A^(kron p)].
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InstabilityError
-from .linalg import check_entry_cap, dominant_left_eigenvector, spectrum, symmetric_orbits
+from .linalg import (
+    check_entry_cap,
+    dominant_left_eigenvector,
+    monomials,
+    orbit_index,
+    spectrum,
+)
 from .models import AtomicDistribution, MatrixDistribution
 from .radius import DECISION_MARGIN
 
@@ -134,26 +146,24 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
 
     The weights are the left Perron vector of E[A^(kron p)], so on the orthant
     f . (E[A^(kron p)] y) = rho f . y and the decay factor is rho. The vector
-    is solved on Sym^p: the rows at the sorted multi-indices fold to a
-    C(d+p-1, p) square matrix whose left Perron vector expands to f, so the
-    d^p x d^p lift is never built.
+    is solved on Sym^p: the left Perron vector h of the C(d+p-1, p) matrix
+    E[S_p(A)] gives f_i = h[r] / |orbit r| at every Kronecker coordinate i of
+    monomial r, so the d^p x d^p lift is never built; f and its index array
+    are the only d^p-length arrays.
     """
     subject = "cone-norm synthesis" if p == 1 else f"odd degree {p}"
     if not dist.support_nonnegative():
         raise AssumptionError(f"{subject} requires an orthant-invariant support")
-    # every row of the lift is a column permutation of a row of the block
-    block = dist.expected_kron_rows(p)
-    if not np.all(block > 0):
+    if not dist.moments_positive(p):
         mean = "mean" if p == 1 else f"lifted mean E[A^(kron {p})]"
         raise AssumptionError(f"{subject} requires an entrywise-positive {mean}")
-    orbits = symmetric_orbits(dist.dim, p)
-    rho, h = dominant_left_eigenvector(orbits.fold(block))
+    rho, h = dominant_left_eigenvector(dist.expected_symmetric_power(p))
     if rho >= 1.0 - DECISION_MARGIN:
         radius = "first-mean" if p == 1 else f"degree-{p}"
         raise InstabilityError(
             f"{radius} radius {rho ** (1.0 / p):.6g} is not below 1; no certificate exists"
         )
-    f = orbits.expand_left(h)
+    f = (h / monomials(dist.dim, p).sizes)[orbit_index(dist.dim, p)]
     return ConeNormCertificate(f=f / f.max(), gamma=rho, lift_power=p)
 
 

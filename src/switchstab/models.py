@@ -7,6 +7,15 @@ expectation used downstream exactly computable:
 * entrywise-independent uniform boxes (each entry uniform on an interval;
   degenerate intervals act as point masses in that entry).
 
+Each law builds the Sym^p matrix E[S_p(A)] (``expected_symmetric_power``)
+and tests that every degree-p moment of its d^2 entries is positive
+(``moments_positive``), with no array of length d^p. Atomic laws build
+S_p(A_k) degree by degree for all atoms at once and take their moments over
+the multisets of p cells by the same recursion; boxes expand (A x)^alpha
+over those multisets, from one memoised table, and add the terms with one
+``bincount``. The entry cap counts each builder's result and tables on
+every call.
+
 Each dataclass checks its own invariants at construction. A broken schema
 rule raises :class:`SchemaError` (a ``ValueError``) whose pointer is relative
 to the law's or the chain's section of a problem document; the JSON loader
@@ -15,17 +24,88 @@ prefixes it with that section's pointer.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AssumptionError, SchemaError
-from .linalg import check_entry_cap, check_finite, kron_power, symmetric_dim, symmetric_orbits
+from .linalg import (
+    GATHER_BLOCK,
+    check_entry_cap,
+    check_finite,
+    kron_power,
+    children,
+    shift_up,
+    sorted_indices,
+    symmetric_dim,
+    symmetric_power,
+)
 
 PROB_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * stack[k], accumulated in order from zero."""
+    out = np.zeros(stack.shape[1:])
+    for weight, item in zip(weights, stack):
+        out += weight * item
+    return out
+
+
+class _CellMultisets(NamedTuple):
+    """The C(d^2+p-1, p) sorted multisets T of p cells of a d x d matrix."""
+
+    pair: np.ndarray  # (G,) C * (monomial of the row counts) + (monomial of the column counts)
+    coef: np.ndarray  # (G,) prod_i alpha_i! / prod_c T_c!, alpha the row counts
+    factors: np.ndarray  # (min(p, d^2), G) order * d^2 + cell of each run of equal cells, then 0
+
+
+def _cell_multisets(d: int, p: int) -> _CellMultisets:
+    """The memoised table, with its C(d^2+p-1, p) p entries checked against
+    the entry cap on every call."""
+    check_entry_cap(symmetric_dim(d * d, p) * p, "cell multisets")
+    return _build_cell_multisets(d, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_cell_multisets(d: int, p: int) -> _CellMultisets:
+    cells = d * d
+    count = symmetric_dim(cells, p)
+    # the memoised arrays are allocated before the work arrays, which are
+    # freed above them; int32 holds every index below the entry cap
+    plan = _CellMultisets(
+        pair=np.empty(count, dtype=np.int32),
+        coef=np.empty(count),
+        factors=np.empty((min(p, cells), count), dtype=np.int32),
+    )
+    picked = sorted_indices(cells, p)
+    rows, cols = np.divmod(picked, d)
+    cell_run, row_run = np.ones_like(picked), np.ones_like(picked)
+    for t in range(1, p):
+        cell_run[:, t] = np.where(picked[:, t] == picked[:, t - 1], cell_run[:, t - 1] + 1, 1)
+        row_run[:, t] = np.where(rows[:, t] == rows[:, t - 1], row_run[:, t - 1] + 1, 1)
+    ends = np.ones(picked.shape, dtype=bool)
+    ends[:, :-1] = picked[:, 1:] != picked[:, :-1]
+    # one factor per run of equal cells, in increasing cell order, then
+    # factor 0, which is E[a_00^0] = 1.0 and leaves a product unchanged
+    factors = np.where(ends, cell_run * cells + picked, 0)
+    runs_first = np.argsort(~ends, axis=1, kind="stable")[:, : min(p, cells)]
+    factors = np.take_along_axis(factors, runs_first, axis=1)
+    plan.factors[:] = factors.T
+    plan.coef[:] = np.prod(row_run, axis=1, dtype=float) / np.prod(cell_run, axis=1, dtype=float)
+    row_at = col_at = np.zeros(count, dtype=np.intp)
+    for t in range(p):
+        up = shift_up(d, t + 1)
+        row_at, col_at = up[row_at, rows[:, t]], up[col_at, cols[:, t]]
+    plan.pair[:] = row_at * symmetric_dim(d, p) + col_at
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 class MatrixDistribution:
@@ -36,11 +116,17 @@ class MatrixDistribution:
     def expected_kron_power(self, p: int) -> np.ndarray:
         raise NotImplementedError
 
-    def expected_kron_rows(self, p: int) -> np.ndarray:
-        """Rows of E[A^(kron p)] at the sorted multi-indices ``reps`` of
-        :func:`~switchstab.linalg.symmetric_orbits`, a C(d+p-1, p) x d^p
-        block. Every other row is a column permutation of one of these; at
-        p = 1 the block is the mean."""
+    def expected_symmetric_power(self, p: int) -> np.ndarray:
+        """E[S_p(A)], the C(d+p-1, p) square matrix with
+        E[m_p(A x)] = E[S_p(A)] m_p(x) for the degree-p monomials m_p (see
+        :func:`~switchstab.linalg.symmetric_power`): the restriction of
+        E[A^(kron p)] to the symmetric tensors. At p = 1 it is the mean."""
+        raise NotImplementedError
+
+    def moments_positive(self, p: int) -> bool:
+        """True iff every degree-p moment E[prod of p entries of A] is
+        positive. The entries of E[A^(kron p)] are exactly these moments, so
+        this is the test E[A^(kron p)] > 0 without the d^p x d^p lift."""
         raise NotImplementedError
 
     def support_nonnegative(self) -> bool:
@@ -85,22 +171,24 @@ class AtomicDistribution(MatrixDistribution):
             out += prob * kron_power(m, p)
         return out
 
-    def expected_kron_rows(self, p: int) -> np.ndarray:
+    def expected_symmetric_power(self, p: int) -> np.ndarray:
         if p < 1:
             raise ValueError("p must be >= 1")
-        d = self.dim
-        m = symmetric_dim(d, p)
-        check_entry_cap(m * d**p, "expected_kron_rows")
-        reps = symmetric_orbits(d, p).reps
-        out = np.zeros((m, d**p))
-        for prob, atom in zip(self.probabilities, self.atoms):
-            # row r of atom^(kron p) is the Kronecker product of rows r_1..r_p,
-            # multiplied in the factor order of kron_power
-            rows = atom[reps[:, 0]]
-            for t in range(1, p):
-                rows = (rows[:, :, None] * atom[reps[:, t]][:, None, :]).reshape(m, -1)
-            out += prob * rows
-        return out
+        return _weighted_sum(self.probabilities, symmetric_power(self.atoms, p))
+
+    def moments_positive(self, p: int) -> bool:
+        # the moments of the sorted multisets of p cells, each product taken
+        # in increasing cell order as kron_power takes one of its entries
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        n_atoms, cells = self.atoms.shape[0], self.dim**2
+        check_entry_cap(n_atoms * symmetric_dim(cells, p), "moment table")
+        flat = self.atoms.reshape(n_atoms, cells)
+        products, last = flat, np.arange(cells)
+        for _ in range(2, p + 1):
+            parent, last = children(last, cells)
+            products = np.take(products, parent, axis=1) * np.take(flat, last, axis=1)
+        return bool(np.all(_weighted_sum(self.probabilities, products) > 0))
 
     def support_nonnegative(self) -> bool:
         return bool(np.all(self.atoms >= 0))
@@ -151,44 +239,55 @@ class UniformEntriesDistribution(MatrixDistribution):
         d = self.dim
         n = d**p
         check_entry_cap(n * n, "expected_kron_power")
-        block = self.expected_kron_rows(p)
-        if p == 1:
-            return block
-        # row i is the row of its sorted multi-index with the tensor factors
-        # of the column index permuted back; entries are copied, not recomputed
-        orbits = symmetric_orbits(d, p)
-        unsort = np.argsort(np.argsort(orbits.digits, axis=1, kind="stable"), axis=1)
-        out = np.empty((n, n))
-        for i in range(n):
-            row = block[orbits.orbit[i]].reshape((d,) * p)
-            out[i] = row.transpose(unsort[i]).reshape(n)
-        return out
-
-    def expected_kron_rows(self, p: int) -> np.ndarray:
-        # Each entry is the expectation of a monomial in the independent
-        # entries, so it factors into single-entry moments of the counts with
-        # which the (row, column) pair picks each cell. Cells are multiplied
-        # in increasing order (a count of 0 contributes an exact 1.0), so the
-        # result does not depend on the order of the tensor factors.
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        d = self.dim
-        m = symmetric_dim(d, p)
-        check_entry_cap(m * d**p, "expected_kron_rows")
         if p == 1:
             return self.entry_moment(1)
-        orbits = symmetric_orbits(d, p)
-        moments = np.stack([self.entry_moment(k) for k in range(p + 1)])
-        out = np.ones((m, d**p))
-        column_digits = orbits.digits.T
-        for i in range(d):
-            rows = np.flatnonzero(np.any(orbits.reps == i, axis=1))
-            at_row = (orbits.reps[rows] == i).astype(float)
-            picked = out[rows]
-            for j in range(d):
-                counts = at_row @ (column_digits == j)  # times cell (i, j) is picked
-                picked *= moments[:, i, j][counts.astype(np.intp)]
-            out[rows] = picked
+        # entry (i, j) is the moment E[a^T] of the multiset T of cells
+        # (i_t, j_t), whose number is found one cell at a time; the moments
+        # are those of expected_symmetric_power, so entries are copied, not
+        # recomputed
+        plan = _cell_multisets(d, p)
+        moments = self._multiset_moments(plan, p)
+        digits = np.arange(n)[:, None] // d ** np.arange(p - 1, -1, -1) % d
+        ups = [shift_up(d * d, t + 1) for t in range(p)]
+        out = np.empty((n, n))
+        step = max(1, GATHER_BLOCK // n)
+        for first in range(0, n, step):
+            rows = digits[first : first + step]
+            at = np.zeros((rows.shape[0], n), dtype=np.intp)
+            for t, up in enumerate(ups):
+                at = up[at, rows[:, t, None] * d + digits[:, t]]
+            out[first : first + step] = moments[at]
+        return out
+
+    def expected_symmetric_power(self, p: int) -> np.ndarray:
+        # (A x)^alpha = prod_i (a_i . x)^(alpha_i) expands into one term per
+        # multiset T of p cells with row counts alpha; T contributes
+        # prod_i alpha_i! / prod_c T_c! * E[a^T] to the monomial of its
+        # column counts, and E[a^T] factors over the independent cells
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if p == 1:
+            return self.entry_moment(1)
+        plan = _cell_multisets(self.dim, p)
+        size = symmetric_dim(self.dim, p)
+        terms = plan.coef * self._multiset_moments(plan, p)
+        return np.bincount(plan.pair, weights=terms, minlength=size * size).reshape(size, size)
+
+    def moments_positive(self, p: int) -> bool:
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if p == 1:
+            return bool(np.all(self.entry_moment(1) > 0))
+        return bool(np.all(self._multiset_moments(_cell_multisets(self.dim, p), p) > 0))
+
+    def _multiset_moments(self, plan: _CellMultisets, p: int) -> np.ndarray:
+        # E[a^T] as the product of single-cell moments in increasing cell
+        # order: the value of every entry of E[A^(kron p)] with these cells,
+        # bit for bit
+        moments = np.stack([self.entry_moment(k) for k in range(p + 1)]).reshape(-1)
+        out = np.take(moments, plan.factors[0])
+        for factor in plan.factors[1:]:
+            out *= np.take(moments, factor)
         return out
 
     def support_nonnegative(self) -> bool:

@@ -9,12 +9,15 @@ E[A^(kron p)] commutes with permutations of its p tensor factors, so the
 symmetric tensors Sym^p, of dimension C(d+p-1, p) against d^p, are an
 invariant subspace. In both licensed cases the spectral radius is attained
 there: for even p, E||A_k...A_1 x||^p pairs symmetric tensors; on the
-orthant, the all-ones vector is symmetric and positive. So the p-radius and
-the positivity flag of an i.i.d. law are read from the rows of the lift at
-the sorted multi-indices (``expected_kron_rows``), and the d^p x d^p lift
-is never built for them or for cone-norm certificates, which read the same
-block. The entry cap then bounds that C(d+p-1, p) x d^p block. Even-degree
-certificates and the Markov lift ``markov_tp`` still use the full lift.
+orthant, the all-ones vector is symmetric and positive. So the p-radius of
+an i.i.d. law is read from the C(d+p-1, p) square matrix E[S_p(A)] of the
+law's ``expected_symmetric_power`` builder, with m_p(A x) = S_p(A) m_p(x)
+for the degree-p monomials m_p, and no array of the computation has a d^p
+axis. The positivity flags of a report come from the law's
+``moments_positive``, the same test as E[A^(kron p)] > 0. The entry cap
+counts every table and result of the builders. The Markov radius at p = 2
+is solved on Sym^2 (x) R^N, with blocks P_ij S_2(M_i); the Markov lift
+``markov_tp`` is built in full for T_1 and for ``--general-p``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
-from .linalg import check_entry_cap, kron_power, lift_entry_cap, spectrum, symmetric_orbits
+from .linalg import check_entry_cap, kron_power, lift_entry_cap, spectrum, symmetric_power
 from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
@@ -134,14 +137,11 @@ def _assumption_path(dist: MatrixDistribution, p: int) -> AssumptionPath:
     return AssumptionPath.UNSUPPORTED
 
 
-def _radius_of_rows(
-    dist: MatrixDistribution, p: int, path: AssumptionPath, block: np.ndarray | None
-) -> PRadiusResult:
+def _radius(dist: MatrixDistribution, p: int, path: AssumptionPath) -> PRadiusResult:
     lifted_dim = dist.dim**p
     if path is AssumptionPath.UNSUPPORTED:
         return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
-    on_sym = block if p == 1 else symmetric_orbits(dist.dim, p).fold(block)
-    rho = spectrum(on_sym).spectral_radius
+    rho = spectrum(dist.expected_symmetric_power(p)).spectral_radius
     return PRadiusResult(
         p=p, value=float(rho ** (1.0 / p)), lifted_dim=lifted_dim, assumption_path=path
     )
@@ -152,9 +152,7 @@ def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
     the symmetric power Sym^p. ``lifted_dim`` is still d^p."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    path = _assumption_path(dist, p)
-    block = None if path is AssumptionPath.UNSUPPORTED else dist.expected_kron_rows(p)
-    return _radius_of_rows(dist, p, path, block)
+    return _radius(dist, p, _assumption_path(dist, p))
 
 
 def _verdict(value: float | None) -> Verdict:
@@ -176,16 +174,11 @@ def check_mean_stability(dist: MatrixDistribution, p: int) -> StabilityReport:
     if p < 1:
         raise ValueError("p must be a positive integer")
     path = _assumption_path(dist, p)
-    # every row of E[A^(kron p)] is a column permutation of a row in the
-    # block, so the block is positive exactly when the full lift is; the
-    # p = 1 block is the mean, whose positivity flag every report carries
-    licensed = path is not AssumptionPath.UNSUPPORTED
-    block = dist.expected_kron_rows(p) if licensed or p == 1 else None
-    result = _radius_of_rows(dist, p, path, block)
-    mean = block if p == 1 else dist.expected_kron_rows(1)
-    positive = {1: bool(np.all(mean > 0))}
-    if licensed and p > 1:
-        positive[p] = bool(np.all(block > 0))
+    result = _radius(dist, p, path)
+    # every report carries the flag of the mean; a licensed p adds its own
+    positive = {1: dist.moments_positive(1)}
+    if path is not AssumptionPath.UNSUPPORTED and p > 1:
+        positive[p] = dist.moments_positive(p)
     flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
     return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
 
@@ -223,8 +216,22 @@ def markov_tp_spectral_radius(system: MarkovJumpSystem, p: int) -> float:
     return float(rho ** (1.0 / p))
 
 
+def _markov_t2_on_sym(system: MarkovJumpSystem) -> np.ndarray:
+    """T_2 restricted to Sym^2 (x) R^N: block (j, i) is P[i, j] S_2(M_i).
+
+    The map (X_1..X_N) -> (sum_i P[i, j] M_i X_i M_i.T)_j preserves N-tuples
+    of positive semidefinite matrices, so rho(T_2) has an eigenvector among
+    them, in the symmetric part."""
+    n = system.n_modes
+    induced = symmetric_power(system.modes, 2)
+    size = n * induced.shape[1]
+    check_entry_cap(size * size, "markov Sym^2 operator")
+    return np.einsum("ij,iab->jaib", system.transition, induced).reshape(size, size)
+
+
 def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
-    """Markovian p-radius for p in {1, 2}.
+    """Markovian p-radius for p in {1, 2}; p = 2 is solved on
+    Sym^2 (x) R^N, of dimension N d(d+1)/2 against N d^2.
 
     p = 1 additionally requires every mode to be entrywise nonnegative; with
     a negative entry the computation is unsupported, not silently numeric.
@@ -235,16 +242,20 @@ def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
             "use markov_tp_spectral_radius for the experimental general p"
         )
     lifted_dim = system.n_modes * system.dim**p
-    if p == 1 and not np.all(system.modes >= 0):
+    if p == 2:
+        value = spectrum(_markov_t2_on_sym(system)).spectral_radius ** 0.5
+        return PRadiusResult(
+            p=2, value=float(value), lifted_dim=lifted_dim, assumption_path=AssumptionPath.EVEN_P
+        )
+    if not np.all(system.modes >= 0):
         return PRadiusResult(
             p=1, value=None, lifted_dim=lifted_dim, assumption_path=AssumptionPath.UNSUPPORTED
         )
-    path = AssumptionPath.EVEN_P if p == 2 else AssumptionPath.ORTHANT_INVARIANT
     return PRadiusResult(
-        p=p,
-        value=markov_tp_spectral_radius(system, p),
+        p=1,
+        value=markov_tp_spectral_radius(system, 1),
         lifted_dim=lifted_dim,
-        assumption_path=path,
+        assumption_path=AssumptionPath.ORTHANT_INVARIANT,
     )
 
 
@@ -277,6 +288,25 @@ def _may_reach(fro: np.ndarray, bound: float) -> np.ndarray:
     return ~(fro < min(bound, high))
 
 
+def _grow(level: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The next level: P A_b for every product P (last axis of ``level``,
+    shape (d, d, n)) and atom b, as (d, d, m n) with index b n + a. Each
+    entry is sum_j P[i, j] A_b[j, k] accumulated from zero in j order (so
+    a sum of -0.0 terms is +0.0), the arithmetic of ``np.einsum``; its bits
+    do not depend on the layout. One row i of terms is formed at a time, so
+    the level is the only large array built."""
+    (d, _, n), m = level.shape, mats.shape[0]
+    grown = np.zeros((d, d, m, n))
+    term = np.empty((d, m, n))
+    # a product may overflow; eigvals then raises on it, as on any inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            for j in range(d):
+                np.multiply(level[i, j], mats[:, j, :].T[:, :, None], out=term)
+                grown[i] += term
+    return grown.reshape(d, d, m * n)
+
+
 def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds:
     """Bracket the joint spectral radius by enumerating products up to
     ``depth``. The enumeration stops at the deepest completed length, and
@@ -305,31 +335,32 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     upper = np.inf
     produced = 0
     truncated = False
-    level = mats
+    # the products of a level lie along the last axis
+    level = mats.transpose(1, 2, 0)
     completed = 0
     for length in range(1, depth + 1):
         if length > 1:
-            count = level.shape[0] * m
+            count = level.shape[2] * m
             if produced + count > budget or count * d * d > cap:
                 truncated = True
                 break
-            level = np.einsum("aij,bjk->abik", level, mats).reshape(-1, d, d)
-        elif level.shape[0] > budget:
+            level = _grow(level, mats)
+        elif level.shape[2] > budget:
             truncated = True
             break
-        produced += level.shape[0]
-        flat = level.reshape(level.shape[0], -1)
-        fro = np.sqrt(np.einsum("ni,ni->n", flat, flat))
+        products = level.transpose(2, 0, 1)
+        produced += products.shape[0]
+        fro = np.sqrt(np.einsum("ikn,ikn->n", level, level))
         # eigvals first: it raises LinAlgError on a non-finite product
         with np.errstate(over="ignore", under="ignore"):
             floor = np.float64(lower * (1.0 - 1e-9)) ** length
         reach = _may_reach(fro, floor)
         if reach.any():
-            eigs = np.linalg.eigvals(level[reach])
+            eigs = np.linalg.eigvals(products[reach])
             lower = max(lower, float(np.max(np.abs(eigs)) ** (1.0 / length)))
-        top = np.linalg.svd(level[np.argmax(fro)], compute_uv=False)[0]
+        top = np.linalg.svd(products[np.argmax(fro)], compute_uv=False)[0]
         reach = _may_reach(fro, top * (1.0 - 1e-9))
-        norms = np.linalg.svd(level[reach], compute_uv=False)[:, 0]
+        norms = np.linalg.svd(products[reach], compute_uv=False)[:, 0]
         upper = min(upper, float(np.max(norms) ** (1.0 / length)))
         completed = length
     if completed == 0:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchstab import (
     AssumptionError,
@@ -10,7 +12,8 @@ from switchstab import (
     kron_power,
     spectrum,
 )
-from switchstab.linalg import symmetric_orbits
+import switchstab.linalg as linalg_module
+from switchstab.linalg import monomials, orbit_index, sorted_indices, symmetric_power
 from conftest import is_positive_semidefinite
 
 
@@ -28,19 +31,91 @@ def test_kron_against_index_formula():
 
 @pytest.mark.parametrize("d, p", [(1, 4), (2, 3), (3, 2), (3, 4), (4, 1)])
 def test_symmetric_orbits_group_indices_by_sorted_digits(d, p):
-    orbits = symmetric_orbits(d, p)
     # multi-indices in the flat order of kron_power: the first factor is
     # the most significant digit
     indices = list(itertools.product(range(d), repeat=p))
     reps = list(itertools.combinations_with_replacement(range(d), p))
-    assert [tuple(r) for r in orbits.reps] == reps
-    assert [tuple(orbits.reps[o]) for o in orbits.orbit] == [tuple(sorted(i)) for i in indices]
-    assert [tuple(x) for x in orbits.digits] == indices
-    # summing each orbit's columns of a matrix with equal entries counts it
-    sizes = orbits.fold(np.ones((len(reps), d**p)))[0]
-    assert sizes.tolist() == [sum(tuple(sorted(i)) == r for i in indices) for r in reps]
-    assert not orbits.digits.flags.writeable
-    assert symmetric_orbits(d, p) is orbits
+    assert [tuple(r) for r in sorted_indices(d, p)] == reps
+    orbit = orbit_index(d, p)
+    assert [reps[o] for o in orbit] == [tuple(sorted(i)) for i in indices]
+    # each monomial's first Kronecker coordinate is its sorted multi-index
+    first = [indices.index(r) for r in reps]
+    assert [int(np.flatnonzero(orbit == o)[0]) for o in range(len(reps))] == first
+    # counting each orbit's coordinates gives the multinomial sizes
+    tables = monomials(d, p)
+    sizes = [sum(tuple(sorted(i)) == r for i in indices) for r in reps]
+    assert np.bincount(orbit, minlength=len(reps)).tolist() == sizes
+    assert tables.sizes.tolist() == sizes
+    assert not tables.sizes.flags.writeable
+    assert monomials(d, p) is tables
+
+
+def folded_kron_power(m, p):
+    """Oracle: the rows of m^(kron p) at the sorted multi-indices, with the
+    columns of each orbit (flat indices with equal sorted digits) summed."""
+    d = m.shape[0]
+    lift = kron_power(m, p)
+    indices = list(itertools.product(range(d), repeat=p))
+    reps = list(itertools.combinations_with_replacement(range(d), p))
+    number = {r: k for k, r in enumerate(reps)}
+    rows = [indices.index(r) for r in reps]
+    out = np.zeros((len(reps), len(reps)))
+    for j, index in enumerate(indices):
+        out[:, number[tuple(sorted(index))]] += lift[rows, j]
+    return out
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two d x d matrices (d <= 3), signed or nonnegative, with some zero
+    entries, and p <= 6."""
+    d, p = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = rng.standard_normal((2, d, d))
+    if draw(st.booleans()):
+        pair = np.abs(pair)
+    pair *= rng.uniform(size=pair.shape) >= draw(st.sampled_from([0.0, 0.3]))
+    return pair, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_pairs(), st.floats(-3.0, 3.0))
+def test_symmetric_power_is_the_folded_kron_power_and_multiplicative(case, c):
+    (a, b), p = case
+    s_a, s_b, s_ab = symmetric_power(np.stack([a, b, a @ b]), p)
+    # rounding scale: the same products on absolute values, with no cancellation
+    scale = symmetric_power(np.abs(np.stack([a, b])), p)
+    assert np.max(np.abs(s_a - folded_kron_power(a, p))) <= 1e-12 * max(1.0, np.max(scale[0]))
+    assert np.max(np.abs(s_ab - s_a @ s_b)) <= 1e-12 * max(1.0, np.max(scale[0] @ scale[1]))
+    s_ca = symmetric_power((c * a)[None], p)[0]
+    assert np.max(np.abs(s_ca - c**p * s_a)) <= 1e-12 * max(1.0, abs(c) ** p * np.max(scale[0]))
+
+
+def test_symmetric_power_maps_monomials():
+    # m_p(A x) = S_p(A) m_p(x) with m_p(x) the monomials at the sorted indices
+    rng = np.random.default_rng(4)
+    a, x = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    reps = sorted_indices(3, 4)
+    monomial = lambda v: np.prod(v[reps], axis=1)
+    s = symmetric_power(a[None], 4)[0]
+    assert np.allclose(monomial(a @ x), s @ monomial(x), rtol=1e-13, atol=1e-13)
+    assert np.array_equal(symmetric_power(a[None], 1)[0], a)
+
+
+def test_symmetric_power_respects_the_entry_cap(monkeypatch):
+    # two 2x2 matrices at p = 3: a 2 x 4 x 4 result
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "31")
+    with pytest.raises(DimensionCapError, match="symmetric power"):
+        symmetric_power(np.ones((2, 2, 2)), 3)
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "32")
+    assert symmetric_power(np.ones((2, 2, 2)), 3).shape == (2, 4, 4)
+
+
+def test_symmetric_power_in_row_blocks_is_the_same(monkeypatch):
+    mats = np.random.default_rng(8).standard_normal((2, 3, 3))
+    whole = symmetric_power(mats, 5)
+    monkeypatch.setattr(linalg_module, "GATHER_BLOCK", 100)  # a few rows per block
+    assert np.array_equal(symmetric_power(mats, 5), whole)
 
 
 def test_kron_dimension_cap(monkeypatch):

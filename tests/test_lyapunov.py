@@ -349,7 +349,7 @@ def test_cone_norm_near_degenerate_atom_is_one_direct_solve():
 
 def test_degree_thirteen_cone_norm_without_the_full_lift():
     # E[A^(kron 13)] has 2^26 entries, above the default cap; the Sym^13
-    # route reads a 14 x 8192 row block
+    # route solves a 14 x 14 matrix and expands its vector to 8192 weights
     dist = stable_nonnegative_law(np.random.default_rng(13), 2, 13, radius=0.95)
     cert = synthesize_degree_p(dist, 13)
     assert cert.lift_power == 13 and cert.f.size == 2**13
@@ -369,9 +369,9 @@ def test_degree_thirteen_cone_norm_without_the_full_lift():
     assert cert.gamma == pytest.approx(0.95**13, rel=1e-12)
 
 
-def test_odd_degree_reads_the_row_block_once(monkeypatch, shrunk_box):
+def test_odd_degree_builds_the_symmetric_power_once(monkeypatch, shrunk_box):
     calls = []
-    for name in ("expected_kron_rows", "expected_kron_power"):
+    for name in ("expected_symmetric_power", "expected_kron_power"):
         method = getattr(UniformEntriesDistribution, name)
 
         def counted(self, p, _name=name, _method=method):
@@ -380,7 +380,7 @@ def test_odd_degree_reads_the_row_block_once(monkeypatch, shrunk_box):
 
         monkeypatch.setattr(UniformEntriesDistribution, name, counted)
     synthesize_degree_p(shrunk_box, 3)
-    assert calls == [("expected_kron_rows", 3)]
+    assert calls == [("expected_symmetric_power", 3)]
 
 
 def test_degree_three_requires_orthant():

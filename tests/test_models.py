@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from switchstab import (
     AssumptionError,
     AtomicDistribution,
+    DimensionCapError,
     MarkovJumpSystem,
     SchemaError,
     UniformEntriesDistribution,
@@ -20,6 +21,8 @@ from switchstab import (
     problem_to_json,
     sample_matrix,
 )
+import switchstab.models as models_module
+from switchstab.linalg import orbit_index
 from conftest import expected_matrix, expected_sandwich, scalar_uniform
 
 
@@ -35,20 +38,20 @@ def single_atom(m):
 def test_expected_matrix_single_atom():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(expected_matrix(single_atom(m)), m)
-    assert np.array_equal(single_atom(m).expected_kron_rows(1), m)
+    assert np.array_equal(single_atom(m).expected_symmetric_power(1), m)
 
 
 def test_expected_matrix_interval_box_midpoints(interval_box):
     midpoints = np.array([[0.75, 0.9], [0.075, 0.6]])
     assert np.array_equal(expected_matrix(interval_box), midpoints)
-    assert np.array_equal(interval_box.expected_kron_rows(1), midpoints)
+    assert np.array_equal(interval_box.expected_symmetric_power(1), midpoints)
 
 
 def test_expected_matrix_symmetric_atoms_cancel():
     m = np.array([[1.0, -2.0], [0.5, 3.0]])
     dist = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=np.array([m, -m]))
     assert np.allclose(expected_matrix(dist), 0.0, atol=1e-15)
-    assert np.allclose(dist.expected_kron_rows(1), 0.0, atol=1e-15)
+    assert np.allclose(dist.expected_symmetric_power(1), 0.0, atol=1e-15)
 
 
 def test_expected_kron_power_single_atom_any_p():
@@ -152,6 +155,77 @@ def test_box_lift_is_the_count_array_lift_bit_for_bit(interval_box):
     for box in (interval_box, signed, degenerate):
         for p in (1, 2, 3, 4):
             assert np.array_equal(box.expected_kron_power(p), count_array_box_lift(box, p))
+
+
+@st.composite
+def flag_laws(draw):
+    """A law with d <= 3 and p <= 6: atoms (m <= 3) or a box, signed or
+    nonnegative, with zero entries and, for boxes, degenerate entries."""
+    d, p = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signed = draw(st.booleans())
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    if draw(st.booleans()):
+        lower = rng.uniform(-1.0 if signed else 0.0, 1.0, (d, d))
+        upper = lower + rng.uniform(0.0, 1.0, (d, d)) * (rng.uniform(size=(d, d)) >= 0.3)
+        keep = rng.uniform(size=(d, d)) >= zeros
+        return UniformEntriesDistribution(lower=lower * keep, upper=upper * keep), p
+    m = draw(st.integers(1, 3))
+    atoms = rng.standard_normal((m, d, d))
+    if not signed:
+        atoms = np.abs(atoms)
+    atoms *= rng.uniform(size=atoms.shape) >= zeros
+    probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    return AtomicDistribution(probabilities=probs / probs.sum(), atoms=atoms), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(flag_laws())
+def test_moment_flags_are_the_dense_flags(law):
+    dist, p = law
+    assert dist.moments_positive(p) == bool(np.all(dist.expected_kron_power(p) > 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_laws())
+def test_symmetric_power_of_a_law_is_its_folded_lift(law):
+    dist, p = law
+    lift = dist.expected_kron_power(p)
+    orbit = orbit_index(dist.dim, p)
+    first = np.unique(orbit, return_index=True)[1]  # the sorted multi-indices
+    folded = np.zeros((first.size, first.size))
+    np.add.at(folded.T, orbit, lift[first].T)
+    scale = max(1.0, float(np.max(np.abs(lift))) * orbit.size)
+    assert np.max(np.abs(dist.expected_symmetric_power(p) - folded)) <= 1e-12 * scale
+
+
+def test_builder_tables_are_guarded_when_memoised(monkeypatch, interval_box):
+    atomic = AtomicDistribution(probabilities=np.array([1.0]), atoms=np.ones((1, 2, 2)))
+    # build every table under the default cap first, so that each guard
+    # below runs on a memoised table
+    interval_box.expected_symmetric_power(6)
+    atomic.moments_positive(6)
+    atomic.expected_symmetric_power(6)
+    orbit_index(2, 6)
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "48")
+    cases = [
+        (lambda: interval_box.expected_symmetric_power(6), "cell multisets"),  # 84 multisets x 6
+        (lambda: interval_box.moments_positive(6), "cell multisets"),
+        (lambda: atomic.moments_positive(6), "moment table"),  # 84 multisets x 1 atom
+        (lambda: atomic.expected_symmetric_power(6), "symmetric power"),  # 7 x 7 x 1 atom
+        (lambda: orbit_index(2, 6), "orbit index"),  # 2^6
+    ]
+    for build, context in cases:
+        with pytest.raises(DimensionCapError, match=context):
+            build()
+
+
+def test_box_lift_in_row_blocks_is_the_same(monkeypatch):
+    rng = np.random.default_rng(22)
+    lower = rng.uniform(-1.0, 0.5, (2, 2))
+    box = UniformEntriesDistribution(lower=lower, upper=lower + rng.uniform(0.0, 1.5, (2, 2)))
+    monkeypatch.setattr(models_module, "GATHER_BLOCK", 20)  # one row of 16 per block
+    assert np.array_equal(box.expected_kron_power(4), count_array_box_lift(box, 4))
 
 
 def test_sandwich_matches_kron_route():
