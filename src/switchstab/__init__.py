@@ -15,7 +15,9 @@ from .errors import (
     SwitchstabError,
 )
 from .linalg import (
+    ConeRadius,
     Spectrum,
+    cone_spectral_radius,
     dominant_left_eigenvector,
     kron_power,
     spectrum,

@@ -20,6 +20,7 @@ E[A^(kron p)].
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -179,17 +180,30 @@ def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
 
 def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> QuadraticCertificate:
     """Quadratic certificate on x^(kron q), x in R^d, from the second-moment
-    matrix ``second`` = E[B kron B] of the law of B = A^(kron q)."""
+    matrix ``second`` = E[B kron B] of the law of B = A^(kron q).
+
+    The solve comes first. A positive definite H with E[B.T H B] = H - I
+    <= gamma H proves rho(E[B kron B]) <= gamma, so gamma below
+    (1 - DECISION_MARGIN)^2 proves the radius below 1 - DECISION_MARGIN and
+    no eigensolve is made. Otherwise the radius decides, as it would alone.
+    """
+    n = d**q
+    try:
+        h = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
+    except np.linalg.LinAlgError:
+        h = None  # I - E[B kron B].T is singular: 1 is an eigenvalue
+    if h is not None:
+        h = 0.5 * (h + h.T)
+        eig = np.linalg.eigvalsh(h)
+        gamma = 1.0 - 1.0 / float(eig.max())
+        if eig.min() > 0 and gamma < (1.0 - DECISION_MARGIN) ** 2:
+            return QuadraticCertificate(h=h, gamma=gamma, lift_power=q)
     r2 = spectrum(second).spectral_radius ** (1.0 / 2)
-    if r2 >= 1.0 - DECISION_MARGIN:
+    if h is None or r2 >= 1.0 - DECISION_MARGIN:
         raise InstabilityError(
             f"mean-square radius {r2:.6g} is not below 1; no quadratic certificate exists"
         )
-    n = d**q
-    h = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
-    h = 0.5 * (h + h.T)
-    lam_max = float(np.linalg.eigvalsh(h).max())
-    return QuadraticCertificate(h=h, gamma=1.0 - 1.0 / lam_max, lift_power=q)
+    return QuadraticCertificate(h=h, gamma=gamma, lift_power=q)
 
 
 def synthesize_quadratic(dist: MatrixDistribution) -> QuadraticCertificate:
@@ -244,12 +258,16 @@ class ValidationReport:
         }
 
 
+@functools.lru_cache(maxsize=16)
 def default_test_vectors(dim: int, count: int = 1000, seed: int = DEFAULT_VALIDATION_SEED):
-    """``count`` uniform points on the unit sphere plus the standard basis."""
+    """``count`` uniform points on the unit sphere plus the standard basis;
+    memoised per (dim, count, seed) and read-only."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, dim))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return np.vstack([pts, np.eye(dim)])
+    panel = np.vstack([pts, np.eye(dim)])
+    panel.flags.writeable = False
+    return panel
 
 
 def _mc_estimates(

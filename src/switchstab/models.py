@@ -219,19 +219,33 @@ class UniformEntriesDistribution(MatrixDistribution):
         return self.lower.shape[0]
 
     def entry_moment(self, order: int) -> np.ndarray:
-        """Elementwise E[a_ij^order] for a uniform interval, order >= 0.
+        """Elementwise E[a_ij^order] for a uniform interval, order >= 0: the
+        last of :meth:`entry_moments`."""
+        return self.entry_moments(order)[order]
+
+    def entry_moments(self, order: int) -> np.ndarray:
+        """E[a_ij^k] for k = 0..order, as an (order + 1, d, d) stack.
 
         Expanded about the midpoint c with half-width h as the sum over even
-        j <= order of C(order, j) c^(order-j) h^j / (j+1). The terms share one
-        sign, so narrow intervals do not cancel; a degenerate entry gets
-        exactly l^order, and order 1 exactly the midpoint.
+        j <= k of C(k, j) c^(k-j) h^j / (j+1). The terms share one sign, so
+        narrow intervals do not cancel; a degenerate entry gets exactly l^k,
+        and order 1 exactly the midpoint. The powers of c and h come from one
+        ``np.power`` over a stacked exponent axis, the arithmetic of
+        ``c ** k`` (its square is a product, as in ``c ** 2``), and the
+        terms are added from zero in increasing j, so each order is bit for
+        bit the sum taken for that order alone.
         """
         c = 0.5 * (self.lower + self.upper)
         h = 0.5 * (self.upper - self.lower)
-        return sum(
-            math.comb(order, j) * c ** (order - j) * h**j / (j + 1)
-            for j in range(0, order + 1, 2)
-        )
+        base = np.stack([c, h])
+        powers = np.power(base, np.arange(order + 1.0)[:, None, None, None])
+        if order >= 2:
+            powers[2] = base * base  # ``x ** 2`` is numpy's square, not pow
+        out = np.zeros((order + 1,) + c.shape)
+        for j in range(0, order + 1, 2):
+            comb = np.array([math.comb(k, j) for k in range(j, order + 1)], dtype=float)
+            out[j:] += comb[:, None, None] * powers[: order + 1 - j, 0] * powers[j, 1] / (j + 1)
+        return out
 
     def expected_kron_power(self, p: int) -> np.ndarray:
         if p < 1:
@@ -284,7 +298,7 @@ class UniformEntriesDistribution(MatrixDistribution):
         # E[a^T] as the product of single-cell moments in increasing cell
         # order: the value of every entry of E[A^(kron p)] with these cells,
         # bit for bit
-        moments = np.stack([self.entry_moment(k) for k in range(p + 1)]).reshape(-1)
+        moments = self.entry_moments(p).reshape(-1)
         out = np.take(moments, plan.factors[0])
         for factor in plan.factors[1:]:
             out *= np.take(moments, factor)

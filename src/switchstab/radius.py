@@ -18,6 +18,16 @@ axis. The positivity flags of a report come from the law's
 counts every table and result of the builders. The Markov radius at p = 2
 is solved on Sym^2 (x) R^N, with blocks P_ij S_2(M_i); the Markov lift
 ``markov_tp`` is built in full for T_1 and for ``--general-p``.
+
+Each of these matrices maps a cone into itself, and
+:func:`~switchstab.linalg.cone_spectral_radius` reads its radius from a
+Collatz-Wielandt bracket of relative width 1e-12 once it has
+``CONE_CROSSOVER`` rows: E[S_p(A)] of a nonnegative support (any p) and
+T_1 preserve the orthant; at p = 2, E[S_2(A)] is X -> E[A X A.T] on
+symmetric matrices and the Sym^2 (x) R^N operator maps N-tuples of
+positive semidefinite matrices into themselves. Signed laws at even
+p >= 4, smaller matrices, reducible laws and ``--general-p`` read the
+dense eigensolve.
 """
 
 from __future__ import annotations
@@ -28,7 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
-from .linalg import check_entry_cap, kron_power, lift_entry_cap, spectrum, symmetric_power
+from .linalg import (
+    check_entry_cap,
+    cone_spectral_radius,
+    kron_power,
+    lift_entry_cap,
+    spectrum,
+    symmetric_power,
+)
 from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
@@ -141,7 +158,13 @@ def _radius(dist: MatrixDistribution, p: int, path: AssumptionPath) -> PRadiusRe
     lifted_dim = dist.dim**p
     if path is AssumptionPath.UNSUPPORTED:
         return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
-    rho = spectrum(dist.expected_symmetric_power(p)).spectral_radius
+    induced = dist.expected_symmetric_power(p)
+    if dist.support_nonnegative():
+        rho = cone_spectral_radius(induced).value
+    elif p == 2:
+        rho = cone_spectral_radius(induced, psd_side=dist.dim).value
+    else:
+        rho = spectrum(induced).spectral_radius
     return PRadiusResult(
         p=p, value=float(rho ** (1.0 / p)), lifted_dim=lifted_dim, assumption_path=path
     )
@@ -231,7 +254,8 @@ def _markov_t2_on_sym(system: MarkovJumpSystem) -> np.ndarray:
 
 def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
     """Markovian p-radius for p in {1, 2}; p = 2 is solved on
-    Sym^2 (x) R^N, of dimension N d(d+1)/2 against N d^2.
+    Sym^2 (x) R^N, of dimension N d(d+1)/2 against N d^2, on the cone of
+    N-tuples of PSD matrices, and p = 1 on the orthant.
 
     p = 1 additionally requires every mode to be entrywise nonnegative; with
     a negative entry the computation is unsupported, not silently numeric.
@@ -243,7 +267,7 @@ def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
         )
     lifted_dim = system.n_modes * system.dim**p
     if p == 2:
-        value = spectrum(_markov_t2_on_sym(system)).spectral_radius ** 0.5
+        value = cone_spectral_radius(_markov_t2_on_sym(system), psd_side=system.dim).value ** 0.5
         return PRadiusResult(
             p=2, value=float(value), lifted_dim=lifted_dim, assumption_path=AssumptionPath.EVEN_P
         )
@@ -253,7 +277,7 @@ def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
         )
     return PRadiusResult(
         p=1,
-        value=markov_tp_spectral_radius(system, 1),
+        value=cone_spectral_radius(markov_tp(system, 1)).value,
         lifted_dim=lifted_dim,
         assumption_path=AssumptionPath.ORTHANT_INVARIANT,
     )

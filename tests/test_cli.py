@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import switchstab.linalg as linalg_module
 from switchstab.cli import main
 
 
@@ -141,6 +142,17 @@ def test_stability_exit_codes(capsys, docs):
     assert run(capsys, "stability", "-i", str(docs["unstable.json"]), "-p", "2")[0] == 2
     assert run(capsys, "stability", "-i", str(docs["marginal.json"]), "-p", "2")[0] == 3
     assert run(capsys, "stability", "-i", str(docs["signed.json"]), "-p", "3")[0] == 4
+
+
+@pytest.mark.parametrize("crossover", [0, 48])
+def test_permutation_law_exits_marginal_on_either_route(capsys, tmp_path, monkeypatch, crossover):
+    monkeypatch.setattr(linalg_module, "CONE_CROSSOVER", crossover)
+    atoms = [{"p": 0.5, "M": [[0, 1], [1, 0]]}, {"p": 0.5, "M": [[1, 0], [0, 1]]}]
+    doc = {"type": "iid", "dim": 2, "distribution": {"kind": "atomic", "atoms": atoms}}
+    path = tmp_path / "permutation.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run(capsys, "stability", "-i", str(path), "-p", "2")
+    assert (code, report["results"]["verdict"]) == (3, "marginal")
 
 
 def test_stability_report_contents(capsys, docs):

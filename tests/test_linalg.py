@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import strategies as st
 
 from switchstab import (
     AssumptionError,
+    AtomicDistribution,
     DimensionCapError,
+    MarkovJumpSystem,
+    UniformEntriesDistribution,
+    cone_spectral_radius,
     dominant_left_eigenvector,
     kron_power,
     spectrum,
 )
 import switchstab.linalg as linalg_module
+import switchstab.radius as radius_module
 from switchstab.linalg import monomials, orbit_index, sorted_indices, symmetric_power
 from conftest import is_positive_semidefinite
 
@@ -187,6 +193,172 @@ def test_spectrum_radius_of_kron_power_is_power():
 def test_spectrum_requires_square():
     with pytest.raises(ValueError):
         spectrum(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# spectral radii on cones: shifted solves and Collatz-Wielandt brackets
+# ---------------------------------------------------------------------------
+
+
+def markov_t2(transition, modes):
+    """T_2 on Sym^2 (x) R^N: block (j, i) is P[i, j] S_2(M_i)."""
+    return radius_module._markov_t2_on_sym(MarkovJumpSystem(transition, modes))
+
+
+def cone_radius_everywhere(m, psd_side=None):
+    """The routine with the crossover at 0, so that even small matrices
+    take the iterative route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg_module, "CONE_CROSSOVER", 0)
+        return cone_spectral_radius(m, psd_side)
+
+
+def assert_bracketed(result, m):
+    """A closed bracket holds the value, and the value is the dense one."""
+    dense = spectrum(m).spectral_radius
+    assert result.route != "dense"
+    assert result.lower <= result.value <= result.upper
+    assert result.upper - result.lower <= linalg_module.CONE_TOL * result.upper
+    assert abs(result.value - dense) <= 1e-12 * dense
+    slack = 1e-12 * result.upper
+    assert result.lower - slack <= dense <= result.upper + slack
+
+
+@st.composite
+def nonnegative_laws(draw):
+    """Nonnegative atomic laws and boxes, d <= 8 and p <= 5, with and without
+    zero entries, whose Sym^p matrix has at most 130 rows."""
+    d = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 5).filter(lambda p: math.comb(d + p - 1, p) <= 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    if draw(st.booleans()):
+        atoms = rng.uniform(0.01, 1.0, (3, d, d)) * (rng.uniform(size=(3, d, d)) >= zeros)
+        law = AtomicDistribution(probabilities=np.full(3, 1.0 / 3.0), atoms=atoms)
+    else:
+        lower = rng.uniform(0.01, 1.0, (d, d)) * (rng.uniform(size=(d, d)) >= zeros)
+        width = rng.uniform(0.0, 0.5, (d, d)) * (rng.uniform(size=(d, d)) >= zeros)
+        law = UniformEntriesDistribution(lower=lower, upper=lower + width)
+    return law.expected_symmetric_power(p), zeros == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonnegative_laws())
+def test_orthant_radius_is_bracketed_and_dense(case):
+    m, positive = case
+    result = cone_radius_everywhere(m)
+    if result.route == "dense":  # a reducible law; a positive one closes
+        assert not positive
+        assert result.value == spectrum(m).spectral_radius
+    else:
+        assert result.route == "orthant"
+        assert_bracketed(result, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4))
+def test_collatz_wielandt_bounds_hold_at_any_point_inside_the_cone(seed, d, blocks):
+    rng = np.random.default_rng(seed)
+    bounds = linalg_module._collatz_wielandt
+    m = rng.uniform(size=(d, d)) * (rng.uniform(size=(d, d)) >= 0.3)
+    rho = spectrum(m).spectral_radius
+    v = rng.uniform(0.01, 1.0, d)
+    lo, hi = bounds(m, v, None)
+    assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12) + 1e-300
+    v[rng.integers(d)] = 0.0
+    assert bounds(m, v, None) is None
+    # T_2 of a chain with `blocks` modes at a positive definite point
+    transition = rng.dirichlet(np.ones(blocks), size=blocks)
+    t2 = markov_t2(transition, rng.standard_normal((blocks, d, d)))
+    rho = spectrum(t2).spectral_radius
+    sym = linalg_module.shift_up(d, 2)
+    roots = rng.standard_normal((blocks, d, d))
+    points = roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    size = d * (d + 1) // 2
+    v = np.zeros((blocks, size))
+    v[:, sym] = points
+    lo, hi = bounds(t2, v.reshape(-1), sym)
+    assert lo * (1 - 1e-10) <= rho <= hi * (1 + 1e-10) + 1e-300
+    points[0] -= 2.0 * np.linalg.eigvalsh(points[0])[-1] * np.eye(d)  # not PSD
+    v[:, sym] = points
+    assert bounds(t2, v.reshape(-1), sym) is None
+
+
+@st.composite
+def psd_operators(draw):
+    """E[S_2(A)] of signed atomic laws (d <= 8) and T_2 of Markov systems
+    (N <= 6, d <= 4) with sparse transition matrices, with the side d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 8))
+        atoms = rng.standard_normal((3, d, d))
+        law = AtomicDistribution(probabilities=np.full(3, 1.0 / 3.0), atoms=atoms)
+        return law.expected_symmetric_power(2), d
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    transition = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) >= 0.5)
+    transition[np.arange(n), rng.integers(0, n, n)] += 0.1  # no zero row
+    transition /= transition.sum(axis=1, keepdims=True)
+    return markov_t2(transition, rng.standard_normal((n, d, d))), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(psd_operators())
+def test_psd_radius_is_bracketed_and_dense(case):
+    m, d = case
+    result = cone_radius_everywhere(m, d)
+    if result.route == "dense":  # a reducible chain
+        assert result.value == spectrum(m).spectral_radius
+    else:
+        assert result.route == "psd"
+        assert_bracketed(result, m)
+
+
+def test_cone_radius_is_dense_below_the_crossover_and_bracketed_above():
+    rng = np.random.default_rng(3)
+    small, large = (
+        UniformEntriesDistribution(lower=low, upper=low + 0.3).expected_symmetric_power(3)
+        for low in (rng.uniform(size=(2, 2)), rng.uniform(size=(8, 8)))
+    )
+    assert small.shape[0] < linalg_module.CONE_CROSSOVER <= large.shape[0]
+    below = cone_spectral_radius(small)
+    assert below.route == "dense" and below.solves == 0
+    assert below.value == below.lower == below.upper == spectrum(small).spectral_radius
+    above = cone_spectral_radius(large)
+    assert above.route == "orthant" and 0 < above.solves <= linalg_module.CONE_STEPS
+    assert_bracketed(above, large)
+    atoms = rng.standard_normal((3, 16, 16))  # Sym^2 of R^16: 136 rows
+    signed = AtomicDistribution(np.full(3, 1.0 / 3.0), atoms).expected_symmetric_power(2)
+    assert_bracketed(cone_spectral_radius(signed, psd_side=16), signed)
+
+
+def test_reducible_law_takes_the_dense_route():
+    # upper-triangular atoms leave the monomials of x_5 ... invariant: the
+    # bracket cannot close at a point inside the orthant
+    rng = np.random.default_rng(5)
+    atoms = np.triu(rng.uniform(0.1, 1.0, (2, 6, 6)))
+    m = AtomicDistribution(np.array([0.5, 0.5]), atoms).expected_symmetric_power(3)
+    assert m.shape[0] >= linalg_module.CONE_CROSSOVER
+    result = cone_spectral_radius(m)
+    assert result.route == "dense"
+    assert result.value == spectrum(m).spectral_radius
+    assert result.solves <= linalg_module.CONE_STEPS
+
+
+def test_cone_radius_of_zero_and_of_a_fixed_point():
+    assert cone_radius_everywhere(np.zeros((3, 3))).value == 0.0
+    # E[S_2] of the permutation law [[0, 1], [1, 0]], I fixes the all-ones vector
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = AtomicDistribution(np.array([0.5, 0.5]), np.stack([swap, np.eye(2)]))
+    for psd_side in (None, 2):
+        result = cone_radius_everywhere(m.expected_symmetric_power(2), psd_side)
+        assert (result.value, result.lower, result.upper, result.solves) == (1.0, 1.0, 1.0, 0)
+
+
+def test_cone_radius_rejects_a_cone_it_cannot_hold():
+    with pytest.raises(ValueError, match="nonnegative"):
+        cone_radius_everywhere(-np.eye(3))
+    with pytest.raises(ValueError, match="Sym\\^2"):
+        cone_radius_everywhere(np.eye(4), psd_side=2)
 
 
 def test_dominant_left_eigenvector_interval_box_mean():

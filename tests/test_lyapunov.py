@@ -192,7 +192,10 @@ def test_quadratic_is_the_direct_solve_near_the_boundary():
     assert cert.gamma == pytest.approx(1.0 - 1.0 / np.linalg.eigvalsh(exact).max(), rel=1e-12)
 
 
-def test_quadratic_makes_one_lift_one_spectrum_one_solve(monkeypatch, shrunk_box):
+@pytest.fixture
+def quadratic_calls(monkeypatch):
+    """Counts of the lifts, eigensolves and linear solves of quadratic
+    synthesis on a box."""
     calls = {"lift": [], "spectrum": 0, "solve": 0}
     lift, spectrum, solve = (
         UniformEntriesDistribution.expected_kron_power,
@@ -215,8 +218,45 @@ def test_quadratic_makes_one_lift_one_spectrum_one_solve(monkeypatch, shrunk_box
     monkeypatch.setattr(UniformEntriesDistribution, "expected_kron_power", counting_lift)
     monkeypatch.setattr(lyapunov_module, "spectrum", counting_spectrum)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
+
+
+def test_quadratic_makes_one_lift_one_solve_and_no_spectrum(quadratic_calls, shrunk_box):
+    # the positive definite H with gamma < (1 - margin)^2 proves the radius
     synthesize_quadratic(shrunk_box)
-    assert calls == {"lift": [2], "spectrum": 1, "solve": 1}
+    assert quadratic_calls == {"lift": [2], "spectrum": 0, "solve": 1}
+
+
+def test_quadratic_refusal_makes_one_spectrum(quadratic_calls, interval_box):
+    with pytest.raises(InstabilityError, match="mean-square radius .* is not below 1"):
+        synthesize_quadratic(interval_box)
+    assert quadratic_calls == {"lift": [2], "spectrum": 1, "solve": 1}
+
+
+def test_quadratic_certificate_as_when_the_radius_came_first():
+    # the former order: the eigensolve decides, then the same solve
+    rng = np.random.default_rng(12)
+    for scale in (0.3, 0.6, 0.9, 0.99):
+        dist = random_atomic(rng, 3, 3, target_r2=scale)
+        cert = synthesize_quadratic(dist)
+        second = dist.expected_kron_power(2)
+        h = np.linalg.solve(np.eye(9) - second.T, np.eye(3).reshape(-1)).reshape(3, 3)
+        h = 0.5 * (h + h.T)
+        assert np.array_equal(cert.h, h)
+        assert cert.gamma == 1.0 - 1.0 / float(np.linalg.eigvalsh(h).max())
+
+
+def test_default_panel_is_memoised_and_read_only():
+    panel = lyapunov_module.default_test_vectors(3)
+    assert lyapunov_module.default_test_vectors(3) is panel
+    assert not panel.flags.writeable
+    with pytest.raises(ValueError):
+        panel[0, 0] = 0.0
+    rng = np.random.default_rng(lyapunov_module.DEFAULT_VALIDATION_SEED)
+    pts = rng.standard_normal((1000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    assert np.array_equal(panel, np.vstack([pts, np.eye(3)]))
+    assert lyapunov_module.default_test_vectors(3, 10, 5).shape == (13, 3)
 
 
 def test_quadratic_respects_the_lift_cap(monkeypatch, shrunk_box):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from switchstab import (
     dump_problem,
     kron_power,
     load_problem,
+    p_radius,
     problem_to_json,
     sample_matrix,
 )
@@ -184,6 +186,47 @@ def flag_laws(draw):
 def test_moment_flags_are_the_dense_flags(law):
     dist, p = law
     assert dist.moments_positive(p) == bool(np.all(dist.expected_kron_power(p) > 0))
+
+
+def per_order_moments(box, order):
+    """Reference for ``entry_moments``: each order k summed alone, as a
+    Python sum of C(k, j) c^(k-j) h^j / (j+1) over even j."""
+    c = 0.5 * (box.lower + box.upper)
+    h = 0.5 * (box.upper - box.lower)
+    return np.stack([
+        sum(math.comb(k, j) * c ** (k - j) * h**j / (j + 1) for j in range(0, k + 1, 2))
+        for k in range(order + 1)
+    ])
+
+
+@st.composite
+def moment_boxes(draw):
+    """Boxes with d <= 3, signed or nonnegative, with degenerate entries and
+    scales 10^-3 .. 10^3, and p <= 12 (a Sym^p matrix of at most 45 rows at
+    d = 3, p = 8)."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 12 if d < 3 else 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    lower = rng.uniform(-1.0 if draw(st.booleans()) else 0.0, 1.0, (d, d)) * scale
+    width = rng.uniform(0.0, 1.0, (d, d)) * (rng.uniform(size=(d, d)) >= 0.3) * scale
+    return UniformEntriesDistribution(lower=lower, upper=lower + width), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(moment_boxes())
+def test_box_moments_in_one_pass_are_the_per_order_sums(case):
+    box, p = case
+    moments = box.entry_moments(p)
+    reference = per_order_moments(box, p)
+    assert np.array_equal(moments, reference)
+    assert np.array_equal(np.signbit(moments), np.signbit(reference))
+    radii = [check_mean_stability(box, q) for q in range(1, p + 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(UniformEntriesDistribution, "entry_moments", per_order_moments)
+        for q, report in enumerate(radii, start=1):
+            assert report.p_radius.value == p_radius(box, q).value
+            assert report.cone_flags == check_mean_stability(box, q).cone_flags
 
 
 @settings(max_examples=60, deadline=None)

@@ -142,6 +142,38 @@ def test_stability_builds_the_lift_once(monkeypatch, interval_box, p):
         assert report.p_radius.value == pytest.approx(radius.value, rel=1e-15)
 
 
+def test_each_radius_names_its_cone(monkeypatch, three_mode_system):
+    """Nonnegative supports solve on the orthant at any p, signed laws on
+    the PSD cone at p = 2 and densely at p >= 4; Markov radii on the
+    orthant at p = 1 and on N-tuples of PSD blocks at p = 2."""
+    routes = []
+    cone_radius = radius_module.cone_spectral_radius
+
+    def spy(m, psd_side=None):
+        result = cone_radius(m, psd_side)
+        routes.append((m.shape[0], psd_side))
+        return result
+
+    monkeypatch.setattr(radius_module, "cone_spectral_radius", spy)
+    rng = np.random.default_rng(6)
+    nonneg = AtomicDistribution(np.array([0.5, 0.5]), rng.uniform(size=(2, 3, 3)))
+    signed = AtomicDistribution(np.array([0.5, 0.5]), rng.standard_normal((2, 3, 3)))
+    for dist, p, route in (
+        (nonneg, 3, [(10, None)]),
+        (nonneg, 2, [(6, None)]),
+        (signed, 2, [(6, 3)]),
+        (signed, 4, []),
+    ):
+        routes.clear()
+        check_mean_stability(dist, p)
+        assert routes == route
+    positive = MarkovJumpSystem(three_mode_system.transition, np.abs(three_mode_system.modes))
+    for system, p, route in ((positive, 1, [(6, None)]), (three_mode_system, 2, [(9, 2)])):
+        routes.clear()
+        markov_stability(system, p)
+        assert routes == route
+
+
 # ---------------------------------------------------------------------------
 # Markov lifts
 # ---------------------------------------------------------------------------
