@@ -3,10 +3,11 @@ induced matrices on symmetric powers, spectra, Perron vectors.
 
 Spectra and Perron vectors come from one dense LAPACK eigensolve each. The
 spectral radius of a matrix that maps a cone into itself can instead come
-from a few shifted LU solves that close a Collatz-Wielandt bracket; their
-step cap only hands an open bracket to the dense eigensolve, so it never
-changes an answer. All operations are pure functions on ndarrays and are
-safe to call concurrently; monomial tables are memoised and read-only.
+from power steps and a few shifted LU solves that close a Collatz-Wielandt
+bracket; their step cap only hands an open bracket to the dense eigensolve,
+so it never changes an answer. All operations are pure functions on
+ndarrays and are safe to call concurrently; monomial tables are memoised
+and read-only.
 Sizes of lifted arrays and of every builder table are guarded by an entry
 cap (default 10^7 entries, overridable via SWITCHSTAB_MAX_LIFT_ENTRIES),
 checked on every call, also when a table is memoised.
@@ -230,16 +231,18 @@ def spectrum(m: np.ndarray) -> Spectrum:
 
 #: rows below which :func:`cone_spectral_radius` hands a matrix to the dense
 #: QR eigensolve, the cheaper route there: on a 2-vCPU host with BLAS at one
-#: thread, the four to seven shifted solves cost as much as the QR solve near
-#: 30 rows on the orthant and near 55 on PSD blocks, and at 120 to 136 rows
-#: a fifth to a third of it
-CONE_CROSSOVER = 48
-#: shifted solves after which an open bracket goes to the dense route. Of
-#: about 7900 random laws with positive Sym^p matrices, whose entries spread
-#: over up to seven orders of magnitude, 98% closed in at most 7 solves and
-#: none needed more than 11; the cap bounds the time a reducible law, whose
-#: bracket cannot close, spends before it gets its dense answer
-CONE_STEPS = 16
+#: thread, the warmed iteration costs as much as the QR solve near 28 rows on
+#: the orthant and near 40 to 48 on PSD blocks, and at 120 to 136 rows a
+#: thirtieth to a seventh of it
+CONE_CROSSOVER = 36
+#: shifted solves after which an open bracket goes to the dense route. After
+#: the power steps, of about 2900 random laws with positive Sym^p matrices,
+#: whose entries spread over up to seven orders of magnitude, 98.7% closed in
+#: at most 8 solves (99.3% of 2500 PSD operators); the cap bounds the time a
+#: reducible law, whose bracket cannot close, spends before its dense answer
+CONE_STEPS = 8
+#: power steps taken once, when the bracket at the start point is open
+CONE_WARM = 16
 #: relative width hi - lo <= CONE_TOL * hi at which a bracket has closed
 CONE_TOL = 1e-12
 
@@ -286,14 +289,15 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
     matrices of side ``psd_side``, each in sorted-monomial Sym^2
     coordinates (m_2(x) stands for x x.T), so m has N C(d+1, 2) rows.
 
-    Shifted inverse iteration (Noda): start at the all-ones vector or at
-    the identity in every block, bound rho at the current point v by the
-    Collatz-Wielandt bounds lo <= rho <= hi (min and max of (m v)_i / v_i,
-    or the extreme eigenvalues of the pencils (m(X)_j, X_j)), and solve
+    Shifted inverse iteration (Noda), warmed by power steps: bound rho by
+    the Collatz-Wielandt bounds lo <= rho <= hi at the point v (min and max
+    of (m v)_i / v_i, or the extreme eigenvalues of the pencils
+    (m(X)_j, X_j)), first at the all-ones vector or the identity in every
+    block, then after ``CONE_WARM`` power steps, then after each solve of
     (hi I - m) v' = v. For hi > rho that resolvent maps the cone into
-    itself, so v' stays inside. The bounds hold at any point inside the
-    cone, however it was reached. The value is the midpoint of the first
-    bracket with hi - lo <= ``CONE_TOL`` hi. Below ``CONE_CROSSOVER`` rows,
+    itself, so v' stays inside; the bounds hold at any point inside the
+    cone. The value is the midpoint of the first bracket with
+    hi - lo <= ``CONE_TOL`` hi. Below ``CONE_CROSSOVER`` rows,
     and whenever a point leaves the cone's interior, a shifted solve is
     singular or ``CONE_STEPS`` solves leave the bracket open (reducible
     laws), the value is the dense :func:`spectrum`'s; so the step cap moves
@@ -317,11 +321,20 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
             v = np.zeros((n // size, size))
             v[:, np.diagonal(sym)] = 1.0
             v = v.reshape(-1)
-        eye = np.eye(n)
+        eye, warm = np.eye(n), True
         while (bounds := _collatz_wielandt(m, v, sym)) is not None:
             lo, hi = bounds
             if hi - lo <= CONE_TOL * hi:
                 return ConeRadius(0.5 * (lo + hi), lo, hi, route, solves)
+            if warm:  # power steps keep v in the cone; a zero or non-finite image ends them
+                for _ in range(CONE_WARM):
+                    w = m @ v
+                    top = w[np.argmax(np.abs(w))]
+                    if not 0.0 < top < np.inf:
+                        break
+                    v = w / top
+                warm = False
+                continue
             if solves == CONE_STEPS:
                 break
             try:

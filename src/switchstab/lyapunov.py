@@ -271,21 +271,25 @@ def default_test_vectors(dim: int, count: int = 1000, seed: int = DEFAULT_VALIDA
 
 
 def _mc_estimates(
-    cert: LyapunovCertificate, samples: np.ndarray, xs: np.ndarray
+    cert: LyapunovCertificate, mats: np.ndarray, xs: np.ndarray, index: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error of V(A x) over the draws ``samples``,
-    at every row x of ``xs``."""
-    n, d = samples.shape[:2]
-    q = cert.lift_power
+    """Sample mean and standard error of V(A x) over the draws
+    ``mats[index]`` (``mats`` if ``index`` is None), at every row x of
+    ``xs``. A quadratic certificate forms one sandwich per matrix of
+    ``mats`` and gathers those, the draws' sandwiches bit for bit."""
+    n = mats.shape[0] if index is None else index.size
+    d, q = mats.shape[1], cert.lift_power
     if isinstance(cert, QuadraticCertificate):
         # V(A_s x) = w . vec(B_s) with B_s = L_s.T H L_s, L_s = A_s^(kron q) and
         # w = x^(kron 2q), so the mean is w . vec(mean(B)) and the variance is
         # w.T Q w, Q the covariance of the vec(B_s) formed from centred B_s
         check_entry_cap(max(n, d ** (2 * q)) * d ** (2 * q), "Monte Carlo sandwiches")
-        powers = samples
+        powers = mats
         for t in range(2, q + 1):
-            powers = np.einsum("sij,skl->sikjl", powers, samples).reshape(n, d**t, -1)
+            powers = np.einsum("sij,skl->sikjl", powers, mats).reshape(mats.shape[0], d**t, -1)
         sandwiches = powers.transpose(0, 2, 1) @ cert.h @ powers
+        if index is not None:
+            sandwiches = sandwiches[index]
         mean = sandwiches.mean(axis=0)
         centred = (sandwiches - mean).reshape(n, -1)
         covariance = centred.T @ centred / (n - 1)
@@ -295,7 +299,7 @@ def _mc_estimates(
     # cone norms: each chunk of vectors is mapped by every draw in one matrix
     # product, and the values are summed over the draws in draw order
     check_entry_cap(n * cert.f.size, "Monte Carlo certificate values")
-    draws = samples.reshape(-1, d).T
+    draws = (mats if index is None else mats[index]).reshape(-1, d).T
     expected, stderr = np.empty(xs.shape[0]), np.empty(xs.shape[0])
     chunk = max(1, int(2e6) // (n * cert.f.size))
     for start in range(0, xs.shape[0], chunk):
@@ -321,14 +325,15 @@ def validate_certificate(
     mode "mc" estimates it from n_samples >= 2 draws and allows a four-
     standard-error band on top of the decay bound. A (lifted) quadratic
     certificate gets the sample mean and variance from moment matrices of
-    the draws, a cone norm from V at every draw and vector. The entry cap
+    the draws (on a finite law, one sandwich per atom, gathered by the
+    drawn atoms), a cone norm from V at every draw and vector. The entry cap
     guards the n_samples d^2 draws and, for a quadratic certificate with
     lift power q, the n_samples d^(2q) sandwiches and their d^(4q)
     covariance, and in exact mode the n d^q lifted test vectors.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
-    from .mcsim import sample_matrix  # sampling lives with the simulators
+    from .mcsim import atom_indices, sample_matrix  # sampling lives with the simulators
 
     dim = dist.dim
     if xs is None:
@@ -352,9 +357,13 @@ def validate_certificate(
         if n_samples < 2:
             raise ValueError("Monte Carlo validation needs at least 2 samples")
         check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")
-        samples = sample_matrix(dist, np.random.default_rng(seed), size=n_samples)
+        rng = np.random.default_rng(seed)
+        if isinstance(cert, QuadraticCertificate) and isinstance(dist, AtomicDistribution):
+            mats, index = dist.atoms, atom_indices(dist, rng, n_samples)  # a sandwich per atom
+        else:
+            mats, index = sample_matrix(dist, rng, size=n_samples), None
+        expected, stderr = _mc_estimates(cert, mats, xs, index)
         vx = evaluate_rows(cert, xs)
-        expected, stderr = _mc_estimates(cert, samples, xs)
         slack = gamma * vx + 4.0 * stderr + 1e-12 * np.maximum(vx, 1.0)
     else:
         raise ValueError("mode must be 'exact' or 'mc'")

@@ -83,6 +83,13 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def atom_indices(dist: AtomicDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Indices of ``n`` atoms drawn from a finite law, advancing ``rng`` as
+    :func:`sample_matrix` does for the same draws."""
+    cum = np.cumsum(dist.probabilities)
+    return np.minimum((rng.random(n)[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1)
+
+
 def sample_matrix(
     dist: MatrixDistribution, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
@@ -90,11 +97,7 @@ def sample_matrix(
     advancing ``rng`` deterministically."""
     n = 1 if size is None else int(size)
     if isinstance(dist, AtomicDistribution):
-        cum = np.cumsum(dist.probabilities)
-        idx = np.minimum(
-            (rng.random(n)[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1
-        )
-        out = dist.atoms[idx]
+        out = dist.atoms[atom_indices(dist, rng, n)]
     elif isinstance(dist, UniformEntriesDistribution):
         width = dist.upper - dist.lower
         out = dist.lower + rng.random((n, dist.dim, dist.dim)) * width

@@ -324,11 +324,39 @@ def test_cone_radius_is_dense_below_the_crossover_and_bracketed_above():
     assert below.route == "dense" and below.solves == 0
     assert below.value == below.lower == below.upper == spectrum(small).spectral_radius
     above = cone_spectral_radius(large)
-    assert above.route == "orthant" and 0 < above.solves <= linalg_module.CONE_STEPS
+    assert above.route == "orthant" and above.solves <= linalg_module.CONE_STEPS
     assert_bracketed(above, large)
     atoms = rng.standard_normal((3, 16, 16))  # Sym^2 of R^16: 136 rows
     signed = AtomicDistribution(np.full(3, 1.0 / 3.0), atoms).expected_symmetric_power(2)
     assert_bracketed(cone_spectral_radius(signed, psd_side=16), signed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warmed_brackets_of_benchmark_laws_close_within_the_step_cap(seed):
+    # boxes and a Markov chain drawn as the benchmark draws them, before its
+    # rescaling onto a target radius, which leaves the solve count alone
+    rng = np.random.default_rng(seed)
+    cases = []
+    for d, p, low in ((8, 3, 0.0), (16, 2, -0.5)):
+        lower = rng.uniform(low, 0.5, (d, d))
+        box = UniformEntriesDistribution(lower=lower, upper=lower + rng.uniform(0.0, 0.6, (d, d)))
+        cases.append((box.expected_symmetric_power(p), None if low == 0.0 else d))
+    transition = rng.uniform(0.05, 1.0, (10, 10))
+    transition /= transition.sum(axis=1, keepdims=True)
+    cases.append((markov_t2(transition, rng.standard_normal((10, 4, 4))), 4))
+    for m, psd_side in cases:
+        assert m.shape[0] >= linalg_module.CONE_CROSSOVER
+        result = cone_spectral_radius(m, psd_side)
+        assert result.solves <= linalg_module.CONE_STEPS
+        assert_bracketed(result, m)
+
+
+def test_power_steps_stop_quietly_at_a_zero_image():
+    # m v = 0 after one step; the point then lies on the boundary
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with np.errstate(all="raise"):
+        result = cone_radius_everywhere(nilpotent)
+    assert (result.value, result.route, result.solves) == (0.0, "dense", 0)
 
 
 def test_reducible_law_takes_the_dense_route():

@@ -25,6 +25,7 @@ from switchstab import (
     synthesize_quadratic,
     validate_certificate,
 )
+from switchstab.mcsim import atom_indices
 from conftest import (
     expected_matrix,
     expected_sandwich,
@@ -641,6 +642,34 @@ def test_quadratic_mc_moments_match_the_per_sample_oracle(case):
     if top - runner_up > 1e-8 * max(top, 1.0 / cert.gamma):
         assert np.array_equal(report.worst_x, xs[np.argmax(margins)])
     assert abs(report.worst_margin - top) <= 1e-10 * max(top, 1.0 / cert.gamma)
+
+
+@st.composite
+def atomic_quadratic_validations(draw):
+    """An atomic law (m <= 4 atoms, d <= 4), a random quadratic certificate
+    of degree 2 or lifted degree 4, a sample count down to 2 and a seed."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    q = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    law = AtomicDistribution(probs / probs.sum(), rng.standard_normal((m, d, d)))
+    g = rng.standard_normal((d**q, d**q))
+    cert = QuadraticCertificate(h=g @ g.T + d**q * np.eye(d**q), gamma=0.5, lift_power=q)
+    return cert, law, draw(st.sampled_from((2, 3, 17, 500))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(atomic_quadratic_validations())
+def test_per_atom_sandwiches_are_the_batched_route_bit_for_bit(case):
+    cert, law, n, seed = case
+    xs = lyapunov_module.default_test_vectors(law.dim, count=40, seed=seed)
+    index = atom_indices(law, np.random.default_rng(seed), n)
+    samples = sample_matrix(law, np.random.default_rng(seed), size=n)
+    assert np.array_equal(law.atoms[index], samples)  # one stream for both
+    per_atom = lyapunov_module._mc_estimates(cert, law.atoms, xs, index)
+    batched = lyapunov_module._mc_estimates(cert, samples, xs)
+    for got, want in zip(per_atom, batched):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,58 @@ def test_moment_flags_are_the_dense_flags(law):
     assert dist.moments_positive(p) == bool(np.all(dist.expected_kron_power(p) > 0))
 
 
+def full_table_flag(dist, p):
+    """The flag from the table of every degree-p moment, with no witness."""
+    if isinstance(dist, AtomicDistribution):
+        moments = dist._multiset_moments(p)
+    elif p == 1:
+        moments = dist.entry_moment(1)
+    else:
+        moments = dist._multiset_moments(models_module._cell_multisets(dist.dim, p), p)
+    return bool(np.all(moments > 0))
+
+
+@st.composite
+def scaled_flag_laws(draw):
+    """The laws of ``flag_laws``, with zero-width box entries and every
+    entry scaled by 10^-100, 1 or 10^100, where products underflow or
+    overflow."""
+    dist, p = draw(flag_laws())
+    scale = draw(st.sampled_from([1e-100, 1.0, 1e100]))
+    if isinstance(dist, AtomicDistribution):
+        return AtomicDistribution(dist.probabilities, dist.atoms * scale), p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = dist.lower * scale
+    upper = np.where(rng.uniform(size=lower.shape) < 0.2, lower, dist.upper * scale)
+    return UniformEntriesDistribution(lower=lower, upper=upper), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_flag_laws())
+def test_witness_first_flags_are_the_full_table_flags(law):
+    dist, p = law
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dist.moments_positive(p) == full_table_flag(dist, p)
+
+
+def test_witnesses_decide_without_the_moment_tables(monkeypatch, interval_box):
+    rng = np.random.default_rng(13)
+    positive = AtomicDistribution(np.full(3, 1.0 / 3.0), rng.uniform(0.1, 1.0, (3, 4, 4)))
+    signed = AtomicDistribution(np.full(3, 1.0 / 3.0), rng.standard_normal((3, 5, 5)))
+    lower = rng.uniform(-1.0, 1.0, (16, 16))
+    signed_box = UniformEntriesDistribution(lower=lower, upper=lower + 0.2)
+    negative = -rng.uniform(0.5, 1.0, (4, 4))  # every mean negative: even p is positive
+    negative_box = UniformEntriesDistribution(lower=negative, upper=negative + 0.3)
+    builds = []
+    monkeypatch.setattr(AtomicDistribution, "_multiset_moments", lambda *a: builds.append(a))
+    monkeypatch.setattr(UniformEntriesDistribution, "_multiset_moments", lambda *a: builds.append(a))
+    monkeypatch.setattr(models_module, "_cell_multisets", lambda *a: builds.append(a))
+    for dist, p, flag in [(interval_box, 6, True), (positive, 5, True), (signed, 4, False),
+                          (signed_box, 2, False), (negative_box, 2, True)]:
+        assert dist.moments_positive(p) is flag
+    assert builds == []
+
+
 def per_order_moments(box, order):
     """Reference for ``entry_moments``: each order k summed alone, as a
     Python sum of C(k, j) c^(k-j) h^j / (j+1) over even j."""
