@@ -6,35 +6,36 @@ codes: 0 ok/stable, 1 I/O or schema, 2 unstable or violated claim,
 3 marginal, 4 assumptions not met, 5 resource cap, 6 solver failure.
 """
 
+# Only the parser and the error types load with this module (its docstring
+# is the --help text). Each command imports the modules it runs, so a usage
+# error never imports numpy and pradius never imports the simulators.
+
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import lyapunov as lyap
-from . import mcsim, models, radius
 from .errors import (
     EXIT_ASSUMPTIONS,
     EXIT_IO,
     EXIT_MARGINAL,
     EXIT_OK,
     EXIT_UNSTABLE,
+    AssumptionError,
     SwitchstabError,
 )
 
 SCHEMA_VERSION = 1
 
+#: exit code of each ``radius.Verdict`` value
 _VERDICT_EXIT = {
-    radius.Verdict.STABLE: EXIT_OK,
-    radius.Verdict.UNSTABLE: EXIT_UNSTABLE,
-    radius.Verdict.MARGINAL: EXIT_MARGINAL,
-    radius.Verdict.UNSUPPORTED: EXIT_ASSUMPTIONS,
+    "stable": EXIT_OK,
+    "unstable": EXIT_UNSTABLE,
+    "marginal": EXIT_MARGINAL,
+    "unsupported": EXIT_ASSUMPTIONS,
 }
 
 
@@ -52,6 +53,8 @@ class SystemExit_(Exception):
 
 
 def _digest(path: Path) -> str:
+    import hashlib
+
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -71,6 +74,8 @@ def _report(command: str, argv, digest: str | None, results, warnings) -> dict:
 
 
 def _load(path: Path):
+    from . import models
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -78,15 +83,19 @@ def _load(path: Path):
     return models.load_problem(text)
 
 
-def _need_distribution(problem, command: str) -> models.MatrixDistribution:
-    if not isinstance(problem, models.MatrixDistribution):
+def _need_distribution(problem, command: str):
+    from .models import MatrixDistribution
+
+    if not isinstance(problem, MatrixDistribution):
         raise SwitchstabError(f"'{command}' expects an iid problem document")
     return problem
 
 
-def _need_markov(problem) -> models.MarkovJumpSystem:
-    if not isinstance(problem, models.MarkovJumpSystem):
-        raise SwitchstabError("'markov' expects a markov problem document")
+def _need_markov(problem, command: str):
+    from .models import MarkovJumpSystem
+
+    if not isinstance(problem, MarkovJumpSystem):
+        raise SwitchstabError(f"'{command}' expects a markov problem document")
     return problem
 
 
@@ -101,7 +110,15 @@ def _parse_mode(text: str) -> tuple[str, int]:
     raise SwitchstabError(f"unknown validation mode {text!r}; use exact or mc:N")
 
 
-def _parse_x0(text: str) -> np.ndarray:
+def _seed(args) -> dict:
+    """``seed=`` for ``validate_certificate`` when ``--seed`` is given; its
+    own default seed otherwise."""
+    return {} if args.seed is None else {"seed": args.seed}
+
+
+def _parse_x0(text: str):
+    import numpy as np
+
     try:
         return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
@@ -126,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("lyapunov", "synthesize a degree-p certificate")
     cmd.add_argument("-p", type=int, required=True)
     cmd.add_argument("--validate", metavar="MODE", help="also validate: exact or mc:N")
-    cmd.add_argument("--seed", type=int, default=lyap.DEFAULT_VALIDATION_SEED)
+    cmd.add_argument("--seed", type=int)
     cmd.add_argument("-o", "--out", type=Path, help="also write the certificate JSON here")
 
     cmd = add("jsr", "joint-spectral-radius bracket of an atomic support")
@@ -160,12 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("validate", "check a certificate against a law")
     cmd.add_argument("--cert", type=Path, required=True)
     cmd.add_argument("--mode", default="exact", help="exact or mc:N")
-    cmd.add_argument("--seed", type=int, default=lyap.DEFAULT_VALIDATION_SEED)
+    cmd.add_argument("--seed", type=int)
 
     return parser
 
 
 def _cmd_pradius(args, warnings):
+    from . import radius
+
     dist = _need_distribution(_load(args.input), "pradius")
     result = radius.p_radius(dist, args.p)
     if result.assumption_path is radius.AssumptionPath.UNSUPPORTED:
@@ -175,14 +194,18 @@ def _cmd_pradius(args, warnings):
 
 
 def _cmd_stability(args, warnings):
+    from . import radius
+
     dist = _need_distribution(_load(args.input), "stability")
     report = radius.check_mean_stability(dist, args.p)
     if report.verdict is radius.Verdict.MARGINAL:
         warnings.append("p-radius lies inside the marginal decision band around 1")
-    return report.to_dict(), _VERDICT_EXIT[report.verdict]
+    return report.to_dict(), _VERDICT_EXIT[report.verdict.value]
 
 
 def _cmd_lyapunov(args, warnings):
+    from . import lyapunov as lyap
+
     dist = _need_distribution(_load(args.input), "lyapunov")
     cert = lyap.synthesize_degree_p(dist, args.p)
     doc = lyap.certificate_to_dict(cert)
@@ -194,7 +217,7 @@ def _cmd_lyapunov(args, warnings):
     if args.validate:
         mode, n = _parse_mode(args.validate)
         report = lyap.validate_certificate(
-            cert, dist, mode=mode, n_samples=n or 10_000, seed=args.seed
+            cert, dist, mode=mode, n_samples=n or 10_000, **_seed(args)
         )
         results["validation"] = report.to_dict()
         if not report.passed:
@@ -204,7 +227,7 @@ def _cmd_lyapunov(args, warnings):
 
 
 def _cmd_jsr(args, warnings):
-    from .errors import AssumptionError
+    from . import models, radius
 
     dist = _need_distribution(_load(args.input), "jsr")
     if not isinstance(dist, models.AtomicDistribution):
@@ -219,6 +242,8 @@ def _cmd_jsr(args, warnings):
 
 
 def _cmd_limit(args, warnings):
+    from . import radius
+
     dist = _need_distribution(_load(args.input), "limit")
     seq = radius.limit_sequence(dist, args.pmax, even_only=args.even_only)
     if seq.truncated:
@@ -234,7 +259,9 @@ def _cmd_limit(args, warnings):
 
 
 def _cmd_markov(args, warnings):
-    system = _need_markov(_load(args.input))
+    from . import models, radius
+
+    system = _need_markov(_load(args.input), "markov")
     if args.closed_loop:
         system = models.apply_feedback(system)
     if args.p not in (1, 2):
@@ -257,10 +284,12 @@ def _cmd_markov(args, warnings):
     results["closed_loop"] = args.closed_loop
     if report.verdict is radius.Verdict.UNSUPPORTED:
         warnings.append("p = 1 requires entrywise-nonnegative modes; found a negative entry")
-    return results, _VERDICT_EXIT[report.verdict]
+    return results, _VERDICT_EXIT[report.verdict.value]
 
 
 def _series_sidecar(out_dir: Path, stem: str, label: str, series) -> dict:
+    from . import mcsim
+
     path = out_dir / f"{stem}.{label}.csv"
     mcsim.write_moment_csv(path, series)
     entry = {
@@ -272,9 +301,12 @@ def _series_sidecar(out_dir: Path, stem: str, label: str, series) -> dict:
 
 
 def _cmd_simulate(args, warnings):
+    from . import lyapunov as lyap
+    from . import mcsim, models
+
     problem = _load(args.input)
     if args.closed_loop:
-        problem = models.apply_feedback(_need_markov(problem))
+        problem = models.apply_feedback(_need_markov(problem, "simulate --closed-loop"))
     x0 = _parse_x0(args.x0)
     plan = mcsim.SimulationPlan(
         paths=args.paths,
@@ -318,11 +350,13 @@ def _cmd_simulate(args, warnings):
 
 
 def _cmd_validate(args, warnings):
+    from . import lyapunov as lyap
+
     dist = _need_distribution(_load(args.input), "validate")
     cert = lyap.certificate_from_dict(json.loads(args.cert.read_text(encoding="utf-8")))
     mode, n = _parse_mode(args.mode)
     report = lyap.validate_certificate(
-        cert, dist, mode=mode, n_samples=n or 10_000, seed=args.seed
+        cert, dist, mode=mode, n_samples=n or 10_000, **_seed(args)
     )
     if not report.passed:
         warnings.append("certificate claim violated on at least one test vector")

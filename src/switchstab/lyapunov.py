@@ -333,8 +333,6 @@ def validate_certificate(
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
-    from .mcsim import atom_indices, sample_matrix  # sampling lives with the simulators
-
     dim = dist.dim
     if xs is None:
         xs = default_test_vectors(dim, seed=seed)
@@ -354,6 +352,8 @@ def validate_certificate(
             expected += prob * evaluate_rows(cert, xs @ m.T)
         slack = gamma * vx * (1.0 + 1e-9) + 1e-15 * np.maximum(vx, 1.0)
     elif mode == "mc":
+        from .mcsim import atom_indices, sample_matrix  # sampling lives with the simulators
+
         if n_samples < 2:
             raise ValueError("Monte Carlo validation needs at least 2 samples")
         check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")

@@ -244,7 +244,21 @@ class UniformEntriesDistribution(MatrixDistribution):
         return self.entry_moments(order)[order]
 
     def entry_moments(self, order: int) -> np.ndarray:
-        """E[a_ij^k] for k = 0..order, as an (order + 1, d, d) stack.
+        """E[a_ij^k] for k = 0..order, as a new (order + 1, d, d) array.
+
+        The law keeps the stack of the highest order computed so far, and a
+        lower order is a copy of its first rows, which are the same bits
+        (see :meth:`_entry_moment_stack`): a radius, its flags and their
+        moment tables share one computation.
+        """
+        kept = self.__dict__.get("_moments")
+        if kept is None or kept.shape[0] <= order:
+            kept = self._entry_moment_stack(order)
+            object.__setattr__(self, "_moments", kept)
+        return kept[: order + 1].copy()
+
+    def _entry_moment_stack(self, order: int) -> np.ndarray:
+        """E[a_ij^k] for k = 0..order, computed.
 
         Expanded about the midpoint c with half-width h as the sum over even
         j <= k of C(k, j) c^(k-j) h^j / (j+1). The terms share one sign, so

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import switchstab.linalg as linalg_module
 from switchstab.cli import main
+from switchstab.lyapunov import DEFAULT_VALIDATION_SEED
 
 
 def run(capsys, *argv):
@@ -520,3 +525,91 @@ def test_simulate_sigma0_outside_the_modes_exits_1(capsys, docs, tmp_path):
     assert code == 1
     assert report["results"] is None
     assert "initial mode must lie in 1..3" in report["error"]["message"]
+
+
+def test_simulate_closed_loop_names_itself_on_an_iid_document(capsys, docs, tmp_path):
+    code, report = run(
+        capsys, "simulate", "-i", str(docs["box.json"]), "--paths", "10", "--horizon", "3",
+        "--seed", "1", "--x0", "1,1", "--closed-loop", "--out-dir", str(tmp_path / "sim"),
+    )
+    assert code == 1
+    assert report["error"]["message"] == "'simulate --closed-loop' expects a markov problem document"
+    code, report = run(capsys, "markov", "-i", str(docs["box.json"]), "-p", "1")
+    assert report["error"]["message"] == "'markov' expects a markov problem document"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "problems"
+#: ``python -m switchstab.cli ARGS`` that reports its loaded modules on
+#: stderr at exit, after the command's own output
+MODULE_DUMP = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('MODULES', *sorted(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('switchstab.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def cli_process(*argv, cwd):
+    """Exit code, stdout and the set of loaded modules of one CLI process."""
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_DUMP, *map(str, argv)], cwd=cwd, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    dump = [line for line in proc.stderr.splitlines() if line.startswith("MODULES ")]
+    assert len(dump) == 1, proc.stderr
+    return proc.returncode, proc.stdout, set(dump[0].split()[1:])
+
+
+CERTIFICATES_AND_SIMULATORS = {"switchstab.lyapunov", "switchstab.mcsim", "concurrent.futures"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pradius", "-i", PROBLEMS / "atomic_pair.json", "-p", "2"],
+        ["stability", "-i", PROBLEMS / "interval_box.json", "-p", "1"],
+        ["jsr", "-i", PROBLEMS / "atomic_pair.json", "--depth", "6"],
+        ["limit", "-i", PROBLEMS / "atomic_pair.json", "--pmax", "4", "--csv", "limit.csv"],
+        ["markov", "-i", PROBLEMS / "three_mode_markov.json", "-p", "1", "--closed-loop"],
+        ["markov", "-i", PROBLEMS / "three_mode_markov.json", "-p", "2"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2].stem}-{'-'.join(map(str, argv[3:5]))}",
+)
+def test_radius_commands_load_no_certificate_or_simulator_module(tmp_path, argv):
+    code, out, modules = cli_process(*argv, cwd=tmp_path)
+    assert code in (0, 2, 3)
+    assert json.loads(out)["results"] is not None
+    assert "switchstab.radius" in modules
+    assert not modules & CERTIFICATES_AND_SIMULATORS
+
+
+def test_usage_error_loads_no_numpy(tmp_path):
+    code, out, modules = cli_process("pradius", "-i", "X", cwd=tmp_path)
+    assert code == 1
+    report = json.loads(out)  # one document, nothing after it
+    assert report["command"] == "(usage)"
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("switchstab")} == {"switchstab", "switchstab.errors"}
+
+
+def test_exact_certificate_commands_sample_nothing_and_simulate_does(tmp_path):
+    pair = PROBLEMS / "atomic_pair.json"
+    code, _, modules = cli_process("lyapunov", "-i", pair, "-p", "2", "--validate", "exact", "-o", "c.json",
+                                   cwd=tmp_path)
+    assert code == 0 and "switchstab.lyapunov" in modules and "switchstab.mcsim" not in modules
+    code, _, modules = cli_process("validate", "--cert", "c.json", "-i", pair, cwd=tmp_path)
+    assert code == 0 and "switchstab.mcsim" not in modules
+    code, _, modules = cli_process("validate", "--cert", "c.json", "-i", pair, "--mode", "mc:100", cwd=tmp_path)
+    assert code == 0 and "switchstab.mcsim" in modules
+    code, _, modules = cli_process("simulate", "-i", pair, "--paths", "10", "--horizon", "3", "--seed", "1",
+                                   "--x0", "1,0", "--out-dir", "sim", cwd=tmp_path)
+    assert code == 0 and "switchstab.mcsim" in modules
+
+
+def test_validation_seed_defaults_to_the_library_seed(capsys, docs):
+    argv = ["lyapunov", "-i", str(docs["box.json"]), "-p", "1", "--validate", "mc:200"]
+    _, default = run(capsys, *argv)
+    _, given = run(capsys, *argv, "--seed", str(DEFAULT_VALIDATION_SEED))
+    _, other = run(capsys, *argv, "--seed", str(DEFAULT_VALIDATION_SEED + 1))
+    assert default["results"] == given["results"] != other["results"]

@@ -240,6 +240,29 @@ def test_witnesses_decide_without_the_moment_tables(monkeypatch, interval_box):
     assert builds == []
 
 
+def test_box_moments_are_computed_once_per_stability_check(monkeypatch):
+    rng = np.random.default_rng(17)
+    negative = -rng.uniform(0.5, 1.0, (3, 3))  # even p: no witness decides, the full table runs
+    tiny = rng.uniform(1e-80, 2e-80, (2, 2))  # positive, but min^p is below the normal floor
+    cases = [(negative, 0.3, 4), (negative, 0.3, 6), (tiny, tiny, 4), (tiny, tiny, 5)]
+
+    def check(lower, width, p):
+        box = UniformEntriesDistribution(lower=lower, upper=lower + width)
+        return check_mean_stability(box, p).to_dict(), box.moments_positive(p)
+
+    stack = UniformEntriesDistribution._entry_moment_stack
+    with pytest.MonkeyPatch.context() as patch:  # each call computes its own stack
+        patch.setattr(UniformEntriesDistribution, "entry_moments", stack)
+        reference = [check(*case) for case in cases]
+    orders = []
+    monkeypatch.setattr(UniformEntriesDistribution, "_entry_moment_stack",
+                        lambda self, order: orders.append(order) or stack(self, order))
+    for case, expected in zip(cases, reference):
+        orders.clear()
+        assert check(*case) == expected
+        assert orders == [case[2]]
+
+
 def per_order_moments(box, order):
     """Reference for ``entry_moments``: each order k summed alone, as a
     Python sum of C(k, j) c^(k-j) h^j / (j+1) over even j."""
