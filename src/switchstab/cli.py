@@ -301,7 +301,6 @@ def _series_sidecar(out_dir: Path, stem: str, label: str, series) -> dict:
 
 
 def _cmd_simulate(args, warnings):
-    from . import lyapunov as lyap
     from . import mcsim, models
 
     problem = _load(args.input)
@@ -333,7 +332,9 @@ def _cmd_simulate(args, warnings):
     else:
         cert = None
         if args.cert:
-            cert = lyap.certificate_from_dict(json.loads(args.cert.read_text(encoding="utf-8")))
+            from .lyapunov import certificate_from_dict
+
+            cert = certificate_from_dict(json.loads(args.cert.read_text(encoding="utf-8")))
         sim = mcsim.simulate_iid(problem, plan, certificate=cert, threads=args.threads)
     for label in ("euclidean", "certificate"):
         series = getattr(sim, label)

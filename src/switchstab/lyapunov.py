@@ -35,7 +35,6 @@ from .linalg import (
     spectrum,
 )
 from .models import AtomicDistribution, MatrixDistribution
-from .radius import DECISION_MARGIN
 
 #: fixed seed for the default validation sample plan
 DEFAULT_VALIDATION_SEED = 1729
@@ -152,6 +151,8 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     monomial r, so the d^p x d^p lift is never built; f and its index array
     are the only d^p-length arrays.
     """
+    from .radius import DECISION_MARGIN
+
     subject = "cone-norm synthesis" if p == 1 else f"odd degree {p}"
     if not dist.support_nonnegative():
         raise AssumptionError(f"{subject} requires an orthant-invariant support")
@@ -187,6 +188,8 @@ def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> Quadrat
     (1 - DECISION_MARGIN)^2 proves the radius below 1 - DECISION_MARGIN and
     no eigensolve is made. Otherwise the radius decides, as it would alone.
     """
+    from .radius import DECISION_MARGIN
+
     n = d**q
     try:
         h = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)

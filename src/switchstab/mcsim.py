@@ -1,10 +1,14 @@
 """Monte Carlo simulation with reproducible, worker-count-invariant streams.
 
 Paths are processed in fixed-size chunks; chunk c draws from a Philox
-counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). Chunking
-is independent of the thread count and all reductions run serially over the
-per-path arrays in path order, so output is bit-identical for any
-``threads`` setting.
+counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). Each
+chunk's per-path values are computed where the chunk is simulated, and sums
+over paths run CHUNK paths at a time in path order, adding the rows exactly
+as numpy's axis-0 sum of the whole array does. Chunking is independent of
+the thread count, so output is bit-identical for any ``threads`` setting,
+and the working set is the path array, at most two (paths, horizon+1) value
+arrays and chunk-sized buffers; a cone-norm certificate's values come from
+one product over all lifted rows.
 """
 
 from __future__ import annotations
@@ -12,19 +16,21 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssumptionError
 from .linalg import check_entry_cap
-from .lyapunov import LyapunovCertificate, evaluate_rows
 from .models import (
     AtomicDistribution,
     MarkovJumpSystem,
     MatrixDistribution,
     UniformEntriesDistribution,
 )
-from .radius import markov_tp
+
+if TYPE_CHECKING:
+    from .lyapunov import LyapunovCertificate
 
 #: paths per RNG chunk; fixed so results do not depend on the worker count
 CHUNK = 1024
@@ -83,11 +89,22 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Index drawn by each uniform ``u`` from the cumulative probabilities
+    ``cum`` along their last axis (one row per draw, or one row for all):
+    the count of the first m-1 cumulative values at or below u. That is
+    min(#{j : u >= cum[j]}, m-1), so a total that rounds below 1 still
+    draws the last index, without an (n, m) comparison array."""
+    idx = np.zeros(u.shape, dtype=np.int64)
+    for column in cum.T[:-1]:
+        idx += u >= column
+    return idx
+
+
 def atom_indices(dist: AtomicDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
     """Indices of ``n`` atoms drawn from a finite law, advancing ``rng`` as
     :func:`sample_matrix` does for the same draws."""
-    cum = np.cumsum(dist.probabilities)
-    return np.minimum((rng.random(n)[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1)
+    return _inverse_cdf(rng.random(n), np.cumsum(dist.probabilities))
 
 
 def sample_matrix(
@@ -106,27 +123,61 @@ def sample_matrix(
     return out[0] if size is None else out
 
 
+def _path_sum(n: int, shape: tuple[int, ...], fill) -> np.ndarray:
+    """Sum over n paths of the per-path rows that ``fill(sl, out)`` writes
+    into ``out`` for the paths of slice ``sl``, CHUNK paths at a time.
+
+    Each block goes into rows 1.. of a buffer whose row 0 holds the running
+    total, and each block sum adds its rows in order. numpy's axis-0 sum of
+    the whole (n, *shape) array adds rows in the same order whenever a row
+    holds at least two values, so the two sums agree bit for bit.
+    """
+    buf = np.empty((CHUNK + 1, *shape))
+    first = 1  # the first block has no running total before it
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        fill(slice(start, stop), buf[1 : stop - start + 1])
+        buf[0] = buf[first : stop - start + 1].sum(axis=0)
+        first = 0
+    return buf[0].copy()
+
+
+def _valid_steps(values: np.ndarray) -> np.ndarray:
+    """Mask of the steps each path counts at: a path is excluded from its
+    first non-finite step onward."""
+    return np.logical_and.accumulate(np.isfinite(values), axis=1)
+
+
 def _moment_series(values: np.ndarray, label: str) -> MomentSeries:
-    """Reduce per-path values (n_paths, horizon+1) in fixed path order."""
-    finite = np.isfinite(values)
-    # a path is excluded from its first non-finite step onward
-    valid = np.logical_and.accumulate(finite, axis=1)
-    n_valid = valid.sum(axis=0)
-    masked = np.where(valid, values, 0.0)
+    """Reduce per-path values (n_paths, horizon+1) in fixed path order,
+    CHUNK paths at a time."""
+    n, width = values.shape
+    n_valid = np.zeros(width, dtype=np.int64)
+
+    def masked(sl, out):
+        valid = _valid_steps(values[sl])
+        n_valid[:] += valid.sum(axis=0)
+        np.copyto(out, values[sl])
+        out[~valid] = 0.0
+
     with np.errstate(invalid="ignore", divide="ignore"):
-        means = masked.sum(axis=0) / np.maximum(n_valid, 1)
-        centered = np.where(valid, values - means[None, :], 0.0)
-        var = (centered**2).sum(axis=0) / np.maximum(n_valid - 1, 1)
+        means = _path_sum(n, (width,), masked) / np.maximum(n_valid, 1)
+
+        def squared_deviations(sl, out):
+            np.subtract(values[sl], means, out=out)
+            out[~_valid_steps(values[sl])] = 0.0
+            np.square(out, out=out)
+
+        var = _path_sum(n, (width,), squared_deviations) / np.maximum(n_valid - 1, 1)
         stderrs = np.sqrt(var / np.maximum(n_valid, 1))
     means = np.where(n_valid > 0, means, np.nan)
     stderrs = np.where(n_valid > 1, stderrs, 0.0)
-    truncated = int(values.shape[0] - valid[:, -1].sum())
     return MomentSeries(
         means=means,
         stderrs=stderrs,
         norm_label=label,
         n_valid=n_valid.astype(int),
-        truncated_paths=truncated,
+        truncated_paths=int(n - n_valid[-1]),
     )
 
 
@@ -145,23 +196,41 @@ def _simulate(
 
     ``start(rng, sl)`` is called once per chunk with the chunk's stream and
     path slice, and returns ``draw(k)``: the stack of step-k matrices,
-    A_(k-1), for the chunk's paths. Returns the paths with their Euclidean
-    moment series and, given a certificate, its value series.
+    A_(k-1), for the chunk's paths. Each chunk writes its paths, their
+    Euclidean norms to the plan's exponent step by step and, given a
+    quadratic certificate, its values. Returns the paths with the moment
+    series of those values.
     """
     n, h, p = plan.paths, plan.horizon, plan.moment_exponent
+    per_chunk = False
     if certificate is not None:
-        # evaluate_rows lifts every state to d^q coordinates
+        from .lyapunov import QuadraticCertificate, evaluate_rows
+
+        # the cap counts every state lifted to d^q coordinates
         check_entry_cap(n * (h + 1) * d**certificate.lift_power, "simulated certificate rows")
+        # einsum sums each quadratic value over its own row alone, so each
+        # chunk evaluates its rows. A cone norm's values come from one BLAS
+        # product, whose threads round the rows at their split points
+        # differently, so those are evaluated over all rows at once.
+        per_chunk = isinstance(certificate, QuadraticCertificate)
     states = np.empty((n, h + 1, d))
+    norms = np.empty((n, h + 1))
+    cert_values = np.empty((n, h + 1)) if per_chunk else None
 
     def worker(chunk_idx: int) -> None:
         sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
         draw = start(_chunk_rng(plan.seed, chunk_idx), sl)
         x = np.broadcast_to(plan.initial_state, (sl.stop - sl.start, d)).copy()
-        states[sl, 0] = x
-        for k in range(1, h + 1):
-            x = np.einsum("nij,nj->ni", draw(k), x)
+        for k in range(h + 1):
+            if k:
+                x = np.einsum("nij,nj->ni", draw(k), x)
             states[sl, k] = x
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms[sl, k] = np.linalg.norm(x, axis=1) ** p
+        if per_chunk:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = states[sl].reshape(-1, d)
+                cert_values[sl] = evaluate_rows(certificate, rows).reshape(-1, h + 1)
 
     chunks = range((n + CHUNK - 1) // CHUNK)
     if threads <= 1:
@@ -171,14 +240,11 @@ def _simulate(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, chunks))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(states, axis=2) ** p
-    euclid = _moment_series(norms, f"euclidean^{p}")
-    cert_series = None
-    if certificate is not None:
+    if certificate is not None and not per_chunk:
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
-        cert_series = _moment_series(vals, "certificate")
+            cert_values = evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
+    euclid = _moment_series(norms, f"euclidean^{p}")
+    cert_series = None if cert_values is None else _moment_series(cert_values, "certificate")
     return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
 
 
@@ -230,10 +296,7 @@ def simulate_markov(
 
         def draw(k):
             sigma = modes[sl, k - 1]
-            u = rng.random(m)
-            modes[sl, k] = np.minimum(
-                (u[:, None] >= cum_rows[sigma]).sum(axis=1), system.n_modes - 1
-            )
+            modes[sl, k] = _inverse_cdf(rng.random(m), cum_rows[sigma])
             return system.modes[sigma]
 
         return draw
@@ -265,6 +328,19 @@ def propagate_conditional_moments(
     return q
 
 
+def _mode_terms(sim: SimulationResult, i: int, mean: np.ndarray | None = None):
+    """Fill for :func:`_path_sum` with the terms x(k) 1{mode k = i} of each
+    path or, given their mean, the squared deviations from it."""
+
+    def fill(sl, out):
+        np.multiply(sim.paths[sl], (sim.modes[sl] == i)[:, :, None], out=out)
+        if mean is not None:
+            np.subtract(out, mean, out=out)
+            np.square(out, out=out)
+
+    return fill
+
+
 @dataclass(frozen=True)
 class QRecursionReport:
     max_residual: float  # analytic vec identity, max over steps
@@ -287,6 +363,8 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     cross-check compares simulated conditional moments against the analytic
     ones within four standard errors.
     """
+    from .radius import markov_tp
+
     sigma0 = _initial_mode(system, plan.initial_mode, "the conditional-moment check")
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
     t1 = markov_tp(system, 1)
@@ -297,13 +375,16 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
 
     sim = simulate_markov(system, plan)
-    # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}
+    n, shape = plan.paths, (plan.horizon + 1, system.dim)
+    # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}, with
+    # its ddof-1 standard deviation, each summed as numpy's mean and std sum
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)
     for i in range(system.n_modes):
-        vals = sim.paths * (sim.modes == i)[:, :, None]
-        q_mc[:, i, :] = vals.mean(axis=0)
-        stderr[:, i, :] = vals.std(axis=0, ddof=1) / np.sqrt(plan.paths)
+        mean = _path_sum(n, shape, _mode_terms(sim, i)) / n
+        var = _path_sum(n, shape, _mode_terms(sim, i, mean)) / max(n - 1, 0)
+        q_mc[:, i, :] = mean
+        stderr[:, i, :] = np.sqrt(var) / np.sqrt(n)
     diff = np.abs(q_mc - q)
     # deterministic components (stderr 0) must agree to rounding noise
     scale = np.maximum(np.abs(q), 1.0)

@@ -33,6 +33,7 @@ dense eigensolve.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,6 +348,11 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     norms and of the backward-stable eigvals and svd, and each kept product
     is solved on its own, so the bracket is the one that solving every
     product gives, to the last bit.
+
+    When products of the atoms could leave the normal range of doubles
+    ((d max|a|)^depth above 1e290 or max|a|^depth below 1e-290), the
+    enumeration runs on the atoms times the power of two 2^-e that brings
+    max|a| into [0.5, 1), and both bounds are scaled back by 2^e.
     """
     mats = np.asarray(atoms, dtype=float)
     if mats.ndim != 3 or mats.shape[0] == 0 or mats.shape[1] != mats.shape[2]:
@@ -354,6 +360,13 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m, d = mats.shape[0], mats.shape[1]
+    shift = 0
+    amax = float(np.max(np.abs(mats)))
+    if 0.0 < amax < math.inf and (
+        depth * math.log10(d * amax) > 290 or depth * math.log10(amax) < -290
+    ):
+        shift = int(np.frexp(amax)[1])
+        mats = np.ldexp(mats, -shift)
     cap = lift_entry_cap()
     lower = 0.0
     upper = np.inf
@@ -389,7 +402,12 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
         completed = length
     if completed == 0:
         raise AssumptionError(f"product budget {budget} admits no depth-1 enumeration")
-    return JsrBounds(lower=lower, upper=upper, depth=completed, truncated=truncated)
+    return JsrBounds(
+        lower=math.ldexp(lower, shift),
+        upper=math.ldexp(upper, shift),
+        depth=completed,
+        truncated=truncated,
+    )
 
 
 def limit_sequence(dist: MatrixDistribution, p_max: int, even_only: bool = False) -> LimitSequence:

@@ -1,3 +1,8 @@
+import contextlib
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -96,3 +101,155 @@ def is_positive_semidefinite(s, tol):
         raise AssumptionError("matrix is asymmetric beyond the stated tolerance")
     sym = 0.5 * (s + s.T)
     return float(np.linalg.eigvalsh(sym).min()) >= -tol
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo oracles: the simulator with whole-array draws and reductions
+# ---------------------------------------------------------------------------
+
+
+def _first_index_oracle(u, cum):
+    """Index drawn by each uniform from cumulative probabilities along the
+    last axis, from the full (n, m) comparison array."""
+    return np.minimum((u[:, None] >= cum).sum(axis=-1), cum.shape[-1] - 1)
+
+
+def simulate_paths_oracle(law, plan):
+    """Paths and, for a Markov system, modes of a simulation: chunk c of
+    ``CHUNK`` paths draws from the Philox stream SeedSequence(seed,
+    spawn_key=(c,)), one step of every path of the chunk at a time."""
+    from switchstab.mcsim import CHUNK
+
+    markov = isinstance(law, MarkovJumpSystem)
+    n, h, d = plan.paths, plan.horizon, law.dim
+    paths = np.empty((n, h + 1, d))
+    modes = np.empty((n, h + 1), dtype=np.int64) if markov else None
+    for c, start in enumerate(range(0, n, CHUNK)):
+        sl = slice(start, min(start + CHUNK, n))
+        m = sl.stop - sl.start
+        ss = np.random.SeedSequence(entropy=plan.seed, spawn_key=(c,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        x = np.broadcast_to(plan.initial_state, (m, d)).copy()
+        paths[sl, 0] = x
+        if markov:
+            modes[sl, 0] = (plan.initial_mode or law.initial_mode) - 1
+        for k in range(1, h + 1):
+            if markov:
+                sigma = modes[sl, k - 1]
+                cum = np.cumsum(law.transition, axis=1)[sigma]
+                modes[sl, k] = _first_index_oracle(rng.random(m), cum)
+                draws = law.modes[sigma]
+            elif isinstance(law, AtomicDistribution):
+                draws = law.atoms[_first_index_oracle(rng.random(m), np.cumsum(law.probabilities))]
+            else:
+                draws = law.lower + rng.random((m, d, d)) * (law.upper - law.lower)
+            x = np.einsum("nij,nj->ni", draws, x)
+            paths[sl, k] = x
+    return paths, modes
+
+
+def moment_series_oracle(values, label):
+    """Moment series of per-path values (n_paths, horizon+1) from whole-array
+    masked sums."""
+    from switchstab import MomentSeries
+
+    finite = np.isfinite(values)
+    valid = np.logical_and.accumulate(finite, axis=1)
+    n_valid = valid.sum(axis=0)
+    masked = np.where(valid, values, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = masked.sum(axis=0) / np.maximum(n_valid, 1)
+        centered = np.where(valid, values - means[None, :], 0.0)
+        var = (centered**2).sum(axis=0) / np.maximum(n_valid - 1, 1)
+        stderrs = np.sqrt(var / np.maximum(n_valid, 1))
+    means = np.where(n_valid > 0, means, np.nan)
+    stderrs = np.where(n_valid > 1, stderrs, 0.0)
+    truncated = int(values.shape[0] - valid[:, -1].sum())
+    return MomentSeries(
+        means=means, stderrs=stderrs, norm_label=label, n_valid=n_valid.astype(int),
+        truncated_paths=truncated,
+    )
+
+
+def simulation_oracle(law, plan, certificate=None):
+    """``(paths, modes, euclidean, certificate)`` of a simulation, with the
+    norms and certificate values of all paths built as whole arrays."""
+    from switchstab import evaluate_rows
+
+    paths, modes = simulate_paths_oracle(law, plan)
+    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(paths, axis=2) ** p
+        values = None
+        if certificate is not None:
+            values = evaluate_rows(certificate, paths.reshape(-1, law.dim)).reshape(n, h + 1)
+    euclid = moment_series_oracle(norms, f"euclidean^{p}")
+    cert = None if values is None else moment_series_oracle(values, "certificate")
+    return paths, modes, euclid, cert
+
+
+def q_recursion_oracle(system, plan):
+    """The conditional-moment report with each mode's simulated mean and
+    ddof-1 deviation taken by numpy over the whole masked path array."""
+    from switchstab import (
+        QRecursionReport,
+        markov_tp,
+        propagate_conditional_moments,
+        simulate_markov,
+    )
+
+    sigma0 = plan.initial_mode or system.initial_mode
+    q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
+    t1 = markov_tp(system, 1)
+    residual = 0.0
+    for k in range(plan.horizon):
+        lhs = q[k + 1].reshape(-1)
+        rhs = t1 @ q[k].reshape(-1)
+        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
+    sim = simulate_markov(system, plan)
+    q_mc = np.zeros_like(q)
+    stderr = np.zeros_like(q)
+    for i in range(system.n_modes):
+        vals = sim.paths * (sim.modes == i)[:, :, None]
+        q_mc[:, i, :] = vals.mean(axis=0)
+        stderr[:, i, :] = vals.std(axis=0, ddof=1) / np.sqrt(plan.paths)
+    diff = np.abs(q_mc - q)
+    scale = np.maximum(np.abs(q), 1.0)
+    sigma = diff / np.maximum(stderr, 1e-12 * scale)
+    max_sigma = float(sigma.max())
+    return QRecursionReport(
+        max_residual=residual, mc_max_sigma=max_sigma, mc_agrees=bool(max_sigma <= 4.0)
+    )
+
+
+def _bundled_openblas():
+    """``(get, set)`` thread-count functions of the OpenBLAS that a numpy
+    wheel bundles in ``numpy.libs``, or None where there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the block with BLAS at ``n`` threads where the bundled OpenBLAS
+    can be reached, and at its default elsewhere; yields whether it was set."""
+    functions = _bundled_openblas()
+    if functions is None:
+        yield False
+        return
+    get, set_ = functions
+    before = get()
+    set_(n)
+    try:
+        yield True
+    finally:
+        set_(before)

@@ -223,11 +223,19 @@ def test_jsr_and_limit_accept_large_scale_laws(capsys, tmp_path):
     assert report["results"]["jsr_reference"]["upper"] == pytest.approx(1.1e6, rel=1e-15)
 
 
-def test_jsr_with_overflowing_products_exits_1(capsys, tmp_path):
+def test_jsr_with_overflowing_products_exits_0(capsys, tmp_path):
     path = scalar_atoms_doc(tmp_path, [1e200, 0.5])
     code, report = run(capsys, "jsr", "-i", str(path), "--depth", "3")
-    assert code == 1
-    assert report["error"]["type"] == "LinAlgError"
+    assert code == 0
+    assert report["results"]["lower"] == pytest.approx(1e200, rel=1e-12)
+    atoms = np.random.default_rng(0).standard_normal((2, 2, 2))
+    for scale in (1e-70, 1e80):
+        doc = {"type": "iid", "dim": 2, "distribution": {"kind": "atomic", "atoms": [
+            {"p": 0.5, "M": (scale * m).tolist()} for m in atoms]}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report = run(capsys, "jsr", "-i", str(path), "--depth", "6")
+        assert code == 0
+        assert 0 < report["results"]["lower"] <= report["results"]["upper"] < 2 * scale
 
 
 def test_limit_writes_csv_and_json(capsys, docs, tmp_path):
@@ -600,11 +608,26 @@ def test_exact_certificate_commands_sample_nothing_and_simulate_does(tmp_path):
     assert code == 0 and "switchstab.lyapunov" in modules and "switchstab.mcsim" not in modules
     code, _, modules = cli_process("validate", "--cert", "c.json", "-i", pair, cwd=tmp_path)
     assert code == 0 and "switchstab.mcsim" not in modules
+    assert "switchstab.radius" not in modules
     code, _, modules = cli_process("validate", "--cert", "c.json", "-i", pair, "--mode", "mc:100", cwd=tmp_path)
     assert code == 0 and "switchstab.mcsim" in modules
     code, _, modules = cli_process("simulate", "-i", pair, "--paths", "10", "--horizon", "3", "--seed", "1",
                                    "--x0", "1,0", "--out-dir", "sim", cwd=tmp_path)
     assert code == 0 and "switchstab.mcsim" in modules
+    assert not modules & {"switchstab.lyapunov", "switchstab.radius"}
+    code, _, modules = cli_process("simulate", "-i", pair, "--paths", "10", "--horizon", "3", "--seed", "1",
+                                   "--x0", "1,0", "--cert", "c.json", "--out-dir", "sim", cwd=tmp_path)
+    assert code == 0 and "switchstab.lyapunov" in modules and "switchstab.radius" not in modules
+
+
+def test_markov_simulation_loads_no_certificate_or_radius_module(tmp_path):
+    code, out, modules = cli_process(
+        "simulate", "-i", PROBLEMS / "three_mode_markov.json", "--paths", "10", "--horizon", "3",
+        "--seed", "1", "--x0", "1,0", "--out-dir", "sim", cwd=tmp_path,
+    )
+    assert code == 0 and json.loads(out)["results"]["series"]
+    assert "switchstab.mcsim" in modules
+    assert not modules & {"switchstab.lyapunov", "switchstab.radius"}
 
 
 def test_validation_seed_defaults_to_the_library_seed(capsys, docs):

@@ -1,13 +1,22 @@
+import tempfile
+import tracemalloc
+from contextlib import nullcontext
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from switchstab import (
     AssumptionError,
     AtomicDistribution,
+    ConeNormCertificate,
     DimensionCapError,
     MarkovJumpSystem,
     QuadraticCertificate,
     SimulationPlan,
+    UniformEntriesDistribution,
     apply_feedback,
     check_q_recursion,
     estimate_decay_rate,
@@ -21,7 +30,12 @@ from switchstab import (
     synthesize_cone_norm,
     write_moment_csv,
 )
-from conftest import scalar_uniform
+from conftest import (
+    blas_threads,
+    q_recursion_oracle,
+    scalar_uniform,
+    simulation_oracle,
+)
 
 
 def single_atom(m):
@@ -351,3 +365,160 @@ def test_moment_csv_round_trip(tmp_path):
         assert int(kk) == k
         assert float(mean) == result.euclidean.means[k]
         assert float(stderr) == result.euclidean.stderrs[k]
+
+
+# ---------------------------------------------------------------------------
+# chunked kernel: bit identity with whole-array reductions, and memory
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def csv_bytes(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_moment_csv(path, series)
+        return path.read_bytes()
+
+
+def assert_same_series(series, oracle):
+    for field in ("means", "stderrs", "n_valid"):
+        assert same_bits(getattr(series, field), getattr(oracle, field)), field
+    assert series.truncated_paths == oracle.truncated_paths
+    assert series.norm_label == oracle.norm_label
+    assert csv_bytes(series) == csv_bytes(oracle)
+
+
+@st.composite
+def simulation_cases(draw):
+    """A law, a plan and, for i.i.d. laws, maybe a certificate. Scaled laws
+    overflow within a few steps, so their paths truncate."""
+    kind = draw(st.sampled_from(["atomic", "box", "markov"]))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e60])) / np.sqrt(d)
+    if kind == "atomic":
+        m = draw(st.integers(1, 4))
+        law = AtomicDistribution(
+            probabilities=rng.dirichlet(np.ones(m)), atoms=scale * rng.standard_normal((m, d, d))
+        )
+    elif kind == "box":
+        lower = scale * rng.standard_normal((d, d))
+        law = UniformEntriesDistribution(lower=lower, upper=lower + scale * rng.random((d, d)))
+    else:
+        n_modes = draw(st.integers(1, 4))
+        law = MarkovJumpSystem(
+            transition=rng.dirichlet(np.ones(n_modes), size=n_modes),
+            modes=scale * rng.standard_normal((n_modes, d, d)),
+            initial_mode=draw(st.integers(1, n_modes)),
+        )
+    plan = SimulationPlan(
+        paths=draw(st.sampled_from([1, 2, 7, 1023, 1025, 2100])),
+        horizon=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        initial_state=rng.standard_normal(d),
+        moment_exponent=draw(st.integers(1, 3)),
+    )
+    cert = None
+    shape = draw(st.sampled_from([None, "quadratic", "cone"]))
+    if kind != "markov" and shape is not None:
+        q = draw(st.integers(1, 3))
+        size = d**q
+        if size <= 27:
+            if shape == "quadratic":
+                g = rng.standard_normal((size, size))
+                cert = QuadraticCertificate(h=g @ g.T + np.eye(size), gamma=0.5, lift_power=q)
+            else:
+                cert = ConeNormCertificate(f=rng.random(size) + 0.1, gamma=0.5, lift_power=q)
+    return law, plan, cert
+
+
+def cone_case():
+    """A cone norm with 9 lifted coordinates on two chunks of paths. With
+    BLAS at two threads, one product over the rows of each chunk rounds a
+    few rows differently from one product over all rows, and here that
+    moves the certificate series."""
+    rng = np.random.default_rng(2)
+    atoms = rng.standard_normal((2, 3, 3)) / 3
+    plan = SimulationPlan(paths=1382, horizon=38, seed=2, initial_state=rng.standard_normal(3))
+    cert = ConeNormCertificate(f=rng.random(9) + 0.1, gamma=0.5, lift_power=2)
+    return AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms), plan, cert
+
+
+@settings(max_examples=30, deadline=None)
+@given(simulation_cases(), st.integers(1, 3), st.booleans())
+@example(cone_case(), 2, False)
+def test_chunked_kernel_equals_whole_array_reductions(case, threads, one_blas_thread):
+    law, plan, cert = case
+    with blas_threads(1) if one_blas_thread else nullcontext(), np.errstate(all="ignore"):
+        paths, modes, euclid, cert_series = simulation_oracle(law, plan, cert)
+        if isinstance(law, MarkovJumpSystem):
+            result = simulate_markov(law, plan, threads=threads)
+            assert same_bits(result.modes, modes)
+            report, oracle = check_q_recursion(law, plan), q_recursion_oracle(law, plan)
+            assert same_bits(
+                [report.max_residual, report.mc_max_sigma], [oracle.max_residual, oracle.mc_max_sigma]
+            )
+            assert report.mc_agrees == oracle.mc_agrees
+        else:
+            result = simulate_iid(law, plan, certificate=cert, threads=threads)
+            assert (result.certificate is None) == (cert is None)
+            if cert is not None:
+                assert_same_series(result.certificate, cert_series)
+    assert same_bits(result.paths, paths)
+    assert_same_series(result.euclidean, euclid)
+
+
+def test_index_draws_equal_the_full_comparison_count():
+    from switchstab.mcsim import _inverse_cdf, atom_indices
+
+    def full_count(u, cum):
+        return np.minimum((u[:, None] >= cum).sum(axis=-1), cum.shape[-1] - 1)
+
+    rng = np.random.default_rng(8)
+    probs = np.array([0.1, 0.3, 1e-12, 0.2, 0.4 - 1e-12])
+    cum = np.cumsum(probs)
+    # ties with every cumulative weight, and uniforms above a total below 1
+    u = np.concatenate([rng.random(5000), cum, [np.nextafter(1.0, 0.0)]])
+    assert same_bits(_inverse_cdf(u, cum), full_count(u, cum))
+    rows = np.cumsum(rng.dirichlet(np.ones(4), size=u.size), axis=1)  # one law per draw
+    assert same_bits(_inverse_cdf(u, rows), full_count(u, rows))
+    dist = AtomicDistribution(probabilities=probs, atoms=np.zeros((5, 1, 1)))
+    drawn = atom_indices(dist, np.random.default_rng(9), 1000)
+    assert same_bits(drawn, full_count(np.random.default_rng(9).random(1000), cum))
+
+
+def traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` executes."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_iid_simulation_with_a_certificate_holds_paths_and_two_value_arrays():
+    rng = np.random.default_rng(6)
+    law = AtomicDistribution(
+        probabilities=np.array([0.2, 0.3, 0.5]), atoms=0.3 * rng.standard_normal((3, 3, 3))
+    )
+    g = rng.standard_normal((3, 3))
+    cert = QuadraticCertificate(h=g @ g.T + np.eye(3), gamma=0.5)
+    plan = SimulationPlan(paths=10_000, horizon=50, seed=5, initial_state=np.array([1.0, 0.5, -0.5]))
+    values = plan.paths * (plan.horizon + 1) * 8  # bytes of one (paths, horizon+1) array
+    peak = traced_peak(lambda: simulate_iid(law, plan, certificate=cert, threads=2))
+    assert peak < 1.25 * (3 * values + 2 * values)  # d = 3 paths, norms and values
+
+
+def test_conditional_moment_check_holds_paths_modes_and_one_value_array(three_mode_system):
+    plan = SimulationPlan(
+        paths=10_000, horizon=50, seed=5, initial_state=np.array([1.0, -0.5]), initial_mode=1
+    )
+    values = plan.paths * (plan.horizon + 1) * 8
+    peak = traced_peak(lambda: check_q_recursion(three_mode_system, plan))
+    assert peak < 1.25 * (2 * values + values + values)  # d = 2 paths, modes and norms

@@ -394,12 +394,16 @@ def test_jsr_budget_truncation_equals_full_enumeration():
     assert bounds[2:] == (4, True)
 
 
-def test_jsr_overflowing_products_still_raise():
+def test_jsr_overflowing_products_enumerate_on_rescaled_atoms():
     atoms = np.array([[[1e200, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1e200]]])
     with pytest.raises(np.linalg.LinAlgError):
         full_enumeration_jsr_bounds(atoms, 3)
-    with pytest.raises(np.linalg.LinAlgError):
-        jsr_bounds(atoms, 3)
+    # 2^-665 brings max|a| into [0.5, 1); scaling back by 2^665 is exact
+    shift = int(np.frexp(1e200)[1])
+    rescaled = full_enumeration_jsr_bounds(np.ldexp(atoms, -shift), 3)
+    assert jsr_outcome(jsr_bounds, atoms, 3) == (
+        np.ldexp(rescaled.lower, shift), np.ldexp(rescaled.upper, shift), 3, False
+    )
 
 
 def test_jsr_level_stops_under_the_entry_cap(monkeypatch):
@@ -463,6 +467,18 @@ def test_jsr_bracket_is_absolutely_homogeneous(m, d, depth, seed, nonnegative, l
     assert scaled.lower == pytest.approx(c * bounds.lower, rel=1e-12)
     assert scaled.upper == pytest.approx(c * bounds.upper, rel=1e-12)
     assert (scaled.depth, scaled.truncated) == (bounds.depth, bounds.truncated)
+
+
+@pytest.mark.parametrize("scale", [1e-70, 1e80])
+def test_jsr_bracket_at_extreme_scales_is_the_scaled_bracket(scale):
+    # depth-6 products of the scaled atoms reach 1e-420 or 1e480, outside
+    # the range of doubles, unless the enumeration rescales the atoms
+    atoms = np.random.default_rng(0).standard_normal((2, 2, 2))
+    bounds, scaled = jsr_bounds(atoms, 6), jsr_bounds(scale * atoms, 6)
+    assert scaled.lower == pytest.approx(scale * bounds.lower, rel=1e-12)
+    assert scaled.upper == pytest.approx(scale * bounds.upper, rel=1e-12)
+    assert (scaled.depth, scaled.truncated) == (6, False)
+
 
 
 # ---------------------------------------------------------------------------
