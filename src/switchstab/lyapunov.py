@@ -11,6 +11,12 @@ q-fold Kronecker power y = x^(kron q) of the state, q = ``lift_power`` >= 1:
 Every certificate carries a decay factor gamma < 1 with
 E[V(A x)] <= gamma * V(x) for all x.
 
+Documents hold f and H on the d^q Kronecker coordinates. With y = S m_q(x),
+m_q(x) the C = C(d+q-1, q) degree-q monomials and S the orbit indicator,
+each certificate folds them once into weights on the monomials, S.T f or
+G = S.T H S, and evaluates V row by row from m_q(x); so values do not depend
+on how rows are batched nor on the BLAS thread count.
+
 Cone norms are solved on Sym^p: the left Perron vector of the C(d+p-1, p)
 matrix E[S_p(A)] spreads over the Kronecker coordinates of each monomial,
 so f and the index array that maps its coordinates to their monomials are
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +39,8 @@ from .linalg import (
     monomials,
     orbit_index,
     spectrum,
+    symmetric_dim,
+    symmetric_power,
 )
 from .models import AtomicDistribution, MatrixDistribution
 
@@ -40,53 +48,64 @@ from .models import AtomicDistribution, MatrixDistribution
 DEFAULT_VALIDATION_SEED = 1729
 
 
-def _check_shared_fields(cert, lifted_size: int) -> None:
-    """Checks on the fields both shapes share; ``lifted_size`` is the length
-    of the lifted vector y the weights or H act on, which must be d^q."""
+def _check_shared_fields(cert, lifted: np.ndarray) -> None:
+    """Checks on the fields both shapes share, ``lifted`` being f or H with
+    d^q rows; then sets d and the weights on the C degree-q monomials, from
+    one ``bincount``: the orbit sums S.T f, or G = S.T H S (f or H at q = 1)."""
     if not 0.0 <= cert.gamma < 1.0:
         raise ValueError("decay factor must lie in [0, 1)")
     q = cert.lift_power
     if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
         raise ValueError(f"lift power must be an integer >= 1, got {q!r}")
-    object.__setattr__(cert, "lift_power", int(q))
-    if cert.dim**q != lifted_size:
-        raise ValueError(f"{lifted_size} lifted coordinates are not a {q}-fold Kronecker power")
+    q, size = int(q), lifted.shape[0]
+    d = round(size ** (1.0 / q))
+    if d**q != size:
+        raise ValueError(f"{size} lifted coordinates are not a {q}-fold Kronecker power")
+    weights = lifted
+    if q > 1:
+        orbit, c = orbit_index(d, q), symmetric_dim(d, q)
+        if lifted.ndim == 1:
+            weights = np.bincount(orbit, lifted, c)
+        else:
+            pairs = (orbit[:, None] * c + orbit).reshape(-1)
+            weights = np.bincount(pairs, lifted.reshape(-1), c * c).reshape(c, c)
+    for name, value in (("lift_power", q), ("dim", d), ("weights", weights)):
+        object.__setattr__(cert, name, value)
 
 
 @dataclass(frozen=True)
 class ConeNormCertificate:
     """V(x) = f . |x^(kron lift_power)|: linear on the positive orthant,
-    absolute elsewhere."""
+    absolute elsewhere; in the weights on the monomials, weights . |m_q(x)|."""
 
     f: np.ndarray
     gamma: float
     lift_power: int = 1
+    dim: int = field(init=False)  # d, the dimension of the state x
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
         if f.ndim != 1 or not np.all(f > 0):
             raise ValueError("cone-norm weights must be an entrywise-positive vector")
         object.__setattr__(self, "f", f)
-        _check_shared_fields(self, f.size)
+        _check_shared_fields(self, f)
 
     @property
     def degree(self) -> int:
         return self.lift_power
 
-    @property
-    def dim(self) -> int:
-        """Dimension d of the state x."""
-        return round(self.f.size ** (1.0 / self.lift_power))
-
 
 @dataclass(frozen=True)
 class QuadraticCertificate:
     """V(x) = y.T H y with y = x^(kron lift_power) and H symmetric positive
-    definite."""
+    definite; in the weights on the monomials, m_q(x).T weights m_q(x)."""
 
     h: np.ndarray
     gamma: float
     lift_power: int = 1
+    dim: int = field(init=False)  # d, the dimension of the state x
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -97,37 +116,33 @@ class QuadraticCertificate:
         if float(np.linalg.eigvalsh(0.5 * (h + h.T)).min()) <= 0:
             raise ValueError("H must be positive definite")
         object.__setattr__(self, "h", h)
-        _check_shared_fields(self, h.shape[0])
+        _check_shared_fields(self, h)
 
     @property
     def degree(self) -> int:
         return 2 * self.lift_power
 
-    @property
-    def dim(self) -> int:
-        """Dimension d of the state x."""
-        return round(self.h.shape[0] ** (1.0 / self.lift_power))
-
 
 LyapunovCertificate = ConeNormCertificate | QuadraticCertificate
 
 
-def _kron_rows(rows: np.ndarray, q: int) -> np.ndarray:
-    """Row-wise q-fold Kronecker power of a stack of row vectors."""
-    lifted = rows
-    for _ in range(q - 1):
-        lifted = np.einsum("ni,nj->nij", lifted, rows).reshape(rows.shape[0], -1)
-    return lifted
+def _monomial_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """The degree-q monomials m_q(x) of every row x, numbered as in linalg."""
+    m = rows
+    for k in range(2, q + 1):
+        tables = monomials(rows.shape[1], k)
+        m = m[:, tables.parent] * rows[:, tables.last]
+    return m
 
 
 def evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
-    """Values of the certificate function at every row of ``rows``."""
+    """Values of the certificate function at every row, each from its row alone."""
     if rows.ndim != 2 or rows.shape[1] != cert.dim:
         raise ValueError(f"expected vectors of length {cert.dim}")
-    lifted = _kron_rows(rows, cert.lift_power)
+    m = _monomial_rows(rows, cert.lift_power)
     if isinstance(cert, ConeNormCertificate):
-        return np.abs(lifted) @ cert.f
-    return np.einsum("ni,ij,nj->n", lifted, cert.h, lifted)
+        return np.einsum("ni,i->n", np.abs(m), cert.weights)
+    return np.einsum("ni,ij,nj->n", m, cert.weights, m)
 
 
 def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
@@ -281,30 +296,29 @@ def _mc_estimates(
     ``xs``. A quadratic certificate forms one sandwich per matrix of
     ``mats`` and gathers those, the draws' sandwiches bit for bit."""
     n = mats.shape[0] if index is None else index.size
-    d, q = mats.shape[1], cert.lift_power
+    d, q, c = mats.shape[1], cert.lift_power, cert.weights.shape[0]
     if isinstance(cert, QuadraticCertificate):
-        # V(A_s x) = w . vec(B_s) with B_s = L_s.T H L_s, L_s = A_s^(kron q) and
-        # w = x^(kron 2q), so the mean is w . vec(mean(B)) and the variance is
-        # w.T Q w, Q the covariance of the vec(B_s) formed from centred B_s
-        check_entry_cap(max(n, d ** (2 * q)) * d ** (2 * q), "Monte Carlo sandwiches")
-        powers = mats
-        for t in range(2, q + 1):
-            powers = np.einsum("sij,skl->sikjl", powers, mats).reshape(mats.shape[0], d**t, -1)
-        sandwiches = powers.transpose(0, 2, 1) @ cert.h @ powers
+        # V(A_s x) = w . vec(B_s) with B_s = S_q(A_s).T G S_q(A_s) and w =
+        # vec(m m.T), m = m_q(x), so the mean is w . vec(mean(B)) and the
+        # variance w.T Q w, Q the covariance of the vec(B_s) from centred B_s
+        check_entry_cap(max(n, c * c) * c * c, "Monte Carlo sandwiches")
+        induced = symmetric_power(mats, q)
+        sandwiches = induced.transpose(0, 2, 1) @ cert.weights @ induced
         if index is not None:
             sandwiches = sandwiches[index]
         mean = sandwiches.mean(axis=0)
         centred = (sandwiches - mean).reshape(n, -1)
         covariance = centred.T @ centred / (n - 1)
-        w = _kron_rows(xs, 2 * q)
+        m = _monomial_rows(xs, q)
+        w = np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
         var = np.einsum("ni,ni->n", w @ covariance, w)
         return w @ mean.reshape(-1), np.sqrt(np.maximum(var, 0.0) / n)
     # cone norms: each chunk of vectors is mapped by every draw in one matrix
     # product, and the values are summed over the draws in draw order
-    check_entry_cap(n * cert.f.size, "Monte Carlo certificate values")
+    check_entry_cap(n * c, "Monte Carlo certificate values")
     draws = (mats if index is None else mats[index]).reshape(-1, d).T
     expected, stderr = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-    chunk = max(1, int(2e6) // (n * cert.f.size))
+    chunk = max(1, int(2e6) // (n * c))
     for start in range(0, xs.shape[0], chunk):
         block = xs[start : start + chunk]
         mapped = (block @ draws).reshape(-1, d)  # A_s x_k, draw-major within each x_k
@@ -329,10 +343,11 @@ def validate_certificate(
     standard-error band on top of the decay bound. A (lifted) quadratic
     certificate gets the sample mean and variance from moment matrices of
     the draws (on a finite law, one sandwich per atom, gathered by the
-    drawn atoms), a cone norm from V at every draw and vector. The entry cap
-    guards the n_samples d^2 draws and, for a quadratic certificate with
-    lift power q, the n_samples d^(2q) sandwiches and their d^(4q)
-    covariance, and in exact mode the n d^q lifted test vectors.
+    drawn atoms), a cone norm from V at every draw and vector. With C the
+    number of degree-q monomials, the entry cap guards the n_samples d^2
+    draws and the n_samples C^2 sandwiches and their C^4 covariance, or the
+    n_samples C monomials of one vector, and in exact mode the n C monomials
+    of the test vectors.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
@@ -347,8 +362,8 @@ def validate_certificate(
     if mode == "exact":
         if not isinstance(dist, AtomicDistribution):
             raise AssumptionError("exact validation needs a finite atomic law")
-        # the n x d^q lifted test vectors, built for V(x) and once per atom
-        check_entry_cap(xs.shape[0] * dim**cert.lift_power, "exact validation vectors")
+        # the n x C monomials of the test vectors, built for V(x) and per atom
+        check_entry_cap(xs.shape[0] * cert.weights.shape[0], "exact validation vectors")
         vx = evaluate_rows(cert, xs)
         expected = np.zeros(xs.shape[0])
         for prob, m in zip(dist.probabilities, dist.atoms):

@@ -2,20 +2,20 @@
 
 Paths are processed in fixed-size chunks; chunk c draws from a Philox
 counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). Each
-chunk's per-path values are computed where the chunk is simulated, and sums
-over paths run CHUNK paths at a time in path order, adding the rows exactly
-as numpy's axis-0 sum of the whole array does. Chunking is independent of
-the thread count, so output is bit-identical for any ``threads`` setting,
-and the working set is the path array, at most two (paths, horizon+1) value
-arrays and chunk-sized buffers; a cone-norm certificate's values come from
-one product over all lifted rows.
+chunk's per-path values (norms and certificate values, each from its own
+row) are computed where the chunk is simulated, and sums over paths run
+CHUNK paths at a time in path order, adding the rows exactly as numpy's
+axis-0 sum of the whole array does. Chunking is independent of the thread
+count and no value passes through BLAS, so output is bit-identical for any
+``threads`` setting and BLAS thread count, and the working set is the path
+array, at most two (paths, horizon+1) value arrays and chunk-sized buffers.
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -198,24 +198,19 @@ def _simulate(
     path slice, and returns ``draw(k)``: the stack of step-k matrices,
     A_(k-1), for the chunk's paths. Each chunk writes its paths, their
     Euclidean norms to the plan's exponent step by step and, given a
-    quadratic certificate, its values. Returns the paths with the moment
-    series of those values.
+    certificate, its values. Returns the paths with the moment series of
+    those values.
     """
     n, h, p = plan.paths, plan.horizon, plan.moment_exponent
-    per_chunk = False
+    cert_values = None
     if certificate is not None:
-        from .lyapunov import QuadraticCertificate, evaluate_rows
+        from .lyapunov import evaluate_rows
 
-        # the cap counts every state lifted to d^q coordinates
-        check_entry_cap(n * (h + 1) * d**certificate.lift_power, "simulated certificate rows")
-        # einsum sums each quadratic value over its own row alone, so each
-        # chunk evaluates its rows. A cone norm's values come from one BLAS
-        # product, whose threads round the rows at their split points
-        # differently, so those are evaluated over all rows at once.
-        per_chunk = isinstance(certificate, QuadraticCertificate)
+        # the cap counts every state's row of C(d+q-1, q) monomials
+        check_entry_cap(n * (h + 1) * certificate.weights.shape[0], "simulated certificate rows")
+        cert_values = np.empty((n, h + 1))
     states = np.empty((n, h + 1, d))
     norms = np.empty((n, h + 1))
-    cert_values = np.empty((n, h + 1)) if per_chunk else None
 
     def worker(chunk_idx: int) -> None:
         sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
@@ -227,7 +222,7 @@ def _simulate(
             states[sl, k] = x
             with np.errstate(over="ignore", invalid="ignore"):
                 norms[sl, k] = np.linalg.norm(x, axis=1) ** p
-        if per_chunk:
+        if cert_values is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 rows = states[sl].reshape(-1, d)
                 cert_values[sl] = evaluate_rows(certificate, rows).reshape(-1, h + 1)
@@ -240,9 +235,6 @@ def _simulate(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, chunks))
 
-    if certificate is not None and not per_chunk:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cert_values = evaluate_rows(certificate, states.reshape(-1, d)).reshape(n, h + 1)
     euclid = _moment_series(norms, f"euclidean^{p}")
     cert_series = None if cert_values is None else _moment_series(cert_values, "certificate")
     return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
@@ -348,11 +340,7 @@ class QRecursionReport:
     mc_agrees: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "mc_max_sigma": self.mc_max_sigma,
-            "mc_agrees": self.mc_agrees,
-        }
+        return asdict(self)
 
 
 def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecursionReport:
@@ -361,10 +349,12 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     The analytic residual max_k ||vec Q(k+1) - T_1 vec Q(k)|| is an exact
     algebraic identity and should sit at rounding level. The Monte Carlo
     cross-check compares simulated conditional moments against the analytic
-    ones within four standard errors.
+    ones within four standard errors, so it needs at least 2 paths.
     """
     from .radius import markov_tp
 
+    if plan.paths < 2:
+        raise ValueError(f"the conditional-moment check needs at least 2 paths, got {plan.paths}")
     sigma0 = _initial_mode(system, plan.initial_mode, "the conditional-moment check")
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
     t1 = markov_tp(system, 1)
@@ -382,7 +372,7 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     stderr = np.zeros_like(q)
     for i in range(system.n_modes):
         mean = _path_sum(n, shape, _mode_terms(sim, i)) / n
-        var = _path_sum(n, shape, _mode_terms(sim, i, mean)) / max(n - 1, 0)
+        var = _path_sum(n, shape, _mode_terms(sim, i, mean)) / (n - 1)
         q_mc[:, i, :] = mean
         stderr[:, i, :] = np.sqrt(var) / np.sqrt(n)
     diff = np.abs(q_mc - q)
@@ -408,12 +398,7 @@ class DecayEstimate:
     slope_stderr: float
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "rate_stderr": self.rate_stderr,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-        }
+        return asdict(self)
 
 
 def estimate_decay_rate(series: MomentSeries) -> DecayEstimate:

@@ -443,6 +443,29 @@ def test_validate_mc_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
     assert report["error"]["type"] == "DimensionCapError"
 
 
+def test_degree_thirteen_cone_norm_validates_by_monte_carlo(capsys, tmp_path):
+    # 2000 draws of V at 14 monomials per vector are 28,000 entries; on the
+    # 2^13 Kronecker coordinates they would be 16,384,000, above the cap
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({
+        "type": "iid",
+        "dim": 2,
+        "distribution": {
+            "kind": "uniform_entries",
+            "lower": [[0, 0], [0, 0]],
+            "upper": [[0.6, 0.6], [0.15, 0.5]],
+        },
+    }), encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(capsys, "lyapunov", "-i", str(box), "-p", "13", "-o", str(cert_path))
+    assert code == 0
+    code, report = run(
+        capsys, "validate", "--cert", str(cert_path), "-i", str(box), "--mode", "mc:2000"
+    )
+    assert code == 0
+    assert report["results"]["passed"] is True
+
+
 def test_simulate_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     argv = ["simulate", "-i", str(docs["scalar.json"]), "--horizon", "10", "--seed", "1",

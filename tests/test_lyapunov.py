@@ -18,6 +18,7 @@ from switchstab import (
     certificate_from_dict,
     certificate_to_dict,
     evaluate,
+    evaluate_rows,
     p_radius,
     sample_matrix,
     synthesize_cone_norm,
@@ -69,6 +70,25 @@ def test_evaluate_dimension_mismatch():
     cert = ConeNormCertificate(f=np.array([1.0, 1.0]), gamma=0.5)
     with pytest.raises(ValueError):
         evaluate(cert, np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_values_match_the_kronecker_formula(d, q):
+    # a document may hold f that is not constant on orbits and H that is
+    # not orbit-symmetric: V is folded onto the monomials all the same
+    rng = np.random.default_rng(100 * d + q)
+    size = d**q
+    xs = rng.standard_normal((60, d)) * 10.0 ** rng.uniform(-3, 3, (60, 1))
+    ys = np.stack([functools.reduce(np.kron, [x] * q) for x in xs])
+    cone = ConeNormCertificate(f=rng.uniform(0.01, 1.0, size), gamma=0.5, lift_power=q)
+    g = rng.standard_normal((size, size))
+    quadratic = QuadraticCertificate(h=g @ g.T + np.eye(size), gamma=0.5, lift_power=q)
+    quadratic_oracle = np.einsum("ni,ij,nj->n", ys, quadratic.h, ys)
+    for cert, oracle in [(cone, np.abs(ys) @ cone.f), (quadratic, quadratic_oracle)]:
+        np.testing.assert_allclose(evaluate_rows(cert, xs), oracle, rtol=1e-13, atol=0)
+    if q == 1:
+        assert np.array_equal(evaluate_rows(quadratic, xs), quadratic_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +500,16 @@ def test_validation_exact_needs_atomic(interval_box):
         validate_certificate(cert, interval_box, mode="exact")
 
 
-def test_exact_validation_guards_its_lifted_test_vectors():
-    # 1002 default test vectors lifted to d^p coordinates: 8.2e6 entries at
-    # d = 2, p = 13 and 3.3e7, above the default cap of 1e7, at p = 15
+def test_exact_validation_guards_its_lifted_test_vectors(monkeypatch):
+    # 1002 default test vectors as rows of C(d+p-1, p) monomials: 14,028
+    # entries at d = 2, p = 13 and 16,032 at p = 15, under a cap of 15,000
     dist = stable_nonnegative_law(np.random.default_rng(13), 2, 15, radius=0.95)
-    assert validate_certificate(synthesize_degree_p(dist, 13), dist, mode="exact").passed
-    cert = synthesize_degree_p(dist, 15)
-    with pytest.raises(DimensionCapError, match="exact validation vectors"):
-        validate_certificate(cert, dist, mode="exact")
+    thirteen, fifteen = synthesize_degree_p(dist, 13), synthesize_degree_p(dist, 15)
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "15000")
+    assert validate_certificate(thirteen, dist, mode="exact").passed
+    with pytest.raises(DimensionCapError, match="exact validation vectors") as caught:
+        validate_certificate(fifteen, dist, mode="exact")
+    assert caught.value.requested == 1002 * 16
 
 
 def test_worst_x_is_not_picked_by_rounding_noise():
@@ -532,15 +554,19 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
     quadratic = synthesize_quadratic(plane)
     quartic_plane = synthesize_degree_p(plane, 4)
     quartic_space = synthesize_degree_p(space, 4)
+    cone = ConeNormCertificate(f=np.ones(2), gamma=0.5)
+    quintic = ConeNormCertificate(f=np.ones(2**5), gamma=0.5, lift_power=5)
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     # under the cap: 200 x 4 draws, 200 x 4 sandwiches, a 4 x 4 covariance
     assert validate_certificate(quadratic, plane, mode="mc", n_samples=200).passed
-    cone = ConeNormCertificate(f=np.ones(2), gamma=0.5)
+    # sandwiches and values count rows of C(d+q-1, q) monomials: 3 at d = 2,
+    # q = 2; 6 at d = 3, q = 2 and at d = 2, q = 5
     cases = [
         (quadratic, plane, 600, "Monte Carlo samples", 2400),  # the draws
         (cone, plane, 600, "Monte Carlo samples", 2400),
-        (quartic_plane, plane, 100, "Monte Carlo sandwiches", 1600),  # 100 x 4 x 4
-        (quartic_space, space, 2, "Monte Carlo sandwiches", 6561),  # covariance 9^4
+        (quartic_plane, plane, 200, "Monte Carlo sandwiches", 1800),  # 200 x 3 x 3
+        (quartic_space, space, 2, "Monte Carlo sandwiches", 1296),  # covariance 6^4
+        (quintic, plane, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
     ]
     for cert, dist, n, context, requested in cases:
         with pytest.raises(DimensionCapError, match=context) as caught:

@@ -1,6 +1,7 @@
 import tempfile
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +214,8 @@ def test_simulation_paths_respect_the_entry_cap(monkeypatch, markov):
 
 
 def test_certificate_rows_respect_the_entry_cap(monkeypatch):
-    # 100 paths x 5 states x d = 2 is 1000 entries; lifted to d^2 they are 2000
+    # 100 paths x 5 states x d = 2 is 1000 entries; as rows of the 3
+    # monomials of degree 2 they are 1500
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     cert = QuadraticCertificate(h=np.eye(4), gamma=0.5, lift_power=2)
     plan = SimulationPlan(paths=100, horizon=4, seed=1, initial_state=np.array([1.0, 0.0]))
@@ -221,7 +223,7 @@ def test_certificate_rows_respect_the_entry_cap(monkeypatch):
     assert simulate_iid(dist, plan).paths.size == 1000
     with pytest.raises(DimensionCapError) as info:
         simulate_iid(dist, plan, certificate=cert)
-    assert info.value.requested == 2000
+    assert info.value.requested == 1500
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +439,10 @@ def simulation_cases(draw):
 
 
 def cone_case():
-    """A cone norm with 9 lifted coordinates on two chunks of paths. With
-    BLAS at two threads, one product over the rows of each chunk rounds a
-    few rows differently from one product over all rows, and here that
-    moves the certificate series."""
+    """A cone norm with 9 lifted coordinates on two chunks of paths. One
+    multithreaded BLAS product over these rows rounds a few of them
+    differently from a product at one thread, and here that would move the
+    certificate series."""
     rng = np.random.default_rng(2)
     atoms = rng.standard_normal((2, 3, 3)) / 3
     plan = SimulationPlan(paths=1382, horizon=38, seed=2, initial_state=rng.standard_normal(3))
@@ -458,11 +460,16 @@ def test_chunked_kernel_equals_whole_array_reductions(case, threads, one_blas_th
         if isinstance(law, MarkovJumpSystem):
             result = simulate_markov(law, plan, threads=threads)
             assert same_bits(result.modes, modes)
-            report, oracle = check_q_recursion(law, plan), q_recursion_oracle(law, plan)
-            assert same_bits(
-                [report.max_residual, report.mc_max_sigma], [oracle.max_residual, oracle.mc_max_sigma]
-            )
-            assert report.mc_agrees == oracle.mc_agrees
+            if plan.paths == 1:  # one path has no standard error
+                with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+                    check_q_recursion(law, plan)
+            else:
+                report, oracle = check_q_recursion(law, plan), q_recursion_oracle(law, plan)
+                assert same_bits(
+                    [report.max_residual, report.mc_max_sigma],
+                    [oracle.max_residual, oracle.mc_max_sigma],
+                )
+                assert report.mc_agrees == oracle.mc_agrees
         else:
             result = simulate_iid(law, plan, certificate=cert, threads=threads)
             assert (result.certificate is None) == (cert is None)
@@ -470,6 +477,24 @@ def test_chunked_kernel_equals_whole_array_reductions(case, threads, one_blas_th
                 assert_same_series(result.certificate, cert_series)
     assert same_bits(result.paths, paths)
     assert_same_series(result.euclidean, euclid)
+
+
+def test_cone_norm_series_do_not_depend_on_the_blas_thread_count():
+    law, plan, cert = cone_case()
+    series = []
+    for n in (1, 2):
+        with blas_threads(n):
+            series.append(simulate_iid(law, plan, certificate=cert).certificate)
+    assert_same_series(*series)
+
+
+def test_conditional_moment_check_needs_two_paths(three_mode_system):
+    plan = SimulationPlan(
+        paths=1, horizon=3, seed=1, initial_state=np.array([1.0, 0.0]), initial_mode=1
+    )
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        check_q_recursion(three_mode_system, plan)
+    assert check_q_recursion(three_mode_system, replace(plan, paths=2)).max_residual < 1e-12
 
 
 def test_index_draws_equal_the_full_comparison_count():
