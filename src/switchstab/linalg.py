@@ -239,7 +239,8 @@ CONE_CROSSOVER = 36
 #: the power steps, of about 2900 random laws with positive Sym^p matrices,
 #: whose entries spread over up to seven orders of magnitude, 98.7% closed in
 #: at most 8 solves (99.3% of 2500 PSD operators); the cap bounds the time a
-#: reducible law, whose bracket cannot close, spends before its dense answer
+#: law whose bracket does not close, such as a reducible chain on PSD blocks,
+#: spends before its dense answer
 CONE_STEPS = 8
 #: power steps taken once, when the bracket at the start point is open
 CONE_WARM = 16
@@ -281,6 +282,27 @@ def _collatz_wielandt(m: np.ndarray, v: np.ndarray, sym: np.ndarray | None):
     return max(float(eig[:, 0].min()), 0.0), float(eig[:, -1].max())
 
 
+def _irreducible(m: np.ndarray) -> bool:
+    """Whether the nonnegative square matrix m is irreducible: positive, or
+    with the graph of its positive entries (an edge i -> j wherever
+    m[i, j] > 0) strongly connected. A breadth-first search from node 0, one
+    boolean gather per level, must reach every node along the edges and
+    against them."""
+    edges = m > 0
+    if edges.all():
+        return True
+    for graph in (edges, edges.T):
+        reached = np.zeros(graph.shape[0], dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = graph[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if not reached.all():
+            return False
+    return True
+
+
 def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadius:
     """Spectral radius of a square matrix that maps a cone into itself.
 
@@ -299,9 +321,12 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
     cone. The value is the midpoint of the first bracket with
     hi - lo <= ``CONE_TOL`` hi. Below ``CONE_CROSSOVER`` rows,
     and whenever a point leaves the cone's interior, a shifted solve is
-    singular or ``CONE_STEPS`` solves leave the bracket open (reducible
-    laws), the value is the dense :func:`spectrum`'s; so the step cap moves
-    work to the dense route and never changes an answer.
+    singular or ``CONE_STEPS`` solves leave the bracket open, the value is
+    the dense :func:`spectrum`'s; so the step cap moves work to the dense
+    route and never changes an answer. A reducible matrix on the orthant,
+    whose bracket seldom closes, goes there once the bracket at the start
+    point is open, with no solve: a matrix with a zero entry is first tested
+    for irreducibility.
     """
     m = check_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -327,6 +352,8 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
             if hi - lo <= CONE_TOL * hi:
                 return ConeRadius(0.5 * (lo + hi), lo, hi, route, solves)
             if warm:  # power steps keep v in the cone; a zero or non-finite image ends them
+                if sym is None and not _irreducible(m):
+                    break
                 for _ in range(CONE_WARM):
                     w = m @ v
                     top = w[np.argmax(np.abs(w))]

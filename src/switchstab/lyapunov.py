@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,11 @@ from .models import AtomicDistribution, MatrixDistribution
 DEFAULT_VALIDATION_SEED = 1729
 
 
-def _check_shared_fields(cert, lifted: np.ndarray) -> None:
+def _check_shared_fields(cert, lifted: np.ndarray, orbit: np.ndarray | None = None) -> None:
     """Checks on the fields both shapes share, ``lifted`` being f or H with
     d^q rows; then sets d and the weights on the C degree-q monomials, from
-    one ``bincount``: the orbit sums S.T f, or G = S.T H S (f or H at q = 1)."""
+    one ``bincount``: the orbit sums S.T f, or G = S.T H S (f or H at q = 1).
+    ``orbit`` is the d^q ``orbit_index`` where the caller has built it."""
     if not 0.0 <= cert.gamma < 1.0:
         raise ValueError("decay factor must lie in [0, 1)")
     q = cert.lift_power
@@ -63,7 +64,8 @@ def _check_shared_fields(cert, lifted: np.ndarray) -> None:
         raise ValueError(f"{size} lifted coordinates are not a {q}-fold Kronecker power")
     weights = lifted
     if q > 1:
-        orbit, c = orbit_index(d, q), symmetric_dim(d, q)
+        orbit = orbit_index(d, q) if orbit is None else orbit
+        c = symmetric_dim(d, q)
         if lifted.ndim == 1:
             weights = np.bincount(orbit, lifted, c)
         else:
@@ -83,13 +85,14 @@ class ConeNormCertificate:
     lift_power: int = 1
     dim: int = field(init=False)  # d, the dimension of the state x
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _orbit: InitVar[np.ndarray | None] = None  # the orbit index, where synthesis built it
 
-    def __post_init__(self):
+    def __post_init__(self, _orbit):
         f = np.asarray(self.f, dtype=float)
         if f.ndim != 1 or not np.all(f > 0):
             raise ValueError("cone-norm weights must be an entrywise-positive vector")
         object.__setattr__(self, "f", f)
-        _check_shared_fields(self, f)
+        _check_shared_fields(self, f, _orbit)
 
     @property
     def degree(self) -> int:
@@ -163,8 +166,9 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     f . (E[A^(kron p)] y) = rho f . y and the decay factor is rho. The vector
     is solved on Sym^p: the left Perron vector h of the C(d+p-1, p) matrix
     E[S_p(A)] gives f_i = h[r] / |orbit r| at every Kronecker coordinate i of
-    monomial r, so the d^p x d^p lift is never built; f and its index array
-    are the only d^p-length arrays.
+    monomial r, so the d^p x d^p lift is never built; f and its index array,
+    built once and also used to fold f onto the monomials, are the only
+    d^p-length arrays.
     """
     from .radius import DECISION_MARGIN
 
@@ -180,8 +184,10 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
         raise InstabilityError(
             f"{radius} radius {rho ** (1.0 / p):.6g} is not below 1; no certificate exists"
         )
-    f = (h / monomials(dist.dim, p).sizes)[orbit_index(dist.dim, p)]
-    return ConeNormCertificate(f=f / f.max(), gamma=rho, lift_power=p)
+    orbit = orbit_index(dist.dim, p)
+    f = (h / monomials(dist.dim, p).sizes)[orbit]
+    f /= f.max()
+    return ConeNormCertificate(f=f, gamma=rho, lift_power=p, _orbit=orbit)
 
 
 def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
@@ -294,25 +300,32 @@ def _mc_estimates(
     """Sample mean and standard error of V(A x) over the draws
     ``mats[index]`` (``mats`` if ``index`` is None), at every row x of
     ``xs``. A quadratic certificate forms one sandwich per matrix of
-    ``mats`` and gathers those, the draws' sandwiches bit for bit."""
+    ``mats``; on the atoms of a finite law (``index`` given) the moments are
+    the count-weighted mean and variance of the per-atom values."""
     n = mats.shape[0] if index is None else index.size
     d, q, c = mats.shape[1], cert.lift_power, cert.weights.shape[0]
     if isinstance(cert, QuadraticCertificate):
         # V(A_s x) = w . vec(B_s) with B_s = S_q(A_s).T G S_q(A_s) and w =
-        # vec(m m.T), m = m_q(x), so the mean is w . vec(mean(B)) and the
-        # variance w.T Q w, Q the covariance of the vec(B_s) from centred B_s
+        # vec(m m.T), m = m_q(x); the cap counts n C^2 sandwich entries, as
+        # for n sampled draws, and the C^4 of the triangular factor below
         check_entry_cap(max(n, c * c) * c * c, "Monte Carlo sandwiches")
         induced = symmetric_power(mats, q)
-        sandwiches = induced.transpose(0, 2, 1) @ cert.weights @ induced
-        if index is not None:
-            sandwiches = sandwiches[index]
-        mean = sandwiches.mean(axis=0)
-        centred = (sandwiches - mean).reshape(n, -1)
-        covariance = centred.T @ centred / (n - 1)
+        sandwiches = (induced.transpose(0, 2, 1) @ cert.weights @ induced).reshape(len(mats), -1)
         m = _monomial_rows(xs, q)
         w = np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
-        var = np.einsum("ni,ni->n", w @ covariance, w)
-        return w @ mean.reshape(-1), np.sqrt(np.maximum(var, 0.0) / n)
+        if index is not None:
+            counts = np.bincount(index, minlength=len(mats))
+            values = sandwiches @ w.T  # (atoms, vectors)
+            mean = counts @ values / n
+            var = counts @ (values - mean) ** 2 / (n - 1)
+        else:
+            # with the centred sandwiches D = Q R, the variance w.T D.T D w
+            # / (n-1) is |R w|^2 / (n-1), a sum of squares that cannot cancel
+            centre = sandwiches.mean(axis=0)
+            rw = np.linalg.qr(sandwiches - centre, mode="r") @ w.T
+            mean = w @ centre
+            var = np.einsum("in,in->n", rw, rw) / (n - 1)
+        return mean, np.sqrt(var / n)
     # cone norms: each chunk of vectors is mapped by every draw in one matrix
     # product, and the values are summed over the draws in draw order
     check_entry_cap(n * c, "Monte Carlo certificate values")
@@ -342,12 +355,12 @@ def validate_certificate(
     mode "mc" estimates it from n_samples >= 2 draws and allows a four-
     standard-error band on top of the decay bound. A (lifted) quadratic
     certificate gets the sample mean and variance from moment matrices of
-    the draws (on a finite law, one sandwich per atom, gathered by the
-    drawn atoms), a cone norm from V at every draw and vector. With C the
-    number of degree-q monomials, the entry cap guards the n_samples d^2
-    draws and the n_samples C^2 sandwiches and their C^4 covariance, or the
-    n_samples C monomials of one vector, and in exact mode the n C monomials
-    of the test vectors.
+    the draws (on a finite law, from one sandwich per atom, weighted by how
+    often it was drawn), a cone norm from V at every draw and vector. With
+    C the number of degree-q monomials, the entry cap guards the n_samples
+    d^2 draws and n_samples C^2 sandwich entries with a C^4 triangular
+    factor, or the n_samples C monomials of one vector, and in exact mode
+    the n C monomials of the test vectors.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """

@@ -1,14 +1,14 @@
 """Monte Carlo simulation with reproducible, worker-count-invariant streams.
 
 Paths are processed in fixed-size chunks; chunk c draws from a Philox
-counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). Each
-chunk's per-path values (norms and certificate values, each from its own
-row) are computed where the chunk is simulated, and sums over paths run
-CHUNK paths at a time in path order, adding the rows exactly as numpy's
-axis-0 sum of the whole array does. Chunking is independent of the thread
-count and no value passes through BLAS, so output is bit-identical for any
-``threads`` setting and BLAS thread count, and the working set is the path
-array, at most two (paths, horizon+1) value arrays and chunk-sized buffers.
+counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)), and
+writes only its states (and modes). Per-path values (norms and certificate
+values, each from its own row) are recomputed from the states of CHUNK
+paths at a time by each pass over the paths, and sums over paths add the
+rows in path order exactly as numpy's axis-0 sum of the whole array does.
+Chunking is independent of the thread count and no value passes through
+BLAS, so output is bit-identical for any ``threads`` setting and BLAS
+thread count, and the working set is the path array and chunk buffers.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class SimulationResult:
     paths: np.ndarray  # (n_paths, horizon+1, d)
     euclidean: MomentSeries
     certificate: MomentSeries | None = None
-    modes: np.ndarray | None = None  # (n_paths, horizon+1), 0-based; Markov runs only
+    modes: np.ndarray | None = None  # (n_paths, horizon+1), 0-based, int8 to N = 128; Markov runs
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -142,30 +142,33 @@ def _path_sum(n: int, shape: tuple[int, ...], fill) -> np.ndarray:
     return buf[0].copy()
 
 
-def _valid_steps(values: np.ndarray) -> np.ndarray:
-    """Mask of the steps each path counts at: a path is excluded from its
-    first non-finite step onward."""
-    return np.logical_and.accumulate(np.isfinite(values), axis=1)
-
-
-def _moment_series(values: np.ndarray, label: str) -> MomentSeries:
-    """Reduce per-path values (n_paths, horizon+1) in fixed path order,
-    CHUNK paths at a time."""
-    n, width = values.shape
+def _moment_series(states: np.ndarray, value, label: str) -> MomentSeries:
+    """Reduce per-path values in fixed path order, CHUNK paths at a time:
+    each pass recomputes ``value(states[sl])``, the (paths, horizon+1)
+    values of the paths of slice sl, from their states."""
+    n, width = states.shape[:2]
     n_valid = np.zeros(width, dtype=np.int64)
 
+    def chunk(sl):
+        """Values of the paths of slice sl, and the steps each counts at: a
+        path is excluded from its first non-finite step onward."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = value(states[sl])
+        return v, np.logical_and.accumulate(np.isfinite(v), axis=1)
+
     def masked(sl, out):
-        valid = _valid_steps(values[sl])
+        v, valid = chunk(sl)
         n_valid[:] += valid.sum(axis=0)
-        np.copyto(out, values[sl])
+        np.copyto(out, v)
         out[~valid] = 0.0
 
     with np.errstate(invalid="ignore", divide="ignore"):
         means = _path_sum(n, (width,), masked) / np.maximum(n_valid, 1)
 
         def squared_deviations(sl, out):
-            np.subtract(values[sl], means, out=out)
-            out[~_valid_steps(values[sl])] = 0.0
+            v, valid = chunk(sl)
+            np.subtract(v, means, out=out)
+            out[~valid] = 0.0
             np.square(out, out=out)
 
         var = _path_sum(n, (width,), squared_deviations) / np.maximum(n_valid - 1, 1)
@@ -196,21 +199,18 @@ def _simulate(
 
     ``start(rng, sl)`` is called once per chunk with the chunk's stream and
     path slice, and returns ``draw(k)``: the stack of step-k matrices,
-    A_(k-1), for the chunk's paths. Each chunk writes its paths, their
-    Euclidean norms to the plan's exponent step by step and, given a
-    certificate, its values. Returns the paths with the moment series of
-    those values.
+    A_(k-1), for the chunk's paths. Each chunk writes its paths. Returns
+    them with the moment series of their Euclidean norms to the plan's
+    exponent and, given a certificate, of its values, both recomputed from
+    the states of one chunk of paths at a time.
     """
     n, h, p = plan.paths, plan.horizon, plan.moment_exponent
-    cert_values = None
     if certificate is not None:
         from .lyapunov import evaluate_rows
 
-        # the cap counts every state's row of C(d+q-1, q) monomials
-        check_entry_cap(n * (h + 1) * certificate.weights.shape[0], "simulated certificate rows")
-        cert_values = np.empty((n, h + 1))
+        rows = min(n, CHUNK) * (h + 1) * len(certificate.weights)  # monomials of one chunk
+        check_entry_cap(rows, "simulated certificate rows")
     states = np.empty((n, h + 1, d))
-    norms = np.empty((n, h + 1))
 
     def worker(chunk_idx: int) -> None:
         sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
@@ -220,12 +220,6 @@ def _simulate(
             if k:
                 x = np.einsum("nij,nj->ni", draw(k), x)
             states[sl, k] = x
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms[sl, k] = np.linalg.norm(x, axis=1) ** p
-        if cert_values is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = states[sl].reshape(-1, d)
-                cert_values[sl] = evaluate_rows(certificate, rows).reshape(-1, h + 1)
 
     chunks = range((n + CHUNK - 1) // CHUNK)
     if threads <= 1:
@@ -235,8 +229,11 @@ def _simulate(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, chunks))
 
-    euclid = _moment_series(norms, f"euclidean^{p}")
-    cert_series = None if cert_values is None else _moment_series(cert_values, "certificate")
+    def values(x):
+        return evaluate_rows(certificate, x.reshape(-1, d)).reshape(-1, h + 1)
+
+    euclid = _moment_series(states, lambda x: np.linalg.norm(x, axis=2) ** p, f"euclidean^{p}")
+    cert_series = None if certificate is None else _moment_series(states, values, "certificate")
     return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
 
 
@@ -276,10 +273,10 @@ def simulate_markov(
 ) -> SimulationResult:
     """Simulate x(k+1) = M_(mode k) x(k) with the mode chain driven by the
     transition matrix from the plan's initial mode; the result carries the
-    0-based mode of every path at every step."""
+    0-based mode of every path at every step, int8 up to 128 modes."""
     _check_plan(plan, system.dim)
     sigma0 = _initial_mode(system, plan.initial_mode, "Markov simulation")
-    modes = np.empty((plan.paths, plan.horizon + 1), dtype=np.int64)
+    modes = np.empty((plan.paths, plan.horizon + 1), dtype=np.min_scalar_type(-system.n_modes))
     cum_rows = np.cumsum(system.transition, axis=1)
 
     def start(rng, sl):

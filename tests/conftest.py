@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import glob
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -114,10 +115,12 @@ def _first_index_oracle(u, cum):
     return np.minimum((u[:, None] >= cum).sum(axis=-1), cum.shape[-1] - 1)
 
 
-def simulate_paths_oracle(law, plan):
+def simulate_paths_oracle(law, plan, mode_dtype=None):
     """Paths and, for a Markov system, modes of a simulation: chunk c of
     ``CHUNK`` paths draws from the Philox stream SeedSequence(seed,
-    spawn_key=(c,)), one step of every path of the chunk at a time."""
+    spawn_key=(c,)), one step of every path of the chunk at a time. Modes
+    are drawn as int64 and returned as ``mode_dtype``, by default the
+    smallest signed integer dtype that holds N - 1."""
     from switchstab.mcsim import CHUNK
 
     markov = isinstance(law, MarkovJumpSystem)
@@ -145,6 +148,8 @@ def simulate_paths_oracle(law, plan):
                 draws = law.lower + rng.random((m, d, d)) * (law.upper - law.lower)
             x = np.einsum("nij,nj->ni", draws, x)
             paths[sl, k] = x
+    if markov:
+        modes = modes.astype(mode_dtype or np.min_scalar_type(-law.n_modes))
     return paths, modes
 
 
@@ -253,3 +258,42 @@ def blas_threads(n):
         yield True
     finally:
         set_(before)
+
+
+# ---------------------------------------------------------------------------
+# Fresh-interpreter jobs, run side by side
+# ---------------------------------------------------------------------------
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "spawns(job): job(cwd, **params) runs fresh interpreters in cwd; "
+        "the test reads what it returns from the `spawned` fixture",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _spawned_jobs(request, tmp_path_factory):
+    """Futures of the ``spawns`` jobs of every selected test, by node id.
+    All are submitted when the session starts and run at most
+    ``os.cpu_count()`` at a time, each in a directory of its own and with
+    its test's parameters, so interpreter start-ups overlap one another and
+    the in-process tests."""
+    marked = [(item, item.get_closest_marker("spawns")) for item in request.session.items]
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        yield {
+            item.nodeid: pool.submit(
+                mark.kwargs["job"],
+                tmp_path_factory.mktemp("spawned"),
+                **(item.callspec.params if hasattr(item, "callspec") else {}),
+            )
+            for item, mark in marked
+            if mark is not None
+        }
+
+
+@pytest.fixture
+def spawned(request, _spawned_jobs):
+    """What the test's ``spawns`` job returned; its errors are raised here."""
+    return _spawned_jobs[request.node.nodeid].result()

@@ -595,6 +595,7 @@ def cli_process(*argv, cwd):
 CERTIFICATES_AND_SIMULATORS = {"switchstab.lyapunov", "switchstab.mcsim", "concurrent.futures"}
 
 
+@pytest.mark.spawns(job=lambda cwd, argv: cli_process(*argv, cwd=cwd))
 @pytest.mark.parametrize(
     "argv",
     [
@@ -607,16 +608,17 @@ CERTIFICATES_AND_SIMULATORS = {"switchstab.lyapunov", "switchstab.mcsim", "concu
     ],
     ids=lambda argv: f"{argv[0]}-{argv[2].stem}-{'-'.join(map(str, argv[3:5]))}",
 )
-def test_radius_commands_load_no_certificate_or_simulator_module(tmp_path, argv):
-    code, out, modules = cli_process(*argv, cwd=tmp_path)
+def test_radius_commands_load_no_certificate_or_simulator_module(spawned, argv):
+    code, out, modules = spawned
     assert code in (0, 2, 3)
     assert json.loads(out)["results"] is not None
     assert "switchstab.radius" in modules
     assert not modules & CERTIFICATES_AND_SIMULATORS
 
 
-def test_usage_error_loads_no_numpy(tmp_path):
-    code, out, modules = cli_process("pradius", "-i", "X", cwd=tmp_path)
+@pytest.mark.spawns(job=lambda cwd: cli_process("pradius", "-i", "X", cwd=cwd))
+def test_usage_error_loads_no_numpy(spawned):
+    code, out, modules = spawned
     assert code == 1
     report = json.loads(out)  # one document, nothing after it
     assert report["command"] == "(usage)"
@@ -624,30 +626,48 @@ def test_usage_error_loads_no_numpy(tmp_path):
     assert {m for m in modules if m.startswith("switchstab")} == {"switchstab", "switchstab.errors"}
 
 
-def test_exact_certificate_commands_sample_nothing_and_simulate_does(tmp_path):
+def certificate_chain(cwd):
+    """lyapunov writes c.json; validate reads it exactly and by Monte Carlo;
+    simulate runs without it and with it: five processes, in this order."""
     pair = PROBLEMS / "atomic_pair.json"
-    code, _, modules = cli_process("lyapunov", "-i", pair, "-p", "2", "--validate", "exact", "-o", "c.json",
-                                   cwd=tmp_path)
+    simulate = ["simulate", "-i", pair, "--paths", "10", "--horizon", "3", "--seed", "1", "--x0", "1,0"]
+    return [
+        cli_process(*argv, cwd=cwd)
+        for argv in (
+            ["lyapunov", "-i", pair, "-p", "2", "--validate", "exact", "-o", "c.json"],
+            ["validate", "--cert", "c.json", "-i", pair],
+            ["validate", "--cert", "c.json", "-i", pair, "--mode", "mc:100"],
+            [*simulate, "--out-dir", "sim"],
+            [*simulate, "--cert", "c.json", "--out-dir", "sim"],
+        )
+    ]
+
+
+@pytest.mark.spawns(job=certificate_chain)
+def test_exact_certificate_commands_sample_nothing_and_simulate_does(spawned):
+    lyapunov, validate, validate_mc, simulate, simulate_with_cert = spawned
+    code, _, modules = lyapunov
     assert code == 0 and "switchstab.lyapunov" in modules and "switchstab.mcsim" not in modules
-    code, _, modules = cli_process("validate", "--cert", "c.json", "-i", pair, cwd=tmp_path)
+    code, _, modules = validate
     assert code == 0 and "switchstab.mcsim" not in modules
     assert "switchstab.radius" not in modules
-    code, _, modules = cli_process("validate", "--cert", "c.json", "-i", pair, "--mode", "mc:100", cwd=tmp_path)
+    code, _, modules = validate_mc
     assert code == 0 and "switchstab.mcsim" in modules
-    code, _, modules = cli_process("simulate", "-i", pair, "--paths", "10", "--horizon", "3", "--seed", "1",
-                                   "--x0", "1,0", "--out-dir", "sim", cwd=tmp_path)
+    code, _, modules = simulate
     assert code == 0 and "switchstab.mcsim" in modules
     assert not modules & {"switchstab.lyapunov", "switchstab.radius"}
-    code, _, modules = cli_process("simulate", "-i", pair, "--paths", "10", "--horizon", "3", "--seed", "1",
-                                   "--x0", "1,0", "--cert", "c.json", "--out-dir", "sim", cwd=tmp_path)
+    code, _, modules = simulate_with_cert
     assert code == 0 and "switchstab.lyapunov" in modules and "switchstab.radius" not in modules
 
 
-def test_markov_simulation_loads_no_certificate_or_radius_module(tmp_path):
-    code, out, modules = cli_process(
+@pytest.mark.spawns(
+    job=lambda cwd: cli_process(
         "simulate", "-i", PROBLEMS / "three_mode_markov.json", "--paths", "10", "--horizon", "3",
-        "--seed", "1", "--x0", "1,0", "--out-dir", "sim", cwd=tmp_path,
+        "--seed", "1", "--x0", "1,0", "--out-dir", "sim", cwd=cwd,
     )
+)
+def test_markov_simulation_loads_no_certificate_or_radius_module(spawned):
+    code, out, modules = spawned
     assert code == 0 and json.loads(out)["results"]["series"]
     assert "switchstab.mcsim" in modules
     assert not modules & {"switchstab.lyapunov", "switchstab.radius"}

@@ -361,15 +361,19 @@ def test_power_steps_stop_quietly_at_a_zero_image():
 
 def test_reducible_law_takes_the_dense_route():
     # upper-triangular atoms leave the monomials of x_5 ... invariant: the
-    # bracket cannot close at a point inside the orthant
-    rng = np.random.default_rng(5)
-    atoms = np.triu(rng.uniform(0.1, 1.0, (2, 6, 6)))
-    m = AtomicDistribution(np.array([0.5, 0.5]), atoms).expected_symmetric_power(3)
-    assert m.shape[0] >= linalg_module.CONE_CROSSOVER
-    result = cone_spectral_radius(m)
-    assert result.route == "dense"
-    assert result.value == spectrum(m).spectral_radius
-    assert result.solves <= linalg_module.CONE_STEPS
+    # bracket cannot close at a point inside the orthant, and the
+    # irreducibility test sends the matrix to the dense route unsolved
+    for seed in (5, 9):
+        atoms = np.triu(np.random.default_rng(seed).uniform(0.1, 1.0, (2, 6, 6)))
+        m = AtomicDistribution(np.array([0.5, 0.5]), atoms).expected_symmetric_power(3)
+        assert m.shape[0] >= linalg_module.CONE_CROSSOVER
+        result = cone_spectral_radius(m)
+        assert (result.route, result.solves) == ("dense", 0)
+        assert result.value == spectrum(m).spectral_radius
+        assert not linalg_module._irreducible(m)
+    cycle = np.roll(np.eye(5), 1, axis=1)  # irreducible, with zero entries
+    assert linalg_module._irreducible(cycle)
+    assert not linalg_module._irreducible(np.kron(np.eye(2), cycle))
 
 
 def test_cone_radius_of_zero_and_of_a_fixed_point():

@@ -35,6 +35,7 @@ from conftest import (
     blas_threads,
     q_recursion_oracle,
     scalar_uniform,
+    simulate_paths_oracle,
     simulation_oracle,
 )
 
@@ -305,6 +306,21 @@ def test_markov_reproducible_across_threads(three_mode_system):
     assert np.array_equal(r1.modes, r8.modes)
 
 
+@pytest.mark.parametrize("n_modes, dtype", [(128, np.int8), (129, np.int16)])
+def test_modes_are_stored_in_the_smallest_dtype_that_holds_them(n_modes, dtype):
+    rng = np.random.default_rng(n_modes)
+    system = MarkovJumpSystem(
+        transition=rng.dirichlet(np.ones(n_modes), size=n_modes),
+        modes=rng.uniform(0.5, 1.0, (n_modes, 1, 1)),
+        initial_mode=n_modes,
+    )
+    plan = SimulationPlan(paths=50, horizon=40, seed=3, initial_state=np.array([1.0]))
+    modes = simulate_markov(system, plan, threads=2).modes
+    _, wide = simulate_paths_oracle(system, plan, mode_dtype=np.int64)
+    assert modes.dtype == dtype and wide.max() == n_modes - 1
+    assert np.array_equal(modes, wide)
+
+
 # ---------------------------------------------------------------------------
 # conditional-moment recursion
 # ---------------------------------------------------------------------------
@@ -527,7 +543,7 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def test_iid_simulation_with_a_certificate_holds_paths_and_two_value_arrays():
+def test_iid_simulation_with_a_certificate_holds_its_paths_and_chunk_buffers():
     rng = np.random.default_rng(6)
     law = AtomicDistribution(
         probabilities=np.array([0.2, 0.3, 0.5]), atoms=0.3 * rng.standard_normal((3, 3, 3))
@@ -537,13 +553,16 @@ def test_iid_simulation_with_a_certificate_holds_paths_and_two_value_arrays():
     plan = SimulationPlan(paths=10_000, horizon=50, seed=5, initial_state=np.array([1.0, 0.5, -0.5]))
     values = plan.paths * (plan.horizon + 1) * 8  # bytes of one (paths, horizon+1) array
     peak = traced_peak(lambda: simulate_iid(law, plan, certificate=cert, threads=2))
-    assert peak < 1.25 * (3 * values + 2 * values)  # d = 3 paths, norms and values
+    # d = 3 paths; norms and certificate values exist one chunk of paths at a time
+    assert peak < 4 * values
 
 
-def test_conditional_moment_check_holds_paths_modes_and_one_value_array(three_mode_system):
+def test_conditional_moment_check_holds_paths_byte_modes_and_chunk_buffers(three_mode_system):
     plan = SimulationPlan(
         paths=10_000, horizon=50, seed=5, initial_state=np.array([1.0, -0.5]), initial_mode=1
     )
     values = plan.paths * (plan.horizon + 1) * 8
     peak = traced_peak(lambda: check_q_recursion(three_mode_system, plan))
-    assert peak < 1.25 * (2 * values + values + values)  # d = 2 paths, modes and norms
+    # d = 2 paths and int8 modes, an eighth of a value array; norms exist one
+    # chunk of paths at a time
+    assert peak < 3 * values

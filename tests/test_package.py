@@ -59,7 +59,8 @@ def test_unknown_names_are_attribute_errors():
     assert not hasattr(switchstab, "cli_main")
 
 
-def test_importing_the_package_loads_its_modules_on_first_use():
+def first_use_check(cwd):
+    """A fresh interpreter that imports the package, then one submodule."""
     check = (
         "import sys, switchstab\n"
         "loaded = lambda: sorted(m for m in sys.modules if m == 'numpy' or m.startswith('switchstab'))\n"
@@ -72,9 +73,13 @@ def test_importing_the_package_loads_its_modules_on_first_use():
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    return subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+@pytest.mark.spawns(job=first_use_check)
+def test_importing_the_package_loads_its_modules_on_first_use(spawned):
+    assert spawned.returncode == 0, spawned.stderr
 
 
 def test_an_outside_wrapper_is_not_kept_once_it_is_removed(monkeypatch):
