@@ -154,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--even-only", action="store_true")
     cmd.add_argument("--csv", type=Path, help="sidecar CSV path (default: <input>.limit.csv)")
 
-    cmd = add("markov", "Markovian p-radius and verdict (p in {1, 2})")
+    cmd = add("markov", "Markovian p-radius and verdict (even p, or odd p with nonnegative modes)")
     cmd.add_argument("-p", type=int, required=True)
     cmd.add_argument("--closed-loop", action="store_true", help="apply the stored feedback first")
     cmd.add_argument(
         "--general-p", action="store_true",
-        help="allow p > 2: reports the lifted spectral radius with no verdict",
+        help="report rho(T_p)^(1/p) of the full N d^p lift instead, with no verdict",
     )
 
     cmd = add("simulate", "Monte Carlo sample paths and moment series")
@@ -264,9 +264,7 @@ def _cmd_markov(args, warnings):
     system = _need_markov(_load(args.input), "markov")
     if args.closed_loop:
         system = models.apply_feedback(system)
-    if args.p not in (1, 2):
-        if not args.general_p:
-            raise SwitchstabError("p must be 1 or 2 unless --general-p is given")
+    if args.general_p:
         value = radius.markov_tp_spectral_radius(system, args.p)
         warnings.append("general-p radius is experimental and carries no stability verdict")
         results = {
@@ -283,7 +281,9 @@ def _cmd_markov(args, warnings):
     results["verdict"] = report.verdict.value
     results["closed_loop"] = args.closed_loop
     if report.verdict is radius.Verdict.UNSUPPORTED:
-        warnings.append("p = 1 requires entrywise-nonnegative modes; found a negative entry")
+        warnings.append(
+            f"p = {args.p} requires entrywise-nonnegative modes; found a negative entry"
+        )
     return results, _VERDICT_EXIT[report.verdict.value]
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import AssumptionError, InstabilityError
 from .linalg import (
     check_entry_cap,
+    check_finite,
     dominant_left_eigenvector,
     monomials,
     orbit_index,
@@ -88,7 +89,7 @@ class ConeNormCertificate:
     _orbit: InitVar[np.ndarray | None] = None  # the orbit index, where synthesis built it
 
     def __post_init__(self, _orbit):
-        f = np.asarray(self.f, dtype=float)
+        f = check_finite(self.f, "cone-norm weights")
         if f.ndim != 1 or not np.all(f > 0):
             raise ValueError("cone-norm weights must be an entrywise-positive vector")
         object.__setattr__(self, "f", f)
@@ -111,7 +112,7 @@ class QuadraticCertificate:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = check_finite(self.h, "H")
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("H must be square")
         if float(np.max(np.abs(h - h.T))) > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
@@ -306,14 +307,17 @@ def _mc_estimates(
     d, q, c = mats.shape[1], cert.lift_power, cert.weights.shape[0]
     if isinstance(cert, QuadraticCertificate):
         # V(A_s x) = w . vec(B_s) with B_s = S_q(A_s).T G S_q(A_s) and w =
-        # vec(m m.T), m = m_q(x); the cap counts n C^2 sandwich entries, as
-        # for n sampled draws, and the C^4 of the triangular factor below
-        check_entry_cap(max(n, c * c) * c * c, "Monte Carlo sandwiches")
+        # vec(m m.T), m = m_q(x); the cap counts the C^2 sandwich entries of
+        # every matrix of ``mats``, which bound the min(n, C^2) x C^2
+        # triangular factor below, and the C^2 entries of w per vector
+        check_entry_cap(len(mats) * c * c, "Monte Carlo sandwiches")
+        check_entry_cap(xs.shape[0] * c * c, "Monte Carlo test monomials")
         induced = symmetric_power(mats, q)
         sandwiches = (induced.transpose(0, 2, 1) @ cert.weights @ induced).reshape(len(mats), -1)
         m = _monomial_rows(xs, q)
         w = np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
         if index is not None:
+            check_entry_cap(len(mats) * xs.shape[0], "Monte Carlo atom values")
             counts = np.bincount(index, minlength=len(mats))
             values = sandwiches @ w.T  # (atoms, vectors)
             mean = counts @ values / n
@@ -358,9 +362,10 @@ def validate_certificate(
     the draws (on a finite law, from one sandwich per atom, weighted by how
     often it was drawn), a cone norm from V at every draw and vector. With
     C the number of degree-q monomials, the entry cap guards the n_samples
-    d^2 draws and n_samples C^2 sandwich entries with a C^4 triangular
-    factor, or the n_samples C monomials of one vector, and in exact mode
-    the n C monomials of the test vectors.
+    d^2 draws (n_samples atom indices on a finite law), the C^2 sandwich
+    entries of each draw or atom, the C^2 products of each test vector and
+    the atoms x vectors values, or the n_samples C monomials of one vector,
+    and in exact mode the n C monomials of the test vectors.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
@@ -387,11 +392,12 @@ def validate_certificate(
 
         if n_samples < 2:
             raise ValueError("Monte Carlo validation needs at least 2 samples")
-        check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")
         rng = np.random.default_rng(seed)
         if isinstance(cert, QuadraticCertificate) and isinstance(dist, AtomicDistribution):
+            check_entry_cap(n_samples, "Monte Carlo samples")  # atom indices
             mats, index = dist.atoms, atom_indices(dist, rng, n_samples)  # a sandwich per atom
         else:
+            check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")
             mats, index = sample_matrix(dist, rng, size=n_samples), None
         expected, stderr = _mc_estimates(cert, mats, xs, index)
         vx = evaluate_rows(cert, xs)

@@ -185,7 +185,6 @@ class AtomicDistribution(MatrixDistribution):
         if p < 1:
             raise ValueError("p must be >= 1")
         n_atoms, cells = self.atoms.shape[0], self.dim**2
-        check_entry_cap(n_atoms * symmetric_dim(cells, p), "moment table")
         flat = self.atoms.reshape(n_atoms, cells)
         low = float(flat.min())
         if low > 0 and min(low, 1.0) ** p * float(self.probabilities.min()) >= _NORMAL_FLOOR:
@@ -193,10 +192,12 @@ class AtomicDistribution(MatrixDistribution):
         if p > 2:
             # the moments of t^(p-1) u, t <= u, folded left as the table
             # folds them (at p = 2 they are the whole table)
+            check_entry_cap(n_atoms * symmetric_dim(cells, 2), "moment witnesses")
             power = functools.reduce(np.multiply, [flat] * (p - 1))
             t, u = np.triu_indices(cells)
             if not np.all(_weighted_sum(self.probabilities, power[:, t] * flat[:, u]) > 0):
                 return False
+        check_entry_cap(n_atoms * symmetric_dim(cells, p), "moment table")
         return bool(np.all(self._multiset_moments(p) > 0))
 
     def _multiset_moments(self, p: int) -> np.ndarray:
@@ -327,13 +328,13 @@ class UniformEntriesDistribution(MatrixDistribution):
         if p == 1:
             return bool(np.all(self.entry_moment(1) > 0))
         cells = self.dim**2
-        check_entry_cap(symmetric_dim(cells, p) * p, "cell multisets")
         moments = self.entry_moments(p).reshape(p + 1, cells)
         low = float(moments[1:].min())
         if low > 0 and min(low, 1.0) ** p >= _NORMAL_FLOOR:
             return True
         # E[a_c^k] E[a_c'^(p-k)], c != c', and E[a_c^p] are table entries (its
         # padding factors are 1.0, and a product of two commutes); at p = 2, all
+        check_entry_cap((p - 1) * cells * cells, "moment witnesses")
         pairs = moments[1:p, :, None] * moments[p - 1 : 0 : -1, None, :]
         pairs.reshape(p - 1, -1)[:, :: cells + 1] = 1.0  # c = c' is no entry
         if not (np.all(pairs > 0) and np.all(moments[p] > 0)):

@@ -15,25 +15,31 @@ law's ``expected_symmetric_power`` builder, with m_p(A x) = S_p(A) m_p(x)
 for the degree-p monomials m_p, and no array of the computation has a d^p
 axis. The positivity flags of a report come from the law's
 ``moments_positive``, the same test as E[A^(kron p)] > 0. The entry cap
-counts every table and result of the builders. The Markov radius at p = 2
-is solved on Sym^2 (x) R^N, with blocks P_ij S_2(M_i); the Markov lift
-``markov_tp`` is built in full for T_1 and for ``--general-p``.
+counts every table and result of the builders.
 
-Each of these matrices maps a cone into itself, and
+A Markov jump system is read the same way. Its conditional moments
+E[x(k)^(kron p) 1{sigma_k = j}] evolve by T_p, whose block (j, i) is
+P[i, j] M_i^(kron p), and T_p leaves Sym^p (x) R^N invariant; its
+restriction there has blocks P[i, j] S_p(M_i), N C(d+p-1, p) rows, and the
+same licences: even p, or odd p with entrywise-nonnegative modes. The full
+lift ``markov_tp`` is built only for ``--general-p`` and the first-moment
+recursion check.
+
+Each of these matrices, when licensed, maps a cone into itself, and
 :func:`~switchstab.linalg.cone_spectral_radius` reads its radius from a
 Collatz-Wielandt bracket of relative width 1e-12 once it has
-``CONE_CROSSOVER`` rows: E[S_p(A)] of a nonnegative support (any p) and
-T_1 preserve the orthant; at p = 2, E[S_2(A)] is X -> E[A X A.T] on
-symmetric matrices and the Sym^2 (x) R^N operator maps N-tuples of
-positive semidefinite matrices into themselves. Signed laws at even
-p >= 4, smaller matrices, reducible laws and ``--general-p`` read the
-dense eigensolve.
+``CONE_CROSSOVER`` rows: the Sym^p matrix of a nonnegative support (any p)
+preserves the orthant; at p = 2, E[S_2(A)] is X -> E[A X A.T] on symmetric
+matrices and the Sym^2 (x) R^N operator maps N-tuples of positive
+semidefinite matrices into themselves. Signed laws at even p >= 4, smaller
+matrices, reducible laws and ``--general-p`` read the dense eigensolve.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,7 @@ from .linalg import (
     kron_power,
     lift_entry_cap,
     spectrum,
+    symmetric_dim,
     symmetric_power,
 )
 from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
@@ -147,23 +154,27 @@ class LimitSequence:
         }
 
 
-def _assumption_path(dist: MatrixDistribution, p: int) -> AssumptionPath:
+def _radius(
+    build: Callable[[], np.ndarray], p: int, nonnegative: bool, side: int, lifted_dim: int
+) -> PRadiusResult:
+    """rho(build())^(1/p) for a Sym^p operator, when p is licensed: even p,
+    or odd p on a nonnegative support. The radius is read on the orthant
+    for a nonnegative support, on N-tuples of PSD blocks of side ``side``
+    at p = 2, densely otherwise. An unsupported p builds nothing."""
+    if p < 1:
+        raise ValueError("p must be a positive integer")
     if p % 2 == 0:
-        return AssumptionPath.EVEN_P
-    if dist.support_nonnegative():
-        return AssumptionPath.ORTHANT_INVARIANT
-    return AssumptionPath.UNSUPPORTED
-
-
-def _radius(dist: MatrixDistribution, p: int, path: AssumptionPath) -> PRadiusResult:
-    lifted_dim = dist.dim**p
-    if path is AssumptionPath.UNSUPPORTED:
+        path = AssumptionPath.EVEN_P
+    elif nonnegative:
+        path = AssumptionPath.ORTHANT_INVARIANT
+    else:
+        path = AssumptionPath.UNSUPPORTED
         return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
-    induced = dist.expected_symmetric_power(p)
-    if dist.support_nonnegative():
+    induced = build()
+    if nonnegative:
         rho = cone_spectral_radius(induced).value
     elif p == 2:
-        rho = cone_spectral_radius(induced, psd_side=dist.dim).value
+        rho = cone_spectral_radius(induced, psd_side=side).value
     else:
         rho = spectrum(induced).spectral_radius
     return PRadiusResult(
@@ -174,9 +185,8 @@ def _radius(dist: MatrixDistribution, p: int, path: AssumptionPath) -> PRadiusRe
 def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
     """p-radius rho_p = rho(E[A^(kron p)])^(1/p), when licensed, computed on
     the symmetric power Sym^p. ``lifted_dim`` is still d^p."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    return _radius(dist, p, _assumption_path(dist, p))
+    nonnegative = dist.support_nonnegative()
+    return _radius(lambda: dist.expected_symmetric_power(p), p, nonnegative, dist.dim, dist.dim**p)
 
 
 def _verdict(value: float | None) -> Verdict:
@@ -195,13 +205,10 @@ def check_mean_stability(dist: MatrixDistribution, p: int) -> StabilityReport:
     Values within ``DECISION_MARGIN`` of 1 are reported marginal since
     floating point cannot certify a strict inequality at the boundary.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    path = _assumption_path(dist, p)
-    result = _radius(dist, p, path)
+    result = p_radius(dist, p)
     # every report carries the flag of the mean; a licensed p adds its own
     positive = {1: dist.moments_positive(1)}
-    if path is not AssumptionPath.UNSUPPORTED and p > 1:
+    if result.assumption_path is not AssumptionPath.UNSUPPORTED and p > 1:
         positive[p] = dist.moments_positive(p)
     flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
     return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
@@ -234,54 +241,31 @@ def markov_tp(system: MarkovJumpSystem, p: int) -> np.ndarray:
 
 
 def markov_tp_spectral_radius(system: MarkovJumpSystem, p: int) -> float:
-    """rho(T_p)^(1/p) for any p. Experimental for p > 2: no stability verdict
-    is attached outside p in {1, 2}."""
+    """rho(T_p)^(1/p) from the full N d^p lift, at any p and with no verdict:
+    the reference value of :func:`markov_p_radius` where p is licensed, and
+    the only one at odd p with a negative mode entry."""
     rho = spectrum(markov_tp(system, p)).spectral_radius
     return float(rho ** (1.0 / p))
 
 
-def _markov_t2_on_sym(system: MarkovJumpSystem) -> np.ndarray:
-    """T_2 restricted to Sym^2 (x) R^N: block (j, i) is P[i, j] S_2(M_i).
-
-    The map (X_1..X_N) -> (sum_i P[i, j] M_i X_i M_i.T)_j preserves N-tuples
-    of positive semidefinite matrices, so rho(T_2) has an eigenvector among
-    them, in the symmetric part."""
-    n = system.n_modes
-    induced = symmetric_power(system.modes, 2)
-    size = n * induced.shape[1]
-    check_entry_cap(size * size, "markov Sym^2 operator")
+def _markov_on_sym(system: MarkovJumpSystem, p: int) -> np.ndarray:
+    """T_p restricted to Sym^p (x) R^N: block (j, i) is P[i, j] S_p(M_i)."""
+    size = system.n_modes * symmetric_dim(system.dim, p)
+    check_entry_cap(size * size, "markov Sym^p operator")
+    induced = symmetric_power(system.modes, p)
     return np.einsum("ij,iab->jaib", system.transition, induced).reshape(size, size)
 
 
 def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
-    """Markovian p-radius for p in {1, 2}; p = 2 is solved on
-    Sym^2 (x) R^N, of dimension N d(d+1)/2 against N d^2, on the cone of
-    N-tuples of PSD matrices, and p = 1 on the orthant.
+    """Markovian p-radius rho(T_p)^(1/p), when licensed, solved on
+    Sym^p (x) R^N, of dimension N C(d+p-1, p) against the N d^p of T_p.
 
-    p = 1 additionally requires every mode to be entrywise nonnegative; with
-    a negative entry the computation is unsupported, not silently numeric.
+    Even p is licensed for any modes; odd p needs every mode entrywise
+    nonnegative, and with a negative entry the result is unsupported, not
+    silently numeric.
     """
-    if p not in (1, 2):
-        raise ValueError(
-            "stability-grade Markov radii are limited to p in {1, 2}; "
-            "use markov_tp_spectral_radius for the experimental general p"
-        )
-    lifted_dim = system.n_modes * system.dim**p
-    if p == 2:
-        value = cone_spectral_radius(_markov_t2_on_sym(system), psd_side=system.dim).value ** 0.5
-        return PRadiusResult(
-            p=2, value=float(value), lifted_dim=lifted_dim, assumption_path=AssumptionPath.EVEN_P
-        )
-    if not np.all(system.modes >= 0):
-        return PRadiusResult(
-            p=1, value=None, lifted_dim=lifted_dim, assumption_path=AssumptionPath.UNSUPPORTED
-        )
-    return PRadiusResult(
-        p=1,
-        value=cone_spectral_radius(markov_tp(system, 1)).value,
-        lifted_dim=lifted_dim,
-        assumption_path=AssumptionPath.ORTHANT_INVARIANT,
-    )
+    nonnegative, lifted_dim = bool(np.all(system.modes >= 0)), system.n_modes * system.dim**p
+    return _radius(lambda: _markov_on_sym(system, p), p, nonnegative, system.dim, lifted_dim)
 
 
 def markov_stability(system: MarkovJumpSystem, p: int) -> StabilityReport:

@@ -280,15 +280,31 @@ def test_markov_open_and_closed_loop(capsys, docs):
     assert report["results"]["closed_loop"] is True
 
 
-def test_markov_general_p(capsys, docs):
-    code, report = run(capsys, "markov", "-i", str(docs["markov.json"]), "-p", "3")
-    assert code == 1  # fenced without the flag
-    code, report = run(
-        capsys, "markov", "-i", str(docs["markov.json"]), "-p", "3", "--general-p"
-    )
-    assert code == 0
-    assert report["results"]["verdict"] is None
-    assert report["warnings"]
+def test_markov_general_p(capsys, docs, tmp_path):
+    """Every licensed p gets a verdict, equal to the full lift's value that
+    --general-p reports without one; odd p with a negative entry exits 4."""
+    markov = str(docs["markov.json"])
+    for p, path, value in (("3", "orthant_invariant", 1.376552), ("4", "even_p", 1.420540)):
+        code, report = run(capsys, "markov", "-i", markov, "-p", p)
+        assert code == 2
+        assert report["results"]["assumption_path"] == path
+        assert report["results"]["verdict"] == "unstable"
+        assert report["results"]["value"] == pytest.approx(value, abs=1e-6)
+        code, general = run(capsys, "markov", "-i", markov, "-p", p, "--general-p")
+        assert code == 0
+        assert general["results"]["verdict"] is None
+        assert general["warnings"]
+        assert report["results"]["value"] == pytest.approx(general["results"]["value"], rel=1e-12)
+    signed = json.loads(docs["markov.json"].read_text(encoding="utf-8"))
+    signed["markov"]["modes"][0][0][1] = -0.49
+    signed_path = tmp_path / "signed.json"
+    signed_path.write_text(json.dumps(signed), encoding="utf-8")
+    code, report = run(capsys, "markov", "-i", str(signed_path), "-p", "3")
+    assert code == 4
+    assert report["results"]["value"] is None
+    assert report["warnings"] == [
+        "p = 3 requires entrywise-nonnegative modes; found a negative entry"
+    ]
 
 
 def test_simulate_bit_identical_across_threads(capsys, docs, tmp_path):
@@ -530,6 +546,8 @@ def test_validate_rejects_an_inconsistent_certificate(capsys, docs, tmp_path, fi
         ('{"kind": "quadratic", "H": [[1, 0], [0, 1]]}', "ValueError"),
         ("[1, 2]", "ValueError"),
         (None, "FileNotFoundError"),
+        ('{"kind": "cone_norm", "gamma": 0.1, "f": [Infinity, 1]}', "ValueError"),
+        ('{"kind": "quadratic", "gamma": 0.5, "H": [[1, NaN], [NaN, 1]]}', "ValueError"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -580,12 +598,18 @@ MODULE_DUMP = (
 )
 
 
+#: the environment at collection: spawned processes run beside in-process
+#: tests, whose monkeypatched variables (such as a lowered entry cap) they
+#: must not inherit
+SESSION_ENV = dict(os.environ)
+
+
 def cli_process(*argv, cwd):
     """Exit code, stdout and the set of loaded modules of one CLI process."""
-    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [SESSION_ENV.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-c", MODULE_DUMP, *map(str, argv)], cwd=cwd, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        text=True, env=dict(SESSION_ENV, PYTHONPATH=path), timeout=120,
     )
     dump = [line for line in proc.stderr.splitlines() if line.startswith("MODULES ")]
     assert len(dump) == 1, proc.stderr
@@ -605,6 +629,7 @@ CERTIFICATES_AND_SIMULATORS = {"switchstab.lyapunov", "switchstab.mcsim", "concu
         ["limit", "-i", PROBLEMS / "atomic_pair.json", "--pmax", "4", "--csv", "limit.csv"],
         ["markov", "-i", PROBLEMS / "three_mode_markov.json", "-p", "1", "--closed-loop"],
         ["markov", "-i", PROBLEMS / "three_mode_markov.json", "-p", "2"],
+        ["markov", "-i", PROBLEMS / "three_mode_markov.json", "-p", "4"],
     ],
     ids=lambda argv: f"{argv[0]}-{argv[2].stem}-{'-'.join(map(str, argv[3:5]))}",
 )

@@ -548,29 +548,40 @@ def test_validation_mc_needs_two_samples():
 
 
 def test_mc_validation_respects_the_lift_cap(monkeypatch):
+    """Each array of a Monte Carlo validation is counted by its own size:
+    C(d+q-1, q) monomials give C = 2 at d = 2, q = 1; C = 3 at d = 2, q = 2;
+    C = 6 at d = 3, q = 2 and at d = 2, q = 5."""
     rng = np.random.default_rng(31)
     plane = random_atomic(rng, n_atoms=2, dim=2, target_r2=0.8)
     space = random_atomic(rng, n_atoms=2, dim=3, target_r2=0.8)
+    eight = random_atomic(rng, n_atoms=8, dim=2, target_r2=0.8)
+    box = UniformEntriesDistribution(lower=np.full((3, 3), -0.1), upper=np.full((3, 3), 0.1))
     quadratic = synthesize_quadratic(plane)
+    quadratic_eight = synthesize_quadratic(eight)
     quartic_plane = synthesize_degree_p(plane, 4)
     quartic_space = synthesize_degree_p(space, 4)
     cone = ConeNormCertificate(f=np.ones(2), gamma=0.5)
     quintic = ConeNormCertificate(f=np.ones(2**5), gamma=0.5, lift_power=5)
+    few = lyapunov_module.default_test_vectors(2, count=18)  # 20 vectors
+    more = lyapunov_module.default_test_vectors(2, count=128)  # 130 vectors
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
-    # under the cap: 200 x 4 draws, 200 x 4 sandwiches, a 4 x 4 covariance
-    assert validate_certificate(quadratic, plane, mode="mc", n_samples=200).passed
-    # sandwiches and values count rows of C(d+q-1, q) monomials: 3 at d = 2,
-    # q = 2; 6 at d = 3, q = 2 and at d = 2, q = 5
+    # under the cap: 200 atom indices, 2 x 4 sandwiches, 20 x 4 products
+    assert validate_certificate(quadratic, plane, xs=few, mode="mc", n_samples=200).passed
+    # a finite law holds one sandwich per atom, and a sampled law's
+    # triangular factor has min(n, C^2) rows: neither holds C^4 entries
+    validate_certificate(quartic_plane, plane, xs=few, mode="mc", n_samples=200)
+    validate_certificate(quartic_space, box, xs=few[:, [0, 1, 1]], mode="mc", n_samples=2)
     cases = [
-        (quadratic, plane, 600, "Monte Carlo samples", 2400),  # the draws
-        (cone, plane, 600, "Monte Carlo samples", 2400),
-        (quartic_plane, plane, 200, "Monte Carlo sandwiches", 1800),  # 200 x 3 x 3
-        (quartic_space, space, 2, "Monte Carlo sandwiches", 1296),  # covariance 6^4
-        (quintic, plane, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
+        (quadratic, plane, None, 1200, "Monte Carlo samples", 1200),  # the atom indices
+        (cone, plane, None, 600, "Monte Carlo samples", 2400),  # the draws, 600 x 2 x 2
+        (quartic_space, box, None, 30, "Monte Carlo sandwiches", 1080),  # 30 x 6 x 6
+        (quartic_plane, plane, None, 200, "Monte Carlo test monomials", 9018),  # 1002 x 3 x 3
+        (quadratic_eight, eight, more, 200, "Monte Carlo atom values", 1040),  # 8 x 130
+        (quintic, plane, None, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
     ]
-    for cert, dist, n, context, requested in cases:
+    for cert, dist, xs, n, context, requested in cases:
         with pytest.raises(DimensionCapError, match=context) as caught:
-            validate_certificate(cert, dist, mode="mc", n_samples=n)
+            validate_certificate(cert, dist, xs=xs, mode="mc", n_samples=n)
         assert caught.value.requested == requested
 
 

@@ -318,24 +318,43 @@ def test_symmetric_power_of_a_law_is_its_folded_lift(law):
 
 
 def test_builder_tables_are_guarded_when_memoised(monkeypatch, interval_box):
-    atomic = AtomicDistribution(probabilities=np.array([1.0]), atoms=np.ones((1, 2, 2)))
+    # entries near the underflow floor have positive moments, but p-fold
+    # products that could underflow, so moments_positive builds its
+    # witnesses and then its full table, each checked where it is built
+    tiny = 1e-50
+    atomic = AtomicDistribution(probabilities=np.array([1.0]), atoms=np.full((1, 2, 2), tiny))
+    five = AtomicDistribution(probabilities=np.full(5, 0.2), atoms=np.full((5, 2, 2), tiny))
+    box = UniformEntriesDistribution(lower=np.full((2, 2), tiny), upper=np.full((2, 2), 2 * tiny))
     # build every table under the default cap first, so that each guard
     # below runs on a memoised table
     interval_box.expected_symmetric_power(6)
-    atomic.moments_positive(6)
+    assert atomic.moments_positive(6) and five.moments_positive(6) and box.moments_positive(6)
     atomic.expected_symmetric_power(6)
     orbit_index(2, 6)
-    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "48")
     cases = [
-        (lambda: interval_box.expected_symmetric_power(6), "cell multisets"),  # 84 multisets x 6
-        (lambda: interval_box.moments_positive(6), "cell multisets"),
-        (lambda: atomic.moments_positive(6), "moment table"),  # 84 multisets x 1 atom
-        (lambda: atomic.expected_symmetric_power(6), "symmetric power"),  # 7 x 7 x 1 atom
-        (lambda: orbit_index(2, 6), "orbit index"),  # 2^6
+        (48, lambda: interval_box.expected_symmetric_power(6), "cell multisets"),  # 84 x 6
+        (100, lambda: box.moments_positive(6), "cell multisets"),  # past its 80 witnesses
+        (48, lambda: box.moments_positive(6), "moment witnesses"),  # 5 orders x 4 x 4 cells
+        (48, lambda: atomic.moments_positive(6), "moment table"),  # 84 multisets x 1 atom
+        (48, lambda: five.moments_positive(6), "moment witnesses"),  # 5 atoms x 10 cell pairs
+        (48, lambda: atomic.expected_symmetric_power(6), "symmetric power"),  # 7 x 7 x 1 atom
+        (48, lambda: orbit_index(2, 6), "orbit index"),  # 2^6
     ]
-    for build, context in cases:
+    for cap, build, context in cases:
+        monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", str(cap))
         with pytest.raises(DimensionCapError, match=context):
             build()
+
+
+def test_positive_laws_build_no_moment_table(monkeypatch):
+    """A law whose entries are positive, and whose p-fold products cannot
+    underflow, is decided before any table is built, so under any cap."""
+    atoms = np.random.default_rng(3).uniform(0.1, 1.0, (2, 3, 3))
+    atomic = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms)
+    box = UniformEntriesDistribution(lower=np.full((3, 3), 0.1), upper=np.full((3, 3), 0.2))
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1")
+    for p in (2, 5):
+        assert atomic.moments_positive(p) and box.moments_positive(p)
 
 
 def test_box_lift_in_row_blocks_is_the_same(monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import switchstab.radius as radius_module
@@ -26,6 +26,7 @@ from switchstab import (
     p_radius,
     spectrum,
 )
+from switchstab.linalg import sorted_indices
 from conftest import random_atomic, scalar_uniform
 from test_models import count_array_box_lift
 
@@ -144,8 +145,8 @@ def test_stability_builds_the_lift_once(monkeypatch, interval_box, p):
 
 def test_each_radius_names_its_cone(monkeypatch, three_mode_system):
     """Nonnegative supports solve on the orthant at any p, signed laws on
-    the PSD cone at p = 2 and densely at p >= 4; Markov radii on the
-    orthant at p = 1 and on N-tuples of PSD blocks at p = 2."""
+    the PSD cone at p = 2 and densely at p >= 4; Markov radii likewise, on
+    N-tuples of PSD blocks at p = 2."""
     routes = []
     cone_radius = radius_module.cone_spectral_radius
 
@@ -167,8 +168,14 @@ def test_each_radius_names_its_cone(monkeypatch, three_mode_system):
         routes.clear()
         check_mean_stability(dist, p)
         assert routes == route
-    positive = MarkovJumpSystem(three_mode_system.transition, np.abs(three_mode_system.modes))
-    for system, p, route in ((positive, 1, [(6, None)]), (three_mode_system, 2, [(9, 2)])):
+    signed = MarkovJumpSystem(three_mode_system.transition, -three_mode_system.modes)
+    for system, p, route in (
+        (three_mode_system, 1, [(6, None)]),
+        (three_mode_system, 2, [(9, None)]),
+        (three_mode_system, 3, [(12, None)]),
+        (signed, 2, [(9, 2)]),
+        (signed, 4, []),
+    ):
         routes.clear()
         markov_stability(system, p)
         assert routes == route
@@ -231,16 +238,26 @@ def test_markov_radius_closed_loop(three_mode_system):
     assert markov_stability(closed, 1).verdict is Verdict.STABLE
 
 
-def test_markov_radius_p1_needs_nonnegative_modes():
+def test_markov_radius_p1_needs_nonnegative_modes(monkeypatch):
     system = MarkovJumpSystem(
         transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
         modes=np.array([[[0.5, -0.1], [0.0, 0.5]], [[0.4, 0.0], [0.0, 0.4]]]),
     )
-    result = markov_p_radius(system, 1)
-    assert result.assumption_path is AssumptionPath.UNSUPPORTED
-    assert result.value is None
-    # p = 2 carries no sign hypothesis
-    assert markov_p_radius(system, 2).value is not None
+    built = []
+    build = radius_module._markov_on_sym
+    monkeypatch.setattr(
+        radius_module, "_markov_on_sym", lambda system, p: built.append(p) or build(system, p)
+    )
+    for p in (1, 3, 5):
+        result = markov_p_radius(system, p)
+        assert result.assumption_path is AssumptionPath.UNSUPPORTED
+        assert result.value is None
+        assert markov_stability(system, p).verdict is Verdict.UNSUPPORTED
+    assert built == []  # an unsupported p builds no operator
+    # even p carries no sign hypothesis
+    for p in (2, 4):
+        assert markov_p_radius(system, p).assumption_path is AssumptionPath.EVEN_P
+    assert built == [2, 4]
 
 
 def test_markov_radius_deterministic_contraction():
@@ -249,17 +266,26 @@ def test_markov_radius_deterministic_contraction():
 
 
 def test_markov_general_p_is_fenced():
+    """Odd p is fenced by the licence, not by its value: p = 3 answers on
+    nonnegative modes and is unsupported with a negative entry, where only
+    the full lift's rho(T_3)^(1/3) is read."""
     system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([0.5 * np.eye(2)]))
+    result = markov_p_radius(system, 3)
+    assert result.assumption_path is AssumptionPath.ORTHANT_INVARIANT
+    assert result.value == pytest.approx(0.5, rel=1e-12)
+    assert result.lifted_dim == 8
+    flipped = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([-0.5 * np.eye(2)]))
+    assert markov_p_radius(flipped, 3).value is None
+    assert markov_tp_spectral_radius(flipped, 3) == pytest.approx(0.5, rel=1e-10)
     with pytest.raises(ValueError):
-        markov_p_radius(system, 3)
-    assert markov_tp_spectral_radius(system, 3) == pytest.approx(0.5, rel=1e-10)
+        markov_p_radius(system, 0)
 
 
 def test_markov_single_mode_matches_iid_atom():
     m = np.array([[0.6, 0.2], [0.1, 0.3]])
     system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([m]))
     dist = single_atom(m)
-    for p in (1, 2):
+    for p in range(1, 6):
         assert markov_p_radius(system, p).value == pytest.approx(
             p_radius(dist, p).value, abs=1e-10
         )
@@ -604,13 +630,18 @@ def dense_lift(dist, p):
 
 
 def dense_radius(dist, p):
-    """rho(E[A^(kron p)])^(1/p) from the dense lift, with the relative
-    tolerance a comparison with it needs: 1e-12, or more where the dominant
-    eigenvalue is ill conditioned. There the first-order Bauer-Fike bound
+    """rho(E[A^(kron p)])^(1/p) from the dense lift, with the tolerance of
+    :func:`radius_with_allowance`."""
+    return radius_with_allowance(dense_lift(dist, p), p)
+
+
+def radius_with_allowance(lift, p):
+    """rho(lift)^(1/p), with the relative tolerance a comparison with it
+    needs: 1e-12, or more where the dominant eigenvalue is ill conditioned.
+    There the first-order Bauer-Fike bound
     eps * cond(V) * ||T|| / (p * rho(T)) applies, and the dense and the
     Sym^p routes both lose digits (near-defective atoms, such as a matrix
     close to a nilpotent one)."""
-    lift = dense_lift(dist, p)
     eigenvalues, vectors = np.linalg.eig(lift)
     rho = float(np.max(np.abs(eigenvalues)))
     bound = np.finfo(float).eps * np.linalg.cond(vectors) * np.linalg.norm(lift, 2) / (p * rho)
@@ -763,14 +794,52 @@ def markov_systems(draw):
 
 
 @PROPERTY_SETTINGS
-@given(markov_systems())
-def test_markov_sym2_radius_matches_the_dense_t2(system):
-    # T_2 preserves N-tuples of positive semidefinite matrices, so its
-    # spectral radius is attained on Sym^2 (x) R^N
-    dense = spectrum(markov_tp(system, 2)).spectral_radius ** 0.5
-    result = markov_p_radius(system, 2)
-    assert result.value == pytest.approx(dense, rel=1e-12)
-    assert result.lifted_dim == system.n_modes * system.dim**2
+@given(markov_systems(), st.integers(1, 5))
+def test_markov_sym2_radius_matches_the_dense_t2(system, p):
+    """At every licensed p the spectral radius of T_p is attained on
+    Sym^p (x) R^N."""
+    assume(system.dim**p * system.n_modes <= 256)
+    result = markov_p_radius(system, p)
+    assert result.lifted_dim == system.n_modes * system.dim**p
+    if p % 2 and np.any(system.modes < 0):
+        assert result.value is None
+        return
+    value, rel = radius_with_allowance(markov_tp(system, p), p)
+    assert result.value == pytest.approx(value, rel=rel)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_markov_sym_operator_propagates_the_conditional_moments(n, p):
+    """E[m_p(x(k)) 1{sigma_k = j}], summed over every mode sequence, is the
+    Sym^p (x) R^N operator applied k times to m_p(x0) in block sigma_0, for
+    k <= 8: the identity that licenses the Markov verdicts."""
+    rng = np.random.default_rng(10 * n + p)
+    transition = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) >= 0.3)
+    transition[np.arange(n), rng.integers(0, n, n)] += 0.1
+    system = MarkovJumpSystem(
+        transition=transition / transition.sum(axis=1, keepdims=True),
+        modes=rng.standard_normal((n, 2, 2)),
+    )
+    exponents = sorted_indices(2, p)
+
+    def monomial_blocks(states, modes, weights):
+        # the weighted m_p(x) of every sequence, summed by its current mode
+        terms = weights[:, None] * np.prod(states[:, exponents], axis=2)
+        return np.stack([terms[modes == j].sum(axis=0) for j in range(n)]).reshape(-1)
+
+    operator = radius_module._markov_on_sym(system, p)
+    sigma0, x0 = n - 1, np.array([0.8, -0.6])
+    states, modes, weights = x0[None], np.array([sigma0]), np.ones(1)
+    moments = monomial_blocks(states, modes, weights)
+    for k in range(1, 9):
+        # x(k) = M_{sigma_(k-1)} x(k-1), and sigma_k follows the chain
+        states = np.repeat(np.einsum("sab,sb->sa", system.modes[modes], states), n, axis=0)
+        weights = (weights[:, None] * system.transition[modes]).reshape(-1)
+        modes = np.tile(np.arange(n), modes.size)
+        moments = operator @ moments
+        exact = monomial_blocks(states, modes, weights)
+        assert np.allclose(moments, exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
 
 
 @settings(max_examples=20, deadline=None)
