@@ -17,11 +17,11 @@ each certificate folds them once into weights on the monomials, S.T f or
 G = S.T H S, and evaluates V row by row from m_q(x); so values do not depend
 on how rows are batched nor on the BLAS thread count.
 
-Cone norms are solved on Sym^p: the left Perron vector of the C(d+p-1, p)
-matrix E[S_p(A)] spreads over the Kronecker coordinates of each monomial,
-so f and the index array that maps its coordinates to their monomials are
-the only d^p-length arrays. Quadratic certificates solve on the full lift
-E[A^(kron p)].
+Cone norms are solved on Sym^p, and need its C(d+p-1, p) matrix E[S_p(A)]
+entrywise positive: its left Perron vector spreads over the Kronecker
+coordinates of each monomial, so f and the index array that maps its
+coordinates to their monomials are the only d^p-length arrays. Quadratic
+certificates solve on the full lift E[A^(kron p)].
 """
 
 from __future__ import annotations
@@ -161,25 +161,25 @@ def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
 
 def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     """Cone norm with lift power p (p odd) for an orthant-invariant law whose
-    E[A^(kron p)] is entrywise positive.
+    Sym^p matrix F = E[S_p(A)] is entrywise positive.
 
-    The weights are the left Perron vector of E[A^(kron p)], so on the orthant
-    f . (E[A^(kron p)] y) = rho f . y and the decay factor is rho. The vector
-    is solved on Sym^p: the left Perron vector h of the C(d+p-1, p) matrix
-    E[S_p(A)] gives f_i = h[r] / |orbit r| at every Kronecker coordinate i of
-    monomial r, so the d^p x d^p lift is never built; f and its index array,
-    built once and also used to fold f onto the monomials, are the only
-    d^p-length arrays.
+    The left Perron vector h > 0 of the C(d+p-1, p) matrix F gives
+    f_i = h[r] / |orbit r| at every Kronecker coordinate i of monomial r.
+    F is E[A^(kron p)] folded over the orbits, so f E[A^(kron p)] = rho f:
+    on the orthant the decay factor is rho, and the d^p x d^p lift is never
+    built. f and its index array, built once and also used to fold f onto
+    the monomials, are the only d^p-length arrays.
     """
     from .radius import DECISION_MARGIN
 
     subject = "cone-norm synthesis" if p == 1 else f"odd degree {p}"
     if not dist.support_nonnegative():
         raise AssumptionError(f"{subject} requires an orthant-invariant support")
-    if not dist.moments_positive(p):
-        mean = "mean" if p == 1 else f"lifted mean E[A^(kron {p})]"
+    induced = dist.expected_symmetric_power(p)
+    if not np.all(induced > 0):
+        mean = "mean" if p == 1 else f"Sym^{p} mean E[S_{p}(A)]"
         raise AssumptionError(f"{subject} requires an entrywise-positive {mean}")
-    rho, h = dominant_left_eigenvector(dist.expected_symmetric_power(p))
+    rho, h = dominant_left_eigenvector(induced)
     if rho >= 1.0 - DECISION_MARGIN:
         radius = "first-mean" if p == 1 else f"degree-{p}"
         raise InstabilityError(
@@ -250,8 +250,8 @@ def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate
     certificate for the law of B = A^(kron q) composed with x -> x^(kron q);
     its second moment E[B kron B] is E[A^(kron p)], so no lifted law is
     built. Odd p: a cone norm with lift power p, requiring an
-    orthant-invariant support with entrywise positive E[A^(kron p)]; it is
-    solved on Sym^p, so the entry cap bounds the C(d+p-1, p) x d^p row block.
+    orthant-invariant support with entrywise positive E[S_p(A)]; it is
+    solved on Sym^p, so the entry cap bounds the d^p weights and their index.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -361,11 +361,12 @@ def validate_certificate(
     certificate gets the sample mean and variance from moment matrices of
     the draws (on a finite law, from one sandwich per atom, weighted by how
     often it was drawn), a cone norm from V at every draw and vector. With
-    C the number of degree-q monomials, the entry cap guards the n_samples
-    d^2 draws (n_samples atom indices on a finite law), the C^2 sandwich
-    entries of each draw or atom, the C^2 products of each test vector and
-    the atoms x vectors values, or the n_samples C monomials of one vector,
-    and in exact mode the n C monomials of the test vectors.
+    C the number of degree-q monomials, the entry cap guards the n C
+    monomials of the n test vectors in both modes; in mode "mc" also the
+    n_samples d^2 draws (n_samples atom indices on a finite law), the C^2
+    sandwich entries of each draw or atom, the C^2 products of each test
+    vector and the atoms x vectors values, or the n_samples C monomials of
+    one vector.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
@@ -376,12 +377,13 @@ def validate_certificate(
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"test vectors must have shape (n, {dim})")
     gamma = cert.gamma
+    # the n x C monomials of the test vectors, built for V(x) in both modes
+    # and per atom in exact mode
+    check_entry_cap(xs.shape[0] * cert.weights.shape[0], "validation test vectors")
 
     if mode == "exact":
         if not isinstance(dist, AtomicDistribution):
             raise AssumptionError("exact validation needs a finite atomic law")
-        # the n x C monomials of the test vectors, built for V(x) and per atom
-        check_entry_cap(xs.shape[0] * cert.weights.shape[0], "exact validation vectors")
         vx = evaluate_rows(cert, xs)
         expected = np.zeros(xs.shape[0])
         for prob, m in zip(dist.probabilities, dist.atoms):

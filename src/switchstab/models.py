@@ -8,13 +8,12 @@ expectation used downstream exactly computable:
   degenerate intervals act as point masses in that entry).
 
 Each law builds the Sym^p matrix E[S_p(A)] (``expected_symmetric_power``)
-and tests that every degree-p moment of its d^2 entries is positive
-(``moments_positive``, which reads a few witnesses before the full table),
-with no array of length d^p. Atomic laws build S_p(A_k) degree by degree
-for all atoms at once and take their moments over the multisets of p cells
-by the same recursion; boxes expand (A x)^alpha over those multisets, from
-one memoised table, and add the terms with one ``bincount``. The entry cap
-counts each builder's result and tables on every call.
+with no array of length d^p; its entrywise positivity is the cone flag of
+a report and the gate of a cone-norm certificate. Atomic laws build
+S_p(A_k) degree by degree for all atoms at once; boxes expand (A x)^alpha
+over the multisets of p cells, from one memoised table, and add the terms
+with one ``bincount``. The entry cap counts each builder's result and
+tables on every call.
 
 Each dataclass checks its own invariants at construction. A broken schema
 rule raises :class:`SchemaError` (a ``ValueError``) whose pointer is relative
@@ -38,7 +37,6 @@ from .linalg import (
     check_entry_cap,
     check_finite,
     kron_power,
-    children,
     shift_up,
     sorted_indices,
     symmetric_dim,
@@ -47,8 +45,6 @@ from .linalg import (
 
 PROB_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
-#: far above the subnormals: a product of positive factors this large is positive
-_NORMAL_FLOOR = 1e-290
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -125,15 +121,6 @@ class MatrixDistribution:
         E[A^(kron p)] to the symmetric tensors. At p = 1 it is the mean."""
         raise NotImplementedError
 
-    def moments_positive(self, p: int) -> bool:
-        """True iff every degree-p moment E[prod of p entries of A] is
-        positive. The entries of E[A^(kron p)] are exactly these moments, so
-        this is the test E[A^(kron p)] > 0 without the d^p x d^p lift. Positive
-        factors whose p-fold products cannot underflow give True, and a
-        nonpositive one of a few moments, formed as the table forms them,
-        False; only an undecided law builds the table of every moment."""
-        raise NotImplementedError
-
     def support_nonnegative(self) -> bool:
         """Sufficient (and for these families exact) test that every support
         matrix is entrywise nonnegative, i.e. leaves the positive orthant
@@ -181,36 +168,6 @@ class AtomicDistribution(MatrixDistribution):
             raise ValueError("p must be >= 1")
         return _weighted_sum(self.probabilities, symmetric_power(self.atoms, p))
 
-    def moments_positive(self, p: int) -> bool:
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        n_atoms, cells = self.atoms.shape[0], self.dim**2
-        flat = self.atoms.reshape(n_atoms, cells)
-        low = float(flat.min())
-        if low > 0 and min(low, 1.0) ** p * float(self.probabilities.min()) >= _NORMAL_FLOOR:
-            return True
-        if p > 2:
-            # the moments of t^(p-1) u, t <= u, folded left as the table
-            # folds them (at p = 2 they are the whole table)
-            check_entry_cap(n_atoms * symmetric_dim(cells, 2), "moment witnesses")
-            power = functools.reduce(np.multiply, [flat] * (p - 1))
-            t, u = np.triu_indices(cells)
-            if not np.all(_weighted_sum(self.probabilities, power[:, t] * flat[:, u]) > 0):
-                return False
-        check_entry_cap(n_atoms * symmetric_dim(cells, p), "moment table")
-        return bool(np.all(self._multiset_moments(p) > 0))
-
-    def _multiset_moments(self, p: int) -> np.ndarray:
-        # the moments of the sorted multisets of p cells, each product taken
-        # in increasing cell order as kron_power takes one of its entries
-        n_atoms, cells = self.atoms.shape[0], self.dim**2
-        flat = self.atoms.reshape(n_atoms, cells)
-        products, last = flat, np.arange(cells)
-        for _ in range(2, p + 1):
-            parent, last = children(last, cells)
-            products = np.take(products, parent, axis=1) * np.take(flat, last, axis=1)
-        return _weighted_sum(self.probabilities, products)
-
     def support_nonnegative(self) -> bool:
         return bool(np.all(self.atoms >= 0))
 
@@ -249,8 +206,8 @@ class UniformEntriesDistribution(MatrixDistribution):
 
         The law keeps the stack of the highest order computed so far, and a
         lower order is a copy of its first rows, which are the same bits
-        (see :meth:`_entry_moment_stack`): a radius, its flags and their
-        moment tables share one computation.
+        (see :meth:`_entry_moment_stack`): the Sym^p matrix of a report and
+        the mean of its flag share one computation.
         """
         kept = self.__dict__.get("_moments")
         if kept is None or kept.shape[0] <= order:
@@ -322,25 +279,6 @@ class UniformEntriesDistribution(MatrixDistribution):
         terms = plan.coef * self._multiset_moments(plan, p)
         return np.bincount(plan.pair, weights=terms, minlength=size * size).reshape(size, size)
 
-    def moments_positive(self, p: int) -> bool:
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        if p == 1:
-            return bool(np.all(self.entry_moment(1) > 0))
-        cells = self.dim**2
-        moments = self.entry_moments(p).reshape(p + 1, cells)
-        low = float(moments[1:].min())
-        if low > 0 and min(low, 1.0) ** p >= _NORMAL_FLOOR:
-            return True
-        # E[a_c^k] E[a_c'^(p-k)], c != c', and E[a_c^p] are table entries (its
-        # padding factors are 1.0, and a product of two commutes); at p = 2, all
-        check_entry_cap((p - 1) * cells * cells, "moment witnesses")
-        pairs = moments[1:p, :, None] * moments[p - 1 : 0 : -1, None, :]
-        pairs.reshape(p - 1, -1)[:, :: cells + 1] = 1.0  # c = c' is no entry
-        if not (np.all(pairs > 0) and np.all(moments[p] > 0)):
-            return False
-        return p == 2 or bool(np.all(self._multiset_moments(_cell_multisets(self.dim, p), p) > 0))
-
     def _multiset_moments(self, plan: _CellMultisets, p: int) -> np.ndarray:
         # E[a^T] as the product of single-cell moments in increasing cell
         # order: the value of every entry of E[A^(kron p)] with these cells,
@@ -361,9 +299,10 @@ class UniformEntriesDistribution(MatrixDistribution):
 class ConeFlags:
     """Recomputed (never user-supplied) positivity flags.
 
-    ``expectation_positive[p]`` is the sufficient entrywise test
-    "E[A^(kron p)] > 0"; for p = 1 on the orthant it is exact, for p >= 2 it
-    must not be read as a proof of failure.
+    ``expectation_positive[p]`` is the entrywise test "E[S_p(A)] > 0" on the
+    Sym^p matrix of the report's radius, equal to "E[A] > 0" at p = 1. On
+    the orthant it licenses a cone-norm certificate of degree p; false must
+    not be read as a proof of failure.
     """
 
     orthant_invariant: bool

@@ -13,9 +13,9 @@ orthant, the all-ones vector is symmetric and positive. So the p-radius of
 an i.i.d. law is read from the C(d+p-1, p) square matrix E[S_p(A)] of the
 law's ``expected_symmetric_power`` builder, with m_p(A x) = S_p(A) m_p(x)
 for the degree-p monomials m_p, and no array of the computation has a d^p
-axis. The positivity flags of a report come from the law's
-``moments_positive``, the same test as E[A^(kron p)] > 0. The entry cap
-counts every table and result of the builders.
+axis. The positivity flag of a report at p is read from that same matrix,
+E[S_p(A)] > 0, and the flag at p = 1 from the mean. The entry cap counts
+every table and result of the builders.
 
 A Markov jump system is read the same way. Its conditional moments
 E[x(k)^(kron p) 1{sigma_k = j}] evolve by T_p, whose block (j, i) is
@@ -156,11 +156,12 @@ class LimitSequence:
 
 def _radius(
     build: Callable[[], np.ndarray], p: int, nonnegative: bool, side: int, lifted_dim: int
-) -> PRadiusResult:
+) -> tuple[PRadiusResult, np.ndarray | None]:
     """rho(build())^(1/p) for a Sym^p operator, when p is licensed: even p,
-    or odd p on a nonnegative support. The radius is read on the orthant
-    for a nonnegative support, on N-tuples of PSD blocks of side ``side``
-    at p = 2, densely otherwise. An unsupported p builds nothing."""
+    or odd p on a nonnegative support, with the matrix it read. The radius
+    is read on the orthant for a nonnegative support, on N-tuples of PSD
+    blocks of side ``side`` at p = 2, densely otherwise. An unsupported p
+    builds nothing, and its matrix is None."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     if p % 2 == 0:
@@ -169,7 +170,7 @@ def _radius(
         path = AssumptionPath.ORTHANT_INVARIANT
     else:
         path = AssumptionPath.UNSUPPORTED
-        return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path)
+        return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path), None
     induced = build()
     if nonnegative:
         rho = cone_spectral_radius(induced).value
@@ -177,16 +178,20 @@ def _radius(
         rho = cone_spectral_radius(induced, psd_side=side).value
     else:
         rho = spectrum(induced).spectral_radius
-    return PRadiusResult(
-        p=p, value=float(rho ** (1.0 / p)), lifted_dim=lifted_dim, assumption_path=path
-    )
+    value = float(rho ** (1.0 / p))
+    return PRadiusResult(p=p, value=value, lifted_dim=lifted_dim, assumption_path=path), induced
+
+
+def _sym_p_radius(dist: MatrixDistribution, p: int) -> tuple[PRadiusResult, np.ndarray | None]:
+    """The p-radius with the E[S_p(A)] it was read from (None if unsupported)."""
+    nonnegative = dist.support_nonnegative()
+    return _radius(lambda: dist.expected_symmetric_power(p), p, nonnegative, dist.dim, dist.dim**p)
 
 
 def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
     """p-radius rho_p = rho(E[A^(kron p)])^(1/p), when licensed, computed on
     the symmetric power Sym^p. ``lifted_dim`` is still d^p."""
-    nonnegative = dist.support_nonnegative()
-    return _radius(lambda: dist.expected_symmetric_power(p), p, nonnegative, dist.dim, dist.dim**p)
+    return _sym_p_radius(dist, p)[0]
 
 
 def _verdict(value: float | None) -> Verdict:
@@ -204,12 +209,13 @@ def check_mean_stability(dist: MatrixDistribution, p: int) -> StabilityReport:
 
     Values within ``DECISION_MARGIN`` of 1 are reported marginal since
     floating point cannot certify a strict inequality at the boundary.
+    The flag at a licensed p is read from the E[S_p(A)] the radius was
+    solved on; the flag of the mean, in every report, from E[A].
     """
-    result = p_radius(dist, p)
-    # every report carries the flag of the mean; a licensed p adds its own
-    positive = {1: dist.moments_positive(1)}
-    if result.assumption_path is not AssumptionPath.UNSUPPORTED and p > 1:
-        positive[p] = dist.moments_positive(p)
+    result, induced = _sym_p_radius(dist, p)
+    positive = {} if induced is None else {p: bool(np.all(induced > 0))}
+    if 1 not in positive:
+        positive[1] = bool(np.all(dist.expected_symmetric_power(1) > 0))
     flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
     return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
 
@@ -265,7 +271,7 @@ def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
     silently numeric.
     """
     nonnegative, lifted_dim = bool(np.all(system.modes >= 0)), system.n_modes * system.dim**p
-    return _radius(lambda: _markov_on_sym(system, p), p, nonnegative, system.dim, lifted_dim)
+    return _radius(lambda: _markov_on_sym(system, p), p, nonnegative, system.dim, lifted_dim)[0]
 
 
 def markov_stability(system: MarkovJumpSystem, p: int) -> StabilityReport:

@@ -10,6 +10,7 @@ import pytest
 import switchstab.linalg as linalg_module
 from switchstab.cli import main
 from switchstab.lyapunov import DEFAULT_VALIDATION_SEED
+from switchstab.models import load_problem
 
 
 def run(capsys, *argv):
@@ -193,6 +194,23 @@ def test_lyapunov_unstable_exits_2(capsys, docs):
     code, report = run(capsys, "lyapunov", "-i", str(docs["unstable.json"]), "-p", "2")
     assert code == 2
     assert report["error"]["type"] == "InstabilityError"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13])
+def test_atomic_pair_cone_norm_at_every_odd_degree(capsys, p):
+    # the atoms have zeros in different cells, so E[A^(kron p)] has zero
+    # entries, but E[S_p(A)] > 0 and its Perron vector is the certificate
+    path = PROBLEMS / "atomic_pair.json"
+    code, report = run(capsys, "lyapunov", "-i", str(path), "-p", str(p), "--validate", "exact")
+    assert code == 0
+    induced = load_problem(path.read_text(encoding="utf-8")).expected_symmetric_power(p)
+    gamma = report["results"]["certificate"]["gamma"]
+    assert gamma == pytest.approx(float(np.max(np.abs(np.linalg.eigvals(induced)))), rel=1e-12)
+    if p == 3:
+        assert gamma == pytest.approx(0.07933580012153, abs=1e-14)
+    validation = report["results"]["validation"]
+    assert validation["passed"] is True
+    assert validation["worst_margin"] <= 1.0 + 1e-9
 
 
 def test_jsr_bracket_and_type_requirements(capsys, docs):
@@ -449,12 +467,13 @@ def test_lyapunov_cap_exits_5(capsys, docs, monkeypatch):
 def test_validate_mc_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
     cert_path = tmp_path / "cert.json"
     run(capsys, "lyapunov", "-i", str(docs["box.json"]), "-p", "1", "-o", str(cert_path))
-    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    # 1000 draws of 2x2 are 4000 entries, above the 1002 x 2 test monomials
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "4000")
     argv = ["validate", "--cert", str(cert_path), "-i", str(docs["box.json"]), "--mode"]
-    code, report = run(capsys, *argv, "mc:250")  # 250 draws of 2x2: 1000 entries
+    code, report = run(capsys, *argv, "mc:1000")
     assert code == 0
     assert report["results"]["passed"] is True
-    code, report = run(capsys, *argv, "mc:251")
+    code, report = run(capsys, *argv, "mc:1001")
     assert code == 5
     assert report["error"]["type"] == "DimensionCapError"
 

@@ -27,6 +27,7 @@ from switchstab import (
     validate_certificate,
 )
 from switchstab.mcsim import atom_indices
+from switchstab.radius import DECISION_MARGIN
 from conftest import (
     expected_matrix,
     expected_sandwich,
@@ -444,6 +445,46 @@ def test_odd_degree_builds_the_symmetric_power_once(monkeypatch, shrunk_box):
     assert calls == [("expected_symmetric_power", 3)]
 
 
+@st.composite
+def sparse_nonnegative_laws(draw):
+    """A nonnegative atomic law with zero entries (d <= 3, 1 to 3 atoms) and
+    an odd p <= 7 with d^p <= 729, for the dense lift; a law with a positive
+    p-radius is rescaled to p-radius 0.5, 0.9 or 1.1."""
+    d, p = draw(st.sampled_from([(d, p) for d in (1, 2, 3) for p in (1, 3, 5, 7) if d**p <= 729]))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.2, 0.4, 0.6]))
+    atoms = rng.uniform(0.1, 1.0, (m, d, d)) * (rng.uniform(size=(m, d, d)) >= zeros)
+    probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    dist = AtomicDistribution(probabilities=probs / probs.sum(), atoms=atoms)
+    radius = p_radius(dist, p).value
+    if radius > 0:
+        scale = draw(st.sampled_from([0.5, 0.9, 1.1])) / radius
+        dist = AtomicDistribution(probabilities=dist.probabilities, atoms=scale * atoms)
+    return dist, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_nonnegative_laws())
+def test_cone_norm_certifies_every_stable_law_with_a_positive_sym_p_mean(law):
+    dist, p = law
+    positive = bool(np.all(dist.expected_symmetric_power(p) > 0))
+    stable = p_radius(dist, p).value < 1.0 - DECISION_MARGIN
+    try:
+        cert = synthesize_degree_p(dist, p)
+    except AssumptionError:
+        assert not positive
+        return
+    except InstabilityError:
+        assert positive and not stable
+        return
+    assert positive and stable
+    assert np.all(cert.f > 0)
+    residual = cert.f @ dist.expected_kron_power(p) - cert.gamma * cert.f
+    assert np.max(np.abs(residual)) <= 1e-12 * cert.gamma
+    assert validate_certificate(cert, dist, mode="exact").passed
+
+
 def test_degree_three_requires_orthant():
     rng = np.random.default_rng(23)
     dist = random_atomic(rng, n_atoms=2, dim=2, target_r2=0.5)
@@ -507,7 +548,7 @@ def test_exact_validation_guards_its_lifted_test_vectors(monkeypatch):
     thirteen, fifteen = synthesize_degree_p(dist, 13), synthesize_degree_p(dist, 15)
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "15000")
     assert validate_certificate(thirteen, dist, mode="exact").passed
-    with pytest.raises(DimensionCapError, match="exact validation vectors") as caught:
+    with pytest.raises(DimensionCapError, match="validation test vectors") as caught:
         validate_certificate(fifteen, dist, mode="exact")
     assert caught.value.requested == 1002 * 16
 
@@ -550,7 +591,8 @@ def test_validation_mc_needs_two_samples():
 def test_mc_validation_respects_the_lift_cap(monkeypatch):
     """Each array of a Monte Carlo validation is counted by its own size:
     C(d+q-1, q) monomials give C = 2 at d = 2, q = 1; C = 3 at d = 2, q = 2;
-    C = 6 at d = 3, q = 2 and at d = 2, q = 5."""
+    C = 6 at d = 3, q = 2 and at d = 2, q = 5. The n C monomials of the n
+    test vectors are counted first, so each other case has few vectors."""
     rng = np.random.default_rng(31)
     plane = random_atomic(rng, n_atoms=2, dim=2, target_r2=0.8)
     space = random_atomic(rng, n_atoms=2, dim=3, target_r2=0.8)
@@ -572,12 +614,13 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
     validate_certificate(quartic_plane, plane, xs=few, mode="mc", n_samples=200)
     validate_certificate(quartic_space, box, xs=few[:, [0, 1, 1]], mode="mc", n_samples=2)
     cases = [
-        (quadratic, plane, None, 1200, "Monte Carlo samples", 1200),  # the atom indices
-        (cone, plane, None, 600, "Monte Carlo samples", 2400),  # the draws, 600 x 2 x 2
-        (quartic_space, box, None, 30, "Monte Carlo sandwiches", 1080),  # 30 x 6 x 6
-        (quartic_plane, plane, None, 200, "Monte Carlo test monomials", 9018),  # 1002 x 3 x 3
+        (cone, plane, None, 10, "validation test vectors", 2004),  # 1002 x 2
+        (quadratic, plane, few, 1200, "Monte Carlo samples", 1200),  # the atom indices
+        (cone, plane, few, 600, "Monte Carlo samples", 2400),  # the draws, 600 x 2 x 2
+        (quartic_space, box, few[:, [0, 1, 1]], 30, "Monte Carlo sandwiches", 1080),  # 30 x 6 x 6
+        (quartic_plane, plane, more, 200, "Monte Carlo test monomials", 1170),  # 130 x 3 x 3
         (quadratic_eight, eight, more, 200, "Monte Carlo atom values", 1040),  # 8 x 130
-        (quintic, plane, None, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
+        (quintic, plane, few, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
     ]
     for cert, dist, xs, n, context, requested in cases:
         with pytest.raises(DimensionCapError, match=context) as caught:

@@ -181,74 +181,16 @@ def flag_laws(draw):
     return AtomicDistribution(probabilities=probs / probs.sum(), atoms=atoms), p
 
 
-@settings(max_examples=80, deadline=None)
-@given(flag_laws())
-def test_moment_flags_are_the_dense_flags(law):
-    dist, p = law
-    assert dist.moments_positive(p) == bool(np.all(dist.expected_kron_power(p) > 0))
-
-
-def full_table_flag(dist, p):
-    """The flag from the table of every degree-p moment, with no witness."""
-    if isinstance(dist, AtomicDistribution):
-        moments = dist._multiset_moments(p)
-    elif p == 1:
-        moments = dist.entry_moment(1)
-    else:
-        moments = dist._multiset_moments(models_module._cell_multisets(dist.dim, p), p)
-    return bool(np.all(moments > 0))
-
-
-@st.composite
-def scaled_flag_laws(draw):
-    """The laws of ``flag_laws``, with zero-width box entries and every
-    entry scaled by 10^-100, 1 or 10^100, where products underflow or
-    overflow."""
-    dist, p = draw(flag_laws())
-    scale = draw(st.sampled_from([1e-100, 1.0, 1e100]))
-    if isinstance(dist, AtomicDistribution):
-        return AtomicDistribution(dist.probabilities, dist.atoms * scale), p
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lower = dist.lower * scale
-    upper = np.where(rng.uniform(size=lower.shape) < 0.2, lower, dist.upper * scale)
-    return UniformEntriesDistribution(lower=lower, upper=upper), p
-
-
-@settings(max_examples=150, deadline=None)
-@given(scaled_flag_laws())
-def test_witness_first_flags_are_the_full_table_flags(law):
-    dist, p = law
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert dist.moments_positive(p) == full_table_flag(dist, p)
-
-
-def test_witnesses_decide_without_the_moment_tables(monkeypatch, interval_box):
-    rng = np.random.default_rng(13)
-    positive = AtomicDistribution(np.full(3, 1.0 / 3.0), rng.uniform(0.1, 1.0, (3, 4, 4)))
-    signed = AtomicDistribution(np.full(3, 1.0 / 3.0), rng.standard_normal((3, 5, 5)))
-    lower = rng.uniform(-1.0, 1.0, (16, 16))
-    signed_box = UniformEntriesDistribution(lower=lower, upper=lower + 0.2)
-    negative = -rng.uniform(0.5, 1.0, (4, 4))  # every mean negative: even p is positive
-    negative_box = UniformEntriesDistribution(lower=negative, upper=negative + 0.3)
-    builds = []
-    monkeypatch.setattr(AtomicDistribution, "_multiset_moments", lambda *a: builds.append(a))
-    monkeypatch.setattr(UniformEntriesDistribution, "_multiset_moments", lambda *a: builds.append(a))
-    monkeypatch.setattr(models_module, "_cell_multisets", lambda *a: builds.append(a))
-    for dist, p, flag in [(interval_box, 6, True), (positive, 5, True), (signed, 4, False),
-                          (signed_box, 2, False), (negative_box, 2, True)]:
-        assert dist.moments_positive(p) is flag
-    assert builds == []
-
-
 def test_box_moments_are_computed_once_per_stability_check(monkeypatch):
+    # the Sym^p matrix and the mean of the flags read one stack of moments
     rng = np.random.default_rng(17)
-    negative = -rng.uniform(0.5, 1.0, (3, 3))  # even p: no witness decides, the full table runs
-    tiny = rng.uniform(1e-80, 2e-80, (2, 2))  # positive, but min^p is below the normal floor
+    negative = -rng.uniform(0.5, 1.0, (3, 3))
+    tiny = rng.uniform(1e-80, 2e-80, (2, 2))
     cases = [(negative, 0.3, 4), (negative, 0.3, 6), (tiny, tiny, 4), (tiny, tiny, 5)]
 
     def check(lower, width, p):
         box = UniformEntriesDistribution(lower=lower, upper=lower + width)
-        return check_mean_stability(box, p).to_dict(), box.moments_positive(p)
+        return check_mean_stability(box, p).to_dict()
 
     stack = UniformEntriesDistribution._entry_moment_stack
     with pytest.MonkeyPatch.context() as patch:  # each call computes its own stack
@@ -304,39 +246,37 @@ def test_box_moments_in_one_pass_are_the_per_order_sums(case):
             assert report.cone_flags == check_mean_stability(box, q).cone_flags
 
 
+def sym_fold(lift, d, p):
+    """The Sym^p matrix of a d^p x d^p lift: row r is the row of the sorted
+    multi-index of monomial r, summed over the columns of each monomial."""
+    orbit = orbit_index(d, p)
+    first = np.unique(orbit, return_index=True)[1]  # the sorted multi-indices
+    folded = np.zeros((first.size, first.size))
+    np.add.at(folded.T, orbit, lift[first].T)
+    return folded
+
+
 @settings(max_examples=60, deadline=None)
 @given(flag_laws())
 def test_symmetric_power_of_a_law_is_its_folded_lift(law):
     dist, p = law
     lift = dist.expected_kron_power(p)
-    orbit = orbit_index(dist.dim, p)
-    first = np.unique(orbit, return_index=True)[1]  # the sorted multi-indices
-    folded = np.zeros((first.size, first.size))
-    np.add.at(folded.T, orbit, lift[first].T)
-    scale = max(1.0, float(np.max(np.abs(lift))) * orbit.size)
+    folded = sym_fold(lift, dist.dim, p)
+    scale = max(1.0, float(np.max(np.abs(lift))) * dist.dim**p)
     assert np.max(np.abs(dist.expected_symmetric_power(p) - folded)) <= 1e-12 * scale
 
 
 def test_builder_tables_are_guarded_when_memoised(monkeypatch, interval_box):
-    # entries near the underflow floor have positive moments, but p-fold
-    # products that could underflow, so moments_positive builds its
-    # witnesses and then its full table, each checked where it is built
-    tiny = 1e-50
-    atomic = AtomicDistribution(probabilities=np.array([1.0]), atoms=np.full((1, 2, 2), tiny))
-    five = AtomicDistribution(probabilities=np.full(5, 0.2), atoms=np.full((5, 2, 2), tiny))
-    box = UniformEntriesDistribution(lower=np.full((2, 2), tiny), upper=np.full((2, 2), 2 * tiny))
+    atomic = AtomicDistribution(probabilities=np.array([1.0]), atoms=np.full((1, 2, 2), 0.5))
+    box = UniformEntriesDistribution(lower=np.full((2, 2), 0.1), upper=np.full((2, 2), 0.2))
     # build every table under the default cap first, so that each guard
     # below runs on a memoised table
     interval_box.expected_symmetric_power(6)
-    assert atomic.moments_positive(6) and five.moments_positive(6) and box.moments_positive(6)
     atomic.expected_symmetric_power(6)
     orbit_index(2, 6)
     cases = [
         (48, lambda: interval_box.expected_symmetric_power(6), "cell multisets"),  # 84 x 6
-        (100, lambda: box.moments_positive(6), "cell multisets"),  # past its 80 witnesses
-        (48, lambda: box.moments_positive(6), "moment witnesses"),  # 5 orders x 4 x 4 cells
-        (48, lambda: atomic.moments_positive(6), "moment table"),  # 84 multisets x 1 atom
-        (48, lambda: five.moments_positive(6), "moment witnesses"),  # 5 atoms x 10 cell pairs
+        (100, lambda: box.expected_symmetric_power(6), "cell multisets"),
         (48, lambda: atomic.expected_symmetric_power(6), "symmetric power"),  # 7 x 7 x 1 atom
         (48, lambda: orbit_index(2, 6), "orbit index"),  # 2^6
     ]
@@ -344,17 +284,6 @@ def test_builder_tables_are_guarded_when_memoised(monkeypatch, interval_box):
         monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", str(cap))
         with pytest.raises(DimensionCapError, match=context):
             build()
-
-
-def test_positive_laws_build_no_moment_table(monkeypatch):
-    """A law whose entries are positive, and whose p-fold products cannot
-    underflow, is decided before any table is built, so under any cap."""
-    atoms = np.random.default_rng(3).uniform(0.1, 1.0, (2, 3, 3))
-    atomic = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms)
-    box = UniformEntriesDistribution(lower=np.full((3, 3), 0.1), upper=np.full((3, 3), 0.2))
-    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1")
-    for p in (2, 5):
-        assert atomic.moments_positive(p) and box.moments_positive(p)
 
 
 def test_box_lift_in_row_blocks_is_the_same(monkeypatch):

@@ -28,7 +28,7 @@ from switchstab import (
 )
 from switchstab.linalg import sorted_indices
 from conftest import random_atomic, scalar_uniform
-from test_models import count_array_box_lift
+from test_models import count_array_box_lift, sym_fold
 
 
 def single_atom(m):
@@ -117,9 +117,12 @@ def test_stability_builds_the_lift_once(monkeypatch, interval_box, p):
         probabilities=np.array([0.4, 0.6]),
         atoms=np.array([[[0.2, 0.5], [0.3, 0.1]], [[0.6, 0.0], [0.1, 0.4]]]),
     )
-    for dist in (atomic, interval_box):
+    signed = single_atom(np.array([[0.5, -0.2], [0.1, 0.3]]))
+    for dist in (atomic, interval_box, signed):
         cls = type(dist)
-        expected = {q: bool(np.all(dist.expected_kron_power(q) > 0)) for q in {1, p}}
+        licensed = p % 2 == 0 or dist.support_nonnegative()
+        orders = sorted({p, 1} if licensed else {1}, reverse=True)
+        expected = {q: bool(np.all(dist.expected_symmetric_power(q) > 0)) for q in orders}
         calls = {"expected_symmetric_power": [], "expected_kron_power": []}
         for name, log in calls.items():
 
@@ -134,13 +137,18 @@ def test_stability_builds_the_lift_once(monkeypatch, interval_box, p):
             log.clear()
         radius = p_radius(dist, p)
         monkeypatch.undo()
-        # one Sym^p matrix serves the radius, the flags come from the moments,
-        # and the d^p x d^p lift is never built
-        assert built == [p]
+        # one Sym^p matrix serves the radius and its flag, the mean adds the
+        # flag of p = 1, an unsupported p builds no Sym^p matrix, and the
+        # d^p x d^p lift is never built
+        assert built == orders
         assert full == []
-        assert calls == {"expected_symmetric_power": [p], "expected_kron_power": []}
+        assert calls == {"expected_symmetric_power": [p] if licensed else [],
+                         "expected_kron_power": []}
         assert report.cone_flags.expectation_positive == expected
-        assert report.p_radius.value == pytest.approx(radius.value, rel=1e-15)
+        if licensed:
+            assert report.p_radius.value == pytest.approx(radius.value, rel=1e-15)
+        else:
+            assert report.p_radius.value is None and radius.value is None
 
 
 def test_each_radius_names_its_cone(monkeypatch, three_mode_system):
@@ -681,7 +689,7 @@ def test_sym_route_matches_the_dense_lift(law):
     assert report.p_radius.value == pytest.approx(value, rel=rel)
     assert report.p_radius.lifted_dim == dist.dim**p
     assert report.cone_flags.expectation_positive == {
-        q: bool(np.all(dense_lift(dist, q) > 0)) for q in {1, p}
+        q: bool(np.all(sym_fold(dense_lift(dist, q), dist.dim, q) > 0)) for q in {1, p}
     }
 
 
