@@ -37,6 +37,7 @@ from .linalg import (
     check_entry_cap,
     check_finite,
     dominant_left_eigenvector,
+    lift_entry_cap,
     monomials,
     orbit_index,
     spectrum,
@@ -295,47 +296,46 @@ def default_test_vectors(dim: int, count: int = 1000, seed: int = DEFAULT_VALIDA
     return panel
 
 
-def _mc_estimates(
-    cert: LyapunovCertificate, mats: np.ndarray, xs: np.ndarray, index: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error of V(A x) over the draws
-    ``mats[index]`` (``mats`` if ``index`` is None), at every row x of
-    ``xs``. A quadratic certificate forms one sandwich per matrix of
-    ``mats``; on the atoms of a finite law (``index`` given) the moments are
-    the count-weighted mean and variance of the per-atom values."""
-    n = mats.shape[0] if index is None else index.size
-    d, q, c = mats.shape[1], cert.lift_power, cert.weights.shape[0]
+def _sandwich_terms(cert: QuadraticCertificate, mats: np.ndarray, xs: np.ndarray):
+    """Rows vec(B), B = S_q(A).T G S_q(A), per matrix A and w = vec(m m.T),
+    m = m_q(x), per vector x: V(A x) = w . vec(B), C^2 entries each."""
+    q, c = cert.lift_power, cert.weights.shape[0]
+    check_entry_cap(len(mats) * c * c, "validation sandwiches")
+    check_entry_cap(xs.shape[0] * c * c, "validation monomial products")
+    induced = symmetric_power(mats, q)
+    sandwiches = (induced.transpose(0, 2, 1) @ cert.weights @ induced).reshape(len(mats), -1)
+    m = _monomial_rows(xs, q)
+    return sandwiches, np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
+
+
+def _atom_values(cert: LyapunovCertificate, atoms: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The (atoms, vectors) table of V(A_k x) on the atoms of a finite law."""
+    check_entry_cap(len(atoms) * xs.shape[0], "validation atom values")
     if isinstance(cert, QuadraticCertificate):
-        # V(A_s x) = w . vec(B_s) with B_s = S_q(A_s).T G S_q(A_s) and w =
-        # vec(m m.T), m = m_q(x); the cap counts the C^2 sandwich entries of
-        # every matrix of ``mats``, which bound the min(n, C^2) x C^2
-        # triangular factor below, and the C^2 entries of w per vector
-        check_entry_cap(len(mats) * c * c, "Monte Carlo sandwiches")
-        check_entry_cap(xs.shape[0] * c * c, "Monte Carlo test monomials")
-        induced = symmetric_power(mats, q)
-        sandwiches = (induced.transpose(0, 2, 1) @ cert.weights @ induced).reshape(len(mats), -1)
-        m = _monomial_rows(xs, q)
-        w = np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
-        if index is not None:
-            check_entry_cap(len(mats) * xs.shape[0], "Monte Carlo atom values")
-            counts = np.bincount(index, minlength=len(mats))
-            values = sandwiches @ w.T  # (atoms, vectors)
-            mean = counts @ values / n
-            var = counts @ (values - mean) ** 2 / (n - 1)
-        else:
-            # with the centred sandwiches D = Q R, the variance w.T D.T D w
-            # / (n-1) is |R w|^2 / (n-1), a sum of squares that cannot cancel
-            centre = sandwiches.mean(axis=0)
-            rw = np.linalg.qr(sandwiches - centre, mode="r") @ w.T
-            mean = w @ centre
-            var = np.einsum("in,in->n", rw, rw) / (n - 1)
-        return mean, np.sqrt(var / n)
-    # cone norms: each chunk of vectors is mapped by every draw in one matrix
-    # product, and the values are summed over the draws in draw order
+        sandwiches, w = _sandwich_terms(cert, atoms, xs)
+        return sandwiches @ w.T
+    return np.stack([evaluate_rows(cert, xs @ a.T) for a in atoms])
+
+
+def _mc_estimates(cert: LyapunovCertificate, mats: np.ndarray, xs: np.ndarray):
+    """Sample mean and standard error of V(A x) over the draws ``mats``, per row x of ``xs``."""
+    n, d = mats.shape[:2]
+    if isinstance(cert, QuadraticCertificate):
+        # with the centred sandwiches D = Q R, the variance w.T D.T D w
+        # / (n-1) is |R w|^2 / (n-1), a sum of squares that cannot cancel;
+        # R has min(n, C^2) rows
+        sandwiches, w = _sandwich_terms(cert, mats, xs)
+        centre = sandwiches.mean(axis=0)
+        rw = np.linalg.qr(sandwiches - centre, mode="r") @ w.T
+        var = np.einsum("in,in->n", rw, rw) / (n - 1)
+        return w @ centre, np.sqrt(var / n)
+    # cone norms: each block of vectors is mapped by every draw in one matrix
+    # product and summed in draw order; a block's monomials stay under the cap
+    c = cert.weights.shape[0]
     check_entry_cap(n * c, "Monte Carlo certificate values")
-    draws = (mats if index is None else mats[index]).reshape(-1, d).T
+    draws = mats.reshape(-1, d).T
     expected, stderr = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-    chunk = max(1, int(2e6) // (n * c))
+    chunk = max(1, min(int(2e6), lift_entry_cap()) // (n * c))
     for start in range(0, xs.shape[0], chunk):
         block = xs[start : start + chunk]
         mapped = (block @ draws).reshape(-1, d)  # A_s x_k, draw-major within each x_k
@@ -355,18 +355,16 @@ def validate_certificate(
 ) -> ValidationReport:
     """Check E[V(A x)] <= gamma V(x) over a panel of test vectors.
 
-    mode "exact" evaluates the expectation atom by atom (finite laws only);
-    mode "mc" estimates it from n_samples >= 2 draws and allows a four-
-    standard-error band on top of the decay bound. A (lifted) quadratic
-    certificate gets the sample mean and variance from moment matrices of
-    the draws (on a finite law, from one sandwich per atom, weighted by how
-    often it was drawn), a cone norm from V at every draw and vector. With
-    C the number of degree-q monomials, the entry cap guards the n C
-    monomials of the n test vectors in both modes; in mode "mc" also the
-    n_samples d^2 draws (n_samples atom indices on a finite law), the C^2
-    sandwich entries of each draw or atom, the C^2 products of each test
-    vector and the atoms x vectors values, or the n_samples C monomials of
-    one vector.
+    A finite law gives one (atoms, vectors) table of V(A_k x), for a
+    quadratic from one sandwich S_q(A_k).T G S_q(A_k) per atom. Mode "exact"
+    weights it by the probabilities, mode "mc" by the counts of n_samples
+    >= 2 drawn atoms over n_samples. A sampled law (a box) has mode "mc"
+    only, over n_samples drawn matrices. Mode "mc" allows four standard
+    errors on top of the decay bound. With C the number of degree-q
+    monomials, the cap counts the n C monomials of the n test vectors; the
+    atoms x n table; a quadratic's C^2 entries per atom or draw and per
+    vector; the n_samples atom indices or d^2 draws; and a box cone norm's
+    n_samples C monomials per vector.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
@@ -377,17 +375,16 @@ def validate_certificate(
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"test vectors must have shape (n, {dim})")
     gamma = cert.gamma
-    # the n x C monomials of the test vectors, built for V(x) in both modes
-    # and per atom in exact mode
+    # the n x C monomials of the test vectors, built for V(x) and per atom
     check_entry_cap(xs.shape[0] * cert.weights.shape[0], "validation test vectors")
+    vx = evaluate_rows(cert, xs)
 
     if mode == "exact":
         if not isinstance(dist, AtomicDistribution):
             raise AssumptionError("exact validation needs a finite atomic law")
-        vx = evaluate_rows(cert, xs)
         expected = np.zeros(xs.shape[0])
-        for prob, m in zip(dist.probabilities, dist.atoms):
-            expected += prob * evaluate_rows(cert, xs @ m.T)
+        for prob, row in zip(dist.probabilities, _atom_values(cert, dist.atoms, xs)):
+            expected += prob * row
         slack = gamma * vx * (1.0 + 1e-9) + 1e-15 * np.maximum(vx, 1.0)
     elif mode == "mc":
         from .mcsim import atom_indices, sample_matrix  # sampling lives with the simulators
@@ -395,14 +392,15 @@ def validate_certificate(
         if n_samples < 2:
             raise ValueError("Monte Carlo validation needs at least 2 samples")
         rng = np.random.default_rng(seed)
-        if isinstance(cert, QuadraticCertificate) and isinstance(dist, AtomicDistribution):
+        if isinstance(dist, AtomicDistribution):
             check_entry_cap(n_samples, "Monte Carlo samples")  # atom indices
-            mats, index = dist.atoms, atom_indices(dist, rng, n_samples)  # a sandwich per atom
+            counts = np.bincount(atom_indices(dist, rng, n_samples), minlength=len(dist.atoms))
+            values = _atom_values(cert, dist.atoms, xs)
+            expected = counts @ values / n_samples
+            stderr = np.sqrt(counts @ (values - expected) ** 2 / (n_samples - 1) / n_samples)
         else:
             check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")
-            mats, index = sample_matrix(dist, rng, size=n_samples), None
-        expected, stderr = _mc_estimates(cert, mats, xs, index)
-        vx = evaluate_rows(cert, xs)
+            expected, stderr = _mc_estimates(cert, sample_matrix(dist, rng, size=n_samples), xs)
         slack = gamma * vx + 4.0 * stderr + 1e-12 * np.maximum(vx, 1.0)
     else:
         raise ValueError("mode must be 'exact' or 'mc'")

@@ -225,6 +225,12 @@ def check_mean_stability(dist: MatrixDistribution, p: int) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
+def _markov_blocks(transition: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The block matrix whose block (j, i) is P[i, j] blocks[i]."""
+    size = blocks.shape[0] * blocks.shape[1]
+    return np.einsum("ij,iab->jaib", transition, blocks).reshape(size, size)
+
+
 def markov_tp(system: MarkovJumpSystem, p: int) -> np.ndarray:
     """Lifted transition operator: (P.T kron I) @ blockdiag of mode powers.
 
@@ -233,17 +239,9 @@ def markov_tp(system: MarkovJumpSystem, p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    n, d = system.n_modes, system.dim
-    dp = d**p
-    check_entry_cap((n * dp) ** 2, "markov_tp")
-    out = np.zeros((n * dp, n * dp))
-    for i in range(n):
-        block = kron_power(system.modes[i], p)
-        for j in range(n):
-            pij = system.transition[i, j]
-            if pij != 0.0:
-                out[j * dp : (j + 1) * dp, i * dp : (i + 1) * dp] = pij * block
-    return out
+    check_entry_cap((system.n_modes * system.dim**p) ** 2, "markov_tp")
+    blocks = np.stack([kron_power(m, p) for m in system.modes])
+    return _markov_blocks(system.transition, blocks)
 
 
 def markov_tp_spectral_radius(system: MarkovJumpSystem, p: int) -> float:
@@ -258,8 +256,7 @@ def _markov_on_sym(system: MarkovJumpSystem, p: int) -> np.ndarray:
     """T_p restricted to Sym^p (x) R^N: block (j, i) is P[i, j] S_p(M_i)."""
     size = system.n_modes * symmetric_dim(system.dim, p)
     check_entry_cap(size * size, "markov Sym^p operator")
-    induced = symmetric_power(system.modes, p)
-    return np.einsum("ij,iab->jaib", system.transition, induced).reshape(size, size)
+    return _markov_blocks(system.transition, symmetric_power(system.modes, p))
 
 
 def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:

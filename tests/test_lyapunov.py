@@ -553,14 +553,18 @@ def test_exact_validation_guards_its_lifted_test_vectors(monkeypatch):
     assert caught.value.requested == 1002 * 16
 
 
-def test_worst_x_is_not_picked_by_rounding_noise():
-    # the law of problems/atomic_pair.json: E[V(Ax)] = gamma V(x) on the
-    # whole orthant for its cone norm, so every orthant vector has margin 1
-    # to rounding
-    dist = AtomicDistribution(
+def atomic_pair():
+    """The law of problems/atomic_pair.json."""
+    return AtomicDistribution(
         probabilities=np.array([0.5, 0.5]),
         atoms=np.array([[[0.4, 0.2], [0.0, 0.3]], [[0.1, 0.0], [0.5, 0.2]]]),
     )
+
+
+def test_worst_x_is_not_picked_by_rounding_noise():
+    # E[V(Ax)] = gamma V(x) on the whole orthant for the cone norm of
+    # atomic_pair, so every orthant vector has margin 1 to rounding
+    dist = atomic_pair()
     cert = synthesize_cone_norm(dist)
     report = validate_certificate(cert, dist, mode="exact")
     moved = ConeNormCertificate(f=cert.f * (1.0 + 1e-13), gamma=cert.gamma)
@@ -598,6 +602,7 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
     space = random_atomic(rng, n_atoms=2, dim=3, target_r2=0.8)
     eight = random_atomic(rng, n_atoms=8, dim=2, target_r2=0.8)
     box = UniformEntriesDistribution(lower=np.full((3, 3), -0.1), upper=np.full((3, 3), 0.1))
+    flat = UniformEntriesDistribution(lower=np.zeros((2, 2)), upper=np.full((2, 2), 0.4))
     quadratic = synthesize_quadratic(plane)
     quadratic_eight = synthesize_quadratic(eight)
     quartic_plane = synthesize_degree_p(plane, 4)
@@ -613,19 +618,64 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
     # triangular factor has min(n, C^2) rows: neither holds C^4 entries
     validate_certificate(quartic_plane, plane, xs=few, mode="mc", n_samples=200)
     validate_certificate(quartic_space, box, xs=few[:, [0, 1, 1]], mode="mc", n_samples=2)
+    # a cone norm on a finite law holds the atoms x vectors table, not the
+    # 200 x 6 monomials of each vector mapped by every draw
+    validate_certificate(quintic, plane, xs=few, mode="mc", n_samples=200)
     cases = [
         (cone, plane, None, 10, "validation test vectors", 2004),  # 1002 x 2
         (quadratic, plane, few, 1200, "Monte Carlo samples", 1200),  # the atom indices
-        (cone, plane, few, 600, "Monte Carlo samples", 2400),  # the draws, 600 x 2 x 2
-        (quartic_space, box, few[:, [0, 1, 1]], 30, "Monte Carlo sandwiches", 1080),  # 30 x 6 x 6
-        (quartic_plane, plane, more, 200, "Monte Carlo test monomials", 1170),  # 130 x 3 x 3
-        (quadratic_eight, eight, more, 200, "Monte Carlo atom values", 1040),  # 8 x 130
-        (quintic, plane, few, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
+        (cone, plane, few, 1200, "Monte Carlo samples", 1200),  # the atom indices
+        (cone, flat, few, 300, "Monte Carlo samples", 1200),  # the draws, 300 x 2 x 2
+        (quartic_space, box, few[:, [0, 1, 1]], 30, "validation sandwiches", 1080),  # 30 x 6 x 6
+        (quartic_plane, plane, more, 200, "validation monomial products", 1170),  # 130 x 3 x 3
+        (quadratic_eight, eight, more, 200, "validation atom values", 1040),  # 8 x 130
+        (cone, eight, more, 200, "validation atom values", 1040),  # 8 x 130
+        (quintic, flat, few, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
     ]
     for cert, dist, xs, n, context, requested in cases:
         with pytest.raises(DimensionCapError, match=context) as caught:
             validate_certificate(cert, dist, xs=xs, mode="mc", n_samples=n)
         assert caught.value.requested == requested
+    # a finite law's table, sandwiches and products are counted in exact
+    # mode too
+    with pytest.raises(DimensionCapError, match="validation atom values"):
+        validate_certificate(cone, eight, xs=more, mode="exact")
+    with pytest.raises(DimensionCapError, match="validation monomial products"):
+        validate_certificate(quartic_plane, plane, xs=more, mode="exact")
+
+
+def spy_on_monomial_rows(monkeypatch) -> list[int]:
+    """The row counts of every ``_monomial_rows`` call from now on."""
+    rows, original = [], lyapunov_module._monomial_rows
+
+    def spy(block, q):
+        rows.append(block.shape[0])
+        return original(block, q)
+
+    monkeypatch.setattr(lyapunov_module, "_monomial_rows", spy)
+    return rows
+
+
+def test_box_cone_norm_mc_blocks_are_sized_from_the_cap(monkeypatch, interval_box):
+    # the 1002 x 14 = 14,028 test monomials of a degree-13 cone norm meet a
+    # cap of 14,028; each block of vectors mapped by the 10 draws must stay
+    # under it too (a fixed 2e6-entry block holds 1002 x 10 x 14 = 140,280)
+    cert = ConeNormCertificate(f=np.ones(2**13), gamma=0.5, lift_power=13)
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "14028")
+    rows = spy_on_monomial_rows(monkeypatch)
+    validate_certificate(cert, interval_box, mode="mc", n_samples=10)
+    assert max(rows) * 14 <= 14028
+
+
+def test_atomic_cone_norm_mc_does_not_scale_with_the_draws(monkeypatch):
+    # a finite law maps the test vectors once per atom, whatever the number
+    # of draws, where evaluating V at every draw maps them 2000 times
+    law = atomic_pair()
+    cert = synthesize_degree_p(law, 13)
+    rows = spy_on_monomial_rows(monkeypatch)
+    report = validate_certificate(cert, law, mode="mc", n_samples=2000)
+    assert report.passed
+    assert max(rows) <= report.n_vectors
 
 
 def per_sample_estimates(cert, samples, xs):
@@ -711,6 +761,15 @@ def test_quadratic_mc_moments_match_the_per_sample_oracle(case):
     tolerance = 1e-10 * (oracle_stderr + scale / np.sqrt(n))
     assert np.all(np.abs(stderr - oracle_stderr) <= tolerance)
     report = validate_certificate(cert, dist, xs=xs, mode="mc", n_samples=n, seed=seed)
+    check_report_against_the_oracle(report, cert, xs, oracle_expected, oracle_stderr)
+
+
+def check_report_against_the_oracle(report, cert, xs, oracle_expected, oracle_stderr):
+    """The verdict, worst margin and worst vector of a Monte Carlo report
+    against the per-sample oracle's moments, where the route's moments are
+    within 1e-10 of the oracle's on the scale max(E[V(A x)], V(x)), over
+    sqrt(n) for the standard error."""
+    vx = np.array([evaluate(cert, x) for x in xs])
     slack = cert.gamma * vx + 4.0 * oracle_stderr + 1e-12 * np.maximum(vx, 1.0)
     # the verdict and the worst vector agree unless the oracle's own values
     # tie within the bounds above; margins E / (gamma V(x)) inherit the
@@ -725,35 +784,38 @@ def test_quadratic_mc_moments_match_the_per_sample_oracle(case):
 
 
 @st.composite
-def atomic_quadratic_validations(draw):
-    """An atomic law (m <= 4 atoms, d <= 4), a random quadratic certificate
-    of degree 2 or lifted degree 4, a sample count down to 2 and a seed."""
+def atomic_validations(draw):
+    """An atomic law (m <= 4 atoms, d <= 4) with a random certificate, a
+    sample count down to 2 and a seed: a quadratic of degree 2 or lifted
+    degree 4, or a cone norm of odd degree q <= 5 on nonnegative atoms."""
     d, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    q = draw(st.sampled_from((1, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
-    law = AtomicDistribution(probs / probs.sum(), rng.standard_normal((m, d, d)))
-    g = rng.standard_normal((d**q, d**q))
-    cert = QuadraticCertificate(h=g @ g.T + d**q * np.eye(d**q), gamma=0.5, lift_power=q)
+    gamma = draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        q = draw(st.sampled_from((1, 2)))
+        atoms = rng.standard_normal((m, d, d))
+        g = rng.standard_normal((d**q, d**q))
+        cert = QuadraticCertificate(h=g @ g.T + d**q * np.eye(d**q), gamma=gamma, lift_power=q)
+    else:
+        q = draw(st.sampled_from((1, 3, 5)))
+        atoms = rng.uniform(0.0, 1.0, (m, d, d)) * (rng.random((m, d, d)) < 0.8)
+        cert = ConeNormCertificate(f=rng.uniform(0.1, 1.0, d**q), gamma=gamma, lift_power=q)
+    law = AtomicDistribution(probs / probs.sum(), atoms)
     return cert, law, draw(st.sampled_from((2, 3, 17, 500))), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(atomic_quadratic_validations())
-def test_per_atom_moments_match_the_per_sample_oracle(case):
+@given(atomic_validations())
+def test_atomic_mc_validation_matches_the_per_sample_oracle(case):
     cert, law, n, seed = case
     xs = lyapunov_module.default_test_vectors(law.dim, count=40, seed=seed)
     index = atom_indices(law, np.random.default_rng(seed), n)
     samples = sample_matrix(law, np.random.default_rng(seed), size=n)
     assert np.array_equal(law.atoms[index], samples)  # one stream for both
-    expected, stderr = lyapunov_module._mc_estimates(cert, law.atoms, xs, index)
     oracle_expected, oracle_stderr = per_sample_estimates(cert, samples, xs)
-    # the per-atom values round on the scale of the terms of w . vec(B_k),
-    # as the moment route does (see the test above)
-    scale = np.maximum(oracle_expected, np.array([evaluate(cert, x) for x in xs]))
-    assert np.all(np.abs(expected - oracle_expected) <= 1e-10 * scale)
-    tolerance = 1e-10 * (oracle_stderr + scale / np.sqrt(n))
-    assert np.all(np.abs(stderr - oracle_stderr) <= tolerance)
+    report = validate_certificate(cert, law, xs=xs, mode="mc", n_samples=n, seed=seed)
+    check_report_against_the_oracle(report, cert, xs, oracle_expected, oracle_stderr)
 
 
 # ---------------------------------------------------------------------------

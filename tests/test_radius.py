@@ -219,6 +219,29 @@ def test_markov_tp_three_mode_block(three_mode_system):
     assert np.allclose(t1[0:2, 2:4], 0.5 * three_mode_system.modes[1], atol=1e-15)
 
 
+def test_markov_tp_is_its_blocks_bit_for_bit():
+    # block (j, i) is P[i, j] M_i^(kron p), one product per entry, with
+    # zero transitions and zero mode entries
+    from switchstab import kron_power
+
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n, d, p = (int(k) for k in rng.integers(1, [5, 4, 4]))
+        transition = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+        transition[:, 0] += transition.sum(axis=1) == 0
+        transition /= transition.sum(axis=1, keepdims=True)
+        modes = rng.standard_normal((n, d, d)) * (rng.random((n, d, d)) < 0.7)
+        system = MarkovJumpSystem(transition=transition, modes=modes)
+        dp = d**p
+        blocks = np.zeros((n * dp, n * dp))
+        for i in range(n):
+            for j in range(n):
+                blocks[j * dp : (j + 1) * dp, i * dp : (i + 1) * dp] = (
+                    transition[i, j] * kron_power(modes[i], p)
+                )
+        assert np.array_equal(markov_tp(system, p), blocks)
+
+
 def _oracle_t1(system):
     # independent assembly: kron against an explicit block diagonal
     n, d = system.n_modes, system.dim
