@@ -56,6 +56,7 @@ _LAZY = {
         "sample_matrix",
         "simulate_iid",
         "simulate_markov",
+        "simulate_paths",
         "write_moment_csv",
     ),
     "models": (

@@ -1,21 +1,25 @@
 """Monte Carlo simulation with reproducible, worker-count-invariant streams.
 
 Paths are processed in fixed-size chunks; chunk c draws from a Philox
-counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)), and
-writes only its states (and modes). Per-path values (norms and certificate
-values, each from its own row) are recomputed from the states of CHUNK
-paths at a time by each pass over the paths, and sums over paths add the
-rows in path order exactly as numpy's axis-0 sum of the whole array does.
+counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). The
+chunk workers of :func:`simulate_iid` and :func:`simulate_markov` keep only
+each step's states (and current modes), and write each path's values at
+that step (the norm and the certificate value, each from its own row) into
+(paths, horizon+1) buffers. Each moment series is reduced from its buffer
+CHUNK paths at a time, and sums over paths add the rows in path order
+exactly as numpy's axis-0 sum of the whole array does. So the working set
+is one or two value buffers and per-chunk temporaries, and no path is kept;
+:func:`simulate_paths` returns the states (and modes) of the same paths.
 Chunking is independent of the thread count and no value passes through
 BLAS, so output is bit-identical for any ``threads`` setting and BLAS
-thread count, and the working set is the path array and chunk buffers.
+thread count.
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,10 +82,10 @@ class MomentSeries:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    paths: np.ndarray  # (n_paths, horizon+1, d)
+    """The moment series of a simulation; its paths are not kept."""
+
     euclidean: MomentSeries
     certificate: MomentSeries | None = None
-    modes: np.ndarray | None = None  # (n_paths, horizon+1), 0-based, int8 to N = 128; Markov runs
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -142,18 +146,16 @@ def _path_sum(n: int, shape: tuple[int, ...], fill) -> np.ndarray:
     return buf[0].copy()
 
 
-def _moment_series(states: np.ndarray, value, label: str) -> MomentSeries:
-    """Reduce per-path values in fixed path order, CHUNK paths at a time:
-    each pass recomputes ``value(states[sl])``, the (paths, horizon+1)
-    values of the paths of slice sl, from their states."""
-    n, width = states.shape[:2]
+def _moment_series(values: np.ndarray, label: str) -> MomentSeries:
+    """Reduce the (paths, horizon+1) per-path values in fixed path order,
+    CHUNK paths at a time in each of the two passes."""
+    n, width = values.shape
     n_valid = np.zeros(width, dtype=np.int64)
 
     def chunk(sl):
         """Values of the paths of slice sl, and the steps each counts at: a
         path is excluded from its first non-finite step onward."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = value(states[sl])
+        v = values[sl]
         return v, np.logical_and.accumulate(np.isfinite(v), axis=1)
 
     def masked(sl, out):
@@ -184,42 +186,36 @@ def _moment_series(states: np.ndarray, value, label: str) -> MomentSeries:
     )
 
 
-def _check_plan(plan: SimulationPlan, d: int) -> None:
-    """Reject an initial state of the wrong dimension, then a path array
-    larger than the entry cap (the Markov mode array is no larger)."""
+def _check_plan(plan: SimulationPlan, d: int, width: int, context: str) -> None:
+    """Reject an initial state of the wrong dimension, then per-path arrays
+    of (horizon+1) x ``width`` entries larger than the entry cap."""
     if plan.initial_state.shape != (d,):
         raise ValueError(f"initial state must have dimension {d}")
-    check_entry_cap(plan.paths * (plan.horizon + 1) * d, "simulation paths")
+    check_entry_cap(plan.paths * (plan.horizon + 1) * width, context)
 
 
-def _simulate(
-    plan: SimulationPlan, d: int, threads: int, start, certificate=None
-) -> SimulationResult:
+def _run_chunks(plan: SimulationPlan, d: int, threads: int, start, begin) -> None:
     """Run x(k+1) = A_k x(k) over the plan's paths in fixed-size chunks.
 
     ``start(rng, sl)`` is called once per chunk with the chunk's stream and
     path slice, and returns ``draw(k)``: the stack of step-k matrices,
-    A_(k-1), for the chunk's paths. Each chunk writes its paths. Returns
-    them with the moment series of their Euclidean norms to the plan's
-    exponent and, given a certificate, of its values, both recomputed from
-    the states of one chunk of paths at a time.
+    A_(k-1), for the chunk's paths. ``begin(sl)`` returns ``record(k, x)``,
+    which is given the chunk's states at each step k in turn. Each worker
+    sets its own error state: overflowed paths are expected and truncated
+    by the moment series.
     """
-    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
-    if certificate is not None:
-        from .lyapunov import evaluate_rows
-
-        rows = min(n, CHUNK) * (h + 1) * len(certificate.weights)  # monomials of one chunk
-        check_entry_cap(rows, "simulated certificate rows")
-    states = np.empty((n, h + 1, d))
+    n, h = plan.paths, plan.horizon
 
     def worker(chunk_idx: int) -> None:
         sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
         draw = start(_chunk_rng(plan.seed, chunk_idx), sl)
+        record = begin(sl)
         x = np.broadcast_to(plan.initial_state, (sl.stop - sl.start, d)).copy()
-        for k in range(h + 1):
-            if k:
-                x = np.einsum("nij,nj->ni", draw(k), x)
-            states[sl, k] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(h + 1):
+                if k:
+                    x = np.einsum("nij,nj->ni", draw(k), x)
+                record(k, x)
 
     chunks = range((n + CHUNK - 1) // CHUNK)
     if threads <= 1:
@@ -229,12 +225,68 @@ def _simulate(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, chunks))
 
-    def values(x):
-        return evaluate_rows(certificate, x.reshape(-1, d)).reshape(-1, h + 1)
 
-    euclid = _moment_series(states, lambda x: np.linalg.norm(x, axis=2) ** p, f"euclidean^{p}")
-    cert_series = None if certificate is None else _moment_series(states, values, "certificate")
-    return SimulationResult(paths=states, euclidean=euclid, certificate=cert_series)
+#: einsum orders a row's certificate terms differently when it is given
+#: fewer rows than this. A chunk of at least this many paths evaluates its
+#: certificate values one step at a time, a smaller chunk all its steps in
+#: one call; either way each value is the one a call over all the chunk's
+#: steps gives.
+_STEP_ROWS = 3
+
+
+def _steps_per_call(m: int, h: int) -> int:
+    """Steps of a chunk of m paths whose certificate values one call evaluates."""
+    return 1 if m >= _STEP_ROWS else h + 1
+
+
+def _simulate(
+    plan: SimulationPlan, d: int, threads: int, start, certificate=None
+) -> SimulationResult:
+    """Simulate the paths of a checked plan and reduce them to moment series.
+
+    The chunk workers write each step's Euclidean norm to the plan's
+    exponent and, given a certificate, its value into (paths, horizon+1)
+    buffers; a worker holds the states of one step of its chunk, or of all
+    steps of a chunk of fewer than ``_STEP_ROWS`` paths. The series are
+    reduced from these buffers.
+    """
+    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
+    if certificate is not None:
+        from .lyapunov import evaluate_rows
+
+        sizes = {min(n, CHUNK), n % CHUNK or CHUNK}
+        rows = max(m * _steps_per_call(m, h) for m in sizes)  # monomials of one call
+        check_entry_cap(rows * len(certificate.weights), "simulated certificate rows")
+        cert_values = np.empty((n, h + 1))
+    norms = np.empty((n, h + 1))
+
+    def begin(sl):
+        m = sl.stop - sl.start
+        steps = _steps_per_call(m, h)
+        held = np.empty((m, steps, d))
+
+        def record(k, x):
+            norms[sl, k] = np.linalg.norm(x, axis=1) ** p
+            if certificate is None:
+                return
+            held[:, k % steps] = x
+            if k % steps == steps - 1:
+                values = evaluate_rows(certificate, held.reshape(-1, d))
+                cert_values[sl, k + 1 - steps : k + 1] = values.reshape(m, steps)
+
+        return record
+
+    _run_chunks(plan, d, threads, start, begin)
+    euclid = _moment_series(norms, f"euclidean^{p}")
+    cert_series = None if certificate is None else _moment_series(cert_values, "certificate")
+    return SimulationResult(euclidean=euclid, certificate=cert_series)
+
+
+def _iid_start(dist: MatrixDistribution):
+    def start(rng, sl):
+        return lambda k: sample_matrix(dist, rng, size=sl.stop - sl.start)
+
+    return start
 
 
 def simulate_iid(
@@ -245,16 +297,12 @@ def simulate_iid(
 ) -> SimulationResult:
     """Simulate x(k+1) = A_k x(k) with A_k drawn independently from the law.
 
-    Returns the raw paths, the sample moments of the Euclidean norm raised
-    to the plan's exponent, and optionally the certificate-value series.
+    Returns the sample moments of the Euclidean norm raised to the plan's
+    exponent and optionally the certificate-value series; the paths
+    themselves are not kept (see :func:`simulate_paths`).
     """
-    d = dist.dim
-    _check_plan(plan, d)
-
-    def start(rng, sl):
-        return lambda k: sample_matrix(dist, rng, size=sl.stop - sl.start)
-
-    return _simulate(plan, d, threads, start, certificate)
+    _check_plan(plan, dist.dim, 1, "simulation values")
+    return _simulate(plan, dist.dim, threads, _iid_start(dist), certificate)
 
 
 def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) -> int:
@@ -268,29 +316,72 @@ def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) 
     return sigma0
 
 
-def simulate_markov(
-    system: MarkovJumpSystem, plan: SimulationPlan, threads: int = 1
-) -> SimulationResult:
-    """Simulate x(k+1) = M_(mode k) x(k) with the mode chain driven by the
-    transition matrix from the plan's initial mode; the result carries the
-    0-based mode of every path at every step, int8 up to 128 modes."""
-    _check_plan(plan, system.dim)
+def _markov_start(system: MarkovJumpSystem, plan: SimulationPlan, modes: np.ndarray | None):
+    """Chunk start for the mode chain from the plan's initial mode: each
+    chunk keeps its paths' current modes and, given ``modes``, writes the
+    0-based mode of every step there."""
     sigma0 = _initial_mode(system, plan.initial_mode, "Markov simulation")
-    modes = np.empty((plan.paths, plan.horizon + 1), dtype=np.min_scalar_type(-system.n_modes))
     cum_rows = np.cumsum(system.transition, axis=1)
 
     def start(rng, sl):
         m = sl.stop - sl.start
-        modes[sl, 0] = sigma0 - 1
+        sigma = np.full(m, sigma0 - 1)
+        if modes is not None:
+            modes[sl, 0] = sigma
 
         def draw(k):
-            sigma = modes[sl, k - 1]
-            modes[sl, k] = _inverse_cdf(rng.random(m), cum_rows[sigma])
-            return system.modes[sigma]
+            nonlocal sigma
+            matrices = system.modes[sigma]
+            sigma = _inverse_cdf(rng.random(m), cum_rows[sigma])
+            if modes is not None:
+                modes[sl, k] = sigma
+            return matrices
 
         return draw
 
-    return replace(_simulate(plan, system.dim, threads, start), modes=modes)
+    return start
+
+
+def simulate_markov(
+    system: MarkovJumpSystem, plan: SimulationPlan, threads: int = 1
+) -> SimulationResult:
+    """Simulate x(k+1) = M_(mode k) x(k) with the mode chain driven by the
+    transition matrix from the plan's initial mode, and return the moment
+    series of the Euclidean norm; neither paths nor modes are kept."""
+    _check_plan(plan, system.dim, 1, "simulation values")
+    return _simulate(plan, system.dim, threads, _markov_start(system, plan, None))
+
+
+def simulate_paths(
+    problem: MatrixDistribution | MarkovJumpSystem, plan: SimulationPlan, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The states of every simulated path, (paths, horizon+1, d), and for a
+    Markov system the 0-based mode of every path at every step,
+    (paths, horizon+1), int8 up to 128 modes (None for an i.i.d. law).
+
+    The paths are those that :func:`simulate_iid` and
+    :func:`simulate_markov` reduce, bit for bit, at any thread count; the
+    entry cap counts the states.
+    """
+    d = problem.dim
+    _check_plan(plan, d, d, "simulation paths")
+    states = np.empty((plan.paths, plan.horizon + 1, d))
+    modes = None
+    if isinstance(problem, MarkovJumpSystem):
+        dtype = np.min_scalar_type(-problem.n_modes)
+        modes = np.empty((plan.paths, plan.horizon + 1), dtype=dtype)
+        start = _markov_start(problem, plan, modes)
+    else:
+        start = _iid_start(problem)
+
+    def begin(sl):
+        def record(k, x):
+            states[sl, k] = x
+
+        return record
+
+    _run_chunks(plan, d, threads, start, begin)
+    return states, modes
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +408,12 @@ def propagate_conditional_moments(
     return q
 
 
-def _mode_terms(sim: SimulationResult, i: int, mean: np.ndarray | None = None):
+def _mode_terms(states: np.ndarray, modes: np.ndarray, i: int, mean: np.ndarray | None = None):
     """Fill for :func:`_path_sum` with the terms x(k) 1{mode k = i} of each
     path or, given their mean, the squared deviations from it."""
 
     def fill(sl, out):
-        np.multiply(sim.paths[sl], (sim.modes[sl] == i)[:, :, None], out=out)
+        np.multiply(states[sl], (modes[sl] == i)[:, :, None], out=out)
         if mean is not None:
             np.subtract(out, mean, out=out)
             np.square(out, out=out)
@@ -361,15 +452,15 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
         rhs = t1 @ q[k].reshape(-1)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
 
-    sim = simulate_markov(system, plan)
+    states, modes = simulate_paths(system, plan)
     n, shape = plan.paths, (plan.horizon + 1, system.dim)
     # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}, with
     # its ddof-1 standard deviation, each summed as numpy's mean and std sum
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)
     for i in range(system.n_modes):
-        mean = _path_sum(n, shape, _mode_terms(sim, i)) / n
-        var = _path_sum(n, shape, _mode_terms(sim, i, mean)) / (n - 1)
+        mean = _path_sum(n, shape, _mode_terms(states, modes, i)) / n
+        var = _path_sum(n, shape, _mode_terms(states, modes, i, mean)) / (n - 1)
         q_mc[:, i, :] = mean
         stderr[:, i, :] = np.sqrt(var) / np.sqrt(n)
     diff = np.abs(q_mc - q)

@@ -200,7 +200,7 @@ def q_recursion_oracle(system, plan):
         QRecursionReport,
         markov_tp,
         propagate_conditional_moments,
-        simulate_markov,
+        simulate_paths,
     )
 
     sigma0 = plan.initial_mode or system.initial_mode
@@ -211,11 +211,11 @@ def q_recursion_oracle(system, plan):
         lhs = q[k + 1].reshape(-1)
         rhs = t1 @ q[k].reshape(-1)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
-    sim = simulate_markov(system, plan)
+    paths, modes = simulate_paths(system, plan)
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)
     for i in range(system.n_modes):
-        vals = sim.paths * (sim.modes == i)[:, :, None]
+        vals = paths * (modes == i)[:, :, None]
         q_mc[:, i, :] = vals.mean(axis=0)
         stderr[:, i, :] = vals.std(axis=0, ddof=1) / np.sqrt(plan.paths)
     diff = np.abs(q_mc - q)

@@ -514,6 +514,18 @@ def test_simulate_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
     assert "1100 entries" in report["error"]["message"]
 
 
+def test_simulate_cap_counts_values_not_states(capsys, docs, tmp_path, monkeypatch):
+    # d = 2: 90 paths x 11 steps are 990 values per series but 1980 states
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    argv = ["simulate", "-i", str(docs["pair.json"]), "--horizon", "10", "--seed", "1",
+            "--x0", "1,0", "--out-dir", str(tmp_path / "sim"), "--paths"]
+    code, _ = run(capsys, *argv, "90")
+    assert code == 0
+    code, report = run(capsys, *argv, "91")
+    assert code == 5
+    assert "1001 entries" in report["error"]["message"]
+
+
 def test_jsr_stopped_by_the_entry_cap_warns(capsys, docs, monkeypatch):
     # two 2x2 atoms: length 4 holds 16 products (64 doubles), length 5 would hold 128
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "64")

@@ -1,3 +1,4 @@
+import sys
 import tempfile
 import tracemalloc
 from contextlib import nullcontext
@@ -28,6 +29,7 @@ from switchstab import (
     sample_matrix,
     simulate_iid,
     simulate_markov,
+    simulate_paths,
     synthesize_cone_norm,
     write_moment_csv,
 )
@@ -118,7 +120,7 @@ def test_reproducible_across_thread_counts():
     r4 = simulate_iid(dist, plan, threads=4)
     assert np.array_equal(r1.euclidean.means, r4.euclidean.means)
     assert np.array_equal(r1.euclidean.stderrs, r4.euclidean.stderrs)
-    assert np.array_equal(r1.paths, r4.paths)
+    assert np.array_equal(simulate_paths(dist, plan)[0], simulate_paths(dist, plan, threads=4)[0])
 
 
 def test_interval_box_certificate_series_decays(interval_box):
@@ -163,8 +165,9 @@ def test_certificate_series_matches_pointwise_evaluation(interval_box):
     plan = SimulationPlan(paths=5, horizon=4, seed=19, initial_state=np.array([0.3, 1.0]))
     result = simulate_iid(shrunk, plan, certificate=cert)
     assert result.certificate is not None
+    states, _ = simulate_paths(shrunk, plan)
     values = np.array(
-        [[evaluate(cert, result.paths[n, k]) for k in range(5)] for n in range(5)]
+        [[evaluate(cert, states[n, k]) for k in range(5)] for n in range(5)]
     )
     assert np.allclose(values.mean(axis=0), result.certificate.means, rtol=1e-12)
 
@@ -177,10 +180,10 @@ def test_certificate_decay_pathwise_expectation():
     dist = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms * scale)
     cert = synthesize_cone_norm(dist)
     plan = SimulationPlan(paths=64, horizon=5, seed=11, initial_state=np.array([1.0, 2.0]))
-    result = simulate_iid(dist, plan)
+    states, _ = simulate_paths(dist, plan)
     from switchstab import evaluate
 
-    for path in result.paths[:16]:
+    for path in states[:16]:
         for x in path:
             one_step = sum(
                 w * evaluate(cert, m @ x) for w, m in zip(dist.probabilities, dist.atoms)
@@ -210,21 +213,53 @@ def test_simulation_paths_respect_the_entry_cap(monkeypatch, markov):
 
     simulate(90)
     with pytest.raises(DimensionCapError) as info:
-        simulate(100)  # 100 paths x 11 states x d = 1
+        simulate(100)  # 100 paths x 11 values, and as many states at d = 1
     assert info.value.requested == 1100
 
 
+@pytest.mark.parametrize("markov", [False, True])
+def test_the_entry_cap_counts_value_buffers_not_states(monkeypatch, three_mode_system, markov):
+    # d = 2: 90 paths x 11 steps are 990 entries in each value buffer but
+    # 1980 states, which only the path simulator allocates
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    if markov:
+        law, simulate = three_mode_system, simulate_markov
+    else:
+        law, cert = single_atom(0.5 * np.eye(2)), QuadraticCertificate(h=np.eye(2), gamma=0.5)
+
+        def simulate(law, plan):
+            return simulate_iid(law, plan, certificate=cert)
+
+    def plan(paths):
+        return SimulationPlan(
+            paths=paths, horizon=10, seed=1, initial_state=np.array([1.0, 0.0]), initial_mode=1
+        )
+
+    assert simulate(law, plan(90)).euclidean.n_valid[-1] == 90
+    with pytest.raises(DimensionCapError) as info:
+        simulate_paths(law, plan(90))
+    assert info.value.requested == 1980
+    with pytest.raises(DimensionCapError) as info:
+        simulate(law, plan(91))
+    assert info.value.requested == 1001
+
+
 def test_certificate_rows_respect_the_entry_cap(monkeypatch):
-    # 100 paths x 5 states x d = 2 is 1000 entries; as rows of the 3
-    # monomials of degree 2 they are 1500
+    # each step of a chunk of 400 paths at d = 2 is evaluated as 400 rows of
+    # the 3 monomials of degree 2, 1200 entries; each value buffer holds 800
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     cert = QuadraticCertificate(h=np.eye(4), gamma=0.5, lift_power=2)
-    plan = SimulationPlan(paths=100, horizon=4, seed=1, initial_state=np.array([1.0, 0.0]))
+    plan = SimulationPlan(paths=400, horizon=1, seed=1, initial_state=np.array([1.0, 0.0]))
     dist = single_atom(0.5 * np.eye(2))
-    assert simulate_iid(dist, plan).paths.size == 1000
+    assert simulate_iid(dist, plan).euclidean.n_valid[-1] == 400
+    assert simulate_iid(dist, replace(plan, paths=333), certificate=cert).certificate is not None
     with pytest.raises(DimensionCapError) as info:
         simulate_iid(dist, plan, certificate=cert)
-    assert info.value.requested == 1500
+    assert info.value.requested == 1200
+    # a chunk of fewer than three paths is evaluated at all its steps at once
+    with pytest.raises(DimensionCapError) as info:
+        simulate_iid(dist, replace(plan, paths=2, horizon=166), certificate=cert)
+    assert info.value.requested == 2 * 167 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +271,11 @@ def test_markov_single_mode_is_deterministic_product():
     m = np.array([[0.9, 0.1], [0.0, 0.8]])
     system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([m]), initial_mode=1)
     plan = SimulationPlan(paths=3, horizon=6, seed=2, initial_state=np.array([1.0, 1.0]))
-    result = simulate_markov(system, plan)
+    states, modes = simulate_paths(system, plan)
+    assert np.all(modes == 0)
     x = np.array([1.0, 1.0])
     for k in range(7):
-        assert np.allclose(result.paths[:, k, :], x, rtol=1e-15)
+        assert np.allclose(states[:, k, :], x, rtol=1e-15)
         x = m @ x
 
 
@@ -302,8 +338,12 @@ def test_markov_reproducible_across_threads(three_mode_system):
     )
     r1 = simulate_markov(three_mode_system, plan, threads=1)
     r8 = simulate_markov(three_mode_system, plan, threads=8)
-    assert np.array_equal(r1.paths, r8.paths)
-    assert np.array_equal(r1.modes, r8.modes)
+    assert np.array_equal(r1.euclidean.means, r8.euclidean.means)
+    assert np.array_equal(r1.euclidean.stderrs, r8.euclidean.stderrs)
+    paths1, modes1 = simulate_paths(three_mode_system, plan, threads=1)
+    paths8, modes8 = simulate_paths(three_mode_system, plan, threads=8)
+    assert np.array_equal(paths1, paths8)
+    assert np.array_equal(modes1, modes8)
 
 
 @pytest.mark.parametrize("n_modes, dtype", [(128, np.int8), (129, np.int16)])
@@ -315,7 +355,7 @@ def test_modes_are_stored_in_the_smallest_dtype_that_holds_them(n_modes, dtype):
         initial_mode=n_modes,
     )
     plan = SimulationPlan(paths=50, horizon=40, seed=3, initial_state=np.array([1.0]))
-    modes = simulate_markov(system, plan, threads=2).modes
+    _, modes = simulate_paths(system, plan, threads=2)
     _, wide = simulate_paths_oracle(system, plan, mode_dtype=np.int64)
     assert modes.dtype == dtype and wide.max() == n_modes - 1
     assert np.array_equal(modes, wide)
@@ -466,16 +506,28 @@ def cone_case():
     return AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms), plan, cert
 
 
+def last_path_case():
+    """A cone norm on 1025 paths: the second chunk holds one path, and
+    einsum evaluates the cone norm at one row in another order than at
+    many."""
+    law, _, _ = cone_case()
+    rng = np.random.default_rng(0)
+    plan = SimulationPlan(paths=1025, horizon=6, seed=0, initial_state=rng.standard_normal(3))
+    return law, plan, ConeNormCertificate(f=rng.random(9) + 0.1, gamma=0.5, lift_power=2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(simulation_cases(), st.integers(1, 3), st.booleans())
 @example(cone_case(), 2, False)
+@example(last_path_case(), 1, True)
 def test_chunked_kernel_equals_whole_array_reductions(case, threads, one_blas_thread):
     law, plan, cert = case
     with blas_threads(1) if one_blas_thread else nullcontext(), np.errstate(all="ignore"):
         paths, modes, euclid, cert_series = simulation_oracle(law, plan, cert)
+        states, simulated_modes = simulate_paths(law, plan, threads=threads)
         if isinstance(law, MarkovJumpSystem):
             result = simulate_markov(law, plan, threads=threads)
-            assert same_bits(result.modes, modes)
+            assert same_bits(simulated_modes, modes)
             if plan.paths == 1:  # one path has no standard error
                 with pytest.raises(ValueError, match="at least 2 paths, got 1"):
                     check_q_recursion(law, plan)
@@ -491,8 +543,25 @@ def test_chunked_kernel_equals_whole_array_reductions(case, threads, one_blas_th
             assert (result.certificate is None) == (cert is None)
             if cert is not None:
                 assert_same_series(result.certificate, cert_series)
-    assert same_bits(result.paths, paths)
+            assert simulated_modes is None
+    assert same_bits(states, paths)
     assert_same_series(result.euclidean, euclid)
+
+
+def test_series_are_the_same_bits_when_eight_workers_switch_often(interval_box):
+    # the workers write disjoint rows of the shared value buffers; a lost or
+    # misplaced row would move a series
+    cert = synthesize_cone_norm(interval_box)
+    plan = SimulationPlan(paths=6000, horizon=10, seed=4, initial_state=np.array([1.0, 0.5]))
+    one = simulate_iid(interval_box, plan, certificate=cert)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        eight = simulate_iid(interval_box, plan, certificate=cert, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_series(eight.euclidean, one.euclidean)
+    assert_same_series(eight.certificate, one.certificate)
 
 
 def test_cone_norm_series_do_not_depend_on_the_blas_thread_count():
@@ -563,6 +632,46 @@ def test_conditional_moment_check_holds_paths_byte_modes_and_chunk_buffers(three
     )
     values = plan.paths * (plan.horizon + 1) * 8
     peak = traced_peak(lambda: check_q_recursion(three_mode_system, plan))
-    # d = 2 paths and int8 modes, an eighth of a value array; norms exist one
-    # chunk of paths at a time
+    # d = 2 paths and int8 modes, an eighth of a value array; the sums take
+    # one chunk of paths at a time
     assert peak < 3 * values
+
+
+def quadratic_d3_run():
+    """A d = 3 law, a quadratic certificate and a 10000 x 50 plan."""
+    rng = np.random.default_rng(6)
+    law = AtomicDistribution(
+        probabilities=np.array([0.2, 0.3, 0.5]), atoms=0.3 * rng.standard_normal((3, 3, 3))
+    )
+    g = rng.standard_normal((3, 3))
+    cert = QuadraticCertificate(h=g @ g.T + np.eye(3), gamma=0.5)
+    plan = SimulationPlan(paths=10_000, horizon=50, seed=5, initial_state=np.array([1.0, 0.5, -0.5]))
+    return law, plan, cert
+
+
+def test_iid_simulation_with_a_certificate_holds_two_value_buffers_and_chunk_buffers():
+    law, plan, cert = quadratic_d3_run()
+    values = plan.paths * (plan.horizon + 1) * 8  # bytes of one (paths, horizon+1) array
+    peak = traced_peak(lambda: simulate_iid(law, plan, certificate=cert, threads=2))
+    # the norm and certificate-value buffers; each worker holds one step of
+    # one chunk of paths
+    assert peak < 3 * values
+
+
+@pytest.mark.parametrize("markov", [False, True])
+def test_a_simulation_result_holds_its_series_and_not_its_paths(three_mode_system, markov):
+    law, plan, cert = quadratic_d3_run()
+    if markov:
+        plan = replace(plan, initial_state=np.array([1.0, -0.5]), initial_mode=1)
+    values = plan.paths * (plan.horizon + 1) * 8
+    tracemalloc.start()
+    try:
+        if markov:
+            result = simulate_markov(three_mode_system, plan, threads=2)
+        else:
+            result = simulate_iid(law, plan, certificate=cert, threads=2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.euclidean) == plan.horizon + 1
+    assert held < values

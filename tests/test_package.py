@@ -25,8 +25,9 @@ PUBLIC = [
     "lifting_identity_check", "limit_sequence", "linalg", "load_problem", "lyapunov",
     "markov_p_radius", "markov_stability", "markov_tp", "markov_tp_spectral_radius", "mcsim",
     "models", "p_radius", "problem_to_json", "propagate_conditional_moments", "radius",
-    "sample_matrix", "simulate_iid", "simulate_markov", "spectrum", "synthesize_cone_norm",
-    "synthesize_degree_p", "synthesize_quadratic", "validate_certificate", "write_moment_csv",
+    "sample_matrix", "simulate_iid", "simulate_markov", "simulate_paths", "spectrum",
+    "synthesize_cone_norm", "synthesize_degree_p", "synthesize_quadratic", "validate_certificate",
+    "write_moment_csv",
 ]
 SUBMODULES = {"errors", "linalg", "lyapunov", "mcsim", "models", "radius"}
 
