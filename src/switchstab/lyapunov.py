@@ -11,10 +11,12 @@ q-fold Kronecker power y = x^(kron q) of the state, q = ``lift_power`` >= 1:
 Every certificate carries a decay factor gamma < 1 with
 E[V(A x)] <= gamma * V(x) for all x.
 
-Documents hold f and H on the d^q Kronecker coordinates. With y = S m_q(x),
-m_q(x) the C = C(d+q-1, q) degree-q monomials and S the orbit indicator,
-each certificate folds them once into weights on the monomials, S.T f or
-G = S.T H S, and evaluates V row by row from m_q(x); so values do not depend
+Documents hold f and H on the d^q Kronecker coordinates. Both shapes are
+linear forms on the C(d+p-1, p) monomials m_p(x) of their degree p: each
+Kronecker coordinate of x^(kron p) is one monomial, so f . |y| = w . |m_q(x)|
+and y.T H y = w . m_2q(x). Each certificate folds its document once into
+these weights w, and evaluates V at a row x by adding w_j m_j(x) column by
+column, with no reduction call: a value depends only on its own row, not
 on how rows are batched nor on the BLAS thread count.
 
 Cone norms are solved on Sym^p, and need its C(d+p-1, p) matrix E[S_p(A)]
@@ -52,9 +54,11 @@ DEFAULT_VALIDATION_SEED = 1729
 
 def _check_shared_fields(cert, lifted: np.ndarray, orbit: np.ndarray | None = None) -> None:
     """Checks on the fields both shapes share, ``lifted`` being f or H with
-    d^q rows; then sets d and the weights on the C degree-q monomials, from
-    one ``bincount``: the orbit sums S.T f, or G = S.T H S (f or H at q = 1).
-    ``orbit`` is the d^q ``orbit_index`` where the caller has built it."""
+    d^q rows; then sets d and the weights on the monomials of the degree p,
+    from one ``bincount`` over the d^p Kronecker coordinates: f at p = q, or
+    H flattened at p = 2q, whose entry I d^q + J is coordinate (I, J) of
+    x^(kron 2q). ``orbit`` is the d^p ``orbit_index`` where the caller has
+    built it."""
     if not 0.0 <= cert.gamma < 1.0:
         raise ValueError("decay factor must lie in [0, 1)")
     q = cert.lift_power
@@ -64,16 +68,11 @@ def _check_shared_fields(cert, lifted: np.ndarray, orbit: np.ndarray | None = No
     d = round(size ** (1.0 / q))
     if d**q != size:
         raise ValueError(f"{size} lifted coordinates are not a {q}-fold Kronecker power")
-    weights = lifted
-    if q > 1:
-        orbit = orbit_index(d, q) if orbit is None else orbit
-        c = symmetric_dim(d, q)
-        if lifted.ndim == 1:
-            weights = np.bincount(orbit, lifted, c)
-        else:
-            pairs = (orbit[:, None] * c + orbit).reshape(-1)
-            weights = np.bincount(pairs, lifted.reshape(-1), c * c).reshape(c, c)
-    for name, value in (("lift_power", q), ("dim", d), ("weights", weights)):
+    object.__setattr__(cert, "lift_power", q)
+    p = cert.degree
+    orbit = orbit_index(d, p) if orbit is None else orbit
+    weights = np.bincount(orbit, lifted.reshape(-1), symmetric_dim(d, p))
+    for name, value in (("dim", d), ("weights", weights)):
         object.__setattr__(cert, name, value)
 
 
@@ -104,7 +103,7 @@ class ConeNormCertificate:
 @dataclass(frozen=True)
 class QuadraticCertificate:
     """V(x) = y.T H y with y = x^(kron lift_power) and H symmetric positive
-    definite; in the weights on the monomials, m_q(x).T weights m_q(x)."""
+    definite; in the weights on the monomials, weights . m_2q(x)."""
 
     h: np.ndarray
     gamma: float
@@ -141,13 +140,19 @@ def _monomial_rows(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def evaluate_rows(cert: LyapunovCertificate, rows: np.ndarray) -> np.ndarray:
-    """Values of the certificate function at every row, each from its row alone."""
+    """Values of the certificate function at every row, each from its row
+    alone: the weighted monomials are added in column order, elementwise,
+    so no reduction or BLAS call orders a row's terms by the row count."""
     if rows.ndim != 2 or rows.shape[1] != cert.dim:
         raise ValueError(f"expected vectors of length {cert.dim}")
-    m = _monomial_rows(rows, cert.lift_power)
+    m = _monomial_rows(rows, cert.degree)
     if isinstance(cert, ConeNormCertificate):
-        return np.einsum("ni,i->n", np.abs(m), cert.weights)
-    return np.einsum("ni,ij,nj->n", m, cert.weights, m)
+        m = np.abs(m)
+    w = cert.weights
+    out = m[:, 0] * w[0]
+    for j in range(1, w.size):
+        out += m[:, j] * w[j]
+    return out
 
 
 def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
@@ -298,12 +303,18 @@ def default_test_vectors(dim: int, count: int = 1000, seed: int = DEFAULT_VALIDA
 
 def _sandwich_terms(cert: QuadraticCertificate, mats: np.ndarray, xs: np.ndarray):
     """Rows vec(B), B = S_q(A).T G S_q(A), per matrix A and w = vec(m m.T),
-    m = m_q(x), per vector x: V(A x) = w . vec(B), C^2 entries each."""
-    q, c = cert.lift_power, cert.weights.shape[0]
+    m = m_q(x), per vector x: V(A x) = w . vec(B), C^2 entries each. With S
+    the orbit indicator, y = S m_q(x) and G = S.T H S, folded from H by one
+    ``bincount`` (G = H at q = 1)."""
+    q, d = cert.lift_power, cert.dim
+    c = symmetric_dim(d, q)
     check_entry_cap(len(mats) * c * c, "validation sandwiches")
     check_entry_cap(xs.shape[0] * c * c, "validation monomial products")
+    orbit = orbit_index(d, q)
+    pairs = (orbit[:, None] * c + orbit).reshape(-1)
+    g = np.bincount(pairs, cert.h.reshape(-1), c * c).reshape(c, c)
     induced = symmetric_power(mats, q)
-    sandwiches = (induced.transpose(0, 2, 1) @ cert.weights @ induced).reshape(len(mats), -1)
+    sandwiches = (induced.transpose(0, 2, 1) @ g @ induced).reshape(len(mats), -1)
     m = _monomial_rows(xs, q)
     return sandwiches, np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
 
@@ -311,9 +322,6 @@ def _sandwich_terms(cert: QuadraticCertificate, mats: np.ndarray, xs: np.ndarray
 def _atom_values(cert: LyapunovCertificate, atoms: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The (atoms, vectors) table of V(A_k x) on the atoms of a finite law."""
     check_entry_cap(len(atoms) * xs.shape[0], "validation atom values")
-    if isinstance(cert, QuadraticCertificate):
-        sandwiches, w = _sandwich_terms(cert, atoms, xs)
-        return sandwiches @ w.T
     return np.stack([evaluate_rows(cert, xs @ a.T) for a in atoms])
 
 
@@ -355,16 +363,17 @@ def validate_certificate(
 ) -> ValidationReport:
     """Check E[V(A x)] <= gamma V(x) over a panel of test vectors.
 
-    A finite law gives one (atoms, vectors) table of V(A_k x), for a
-    quadratic from one sandwich S_q(A_k).T G S_q(A_k) per atom. Mode "exact"
-    weights it by the probabilities, mode "mc" by the counts of n_samples
-    >= 2 drawn atoms over n_samples. A sampled law (a box) has mode "mc"
-    only, over n_samples drawn matrices. Mode "mc" allows four standard
-    errors on top of the decay bound. With C the number of degree-q
-    monomials, the cap counts the n C monomials of the n test vectors; the
-    atoms x n table; a quadratic's C^2 entries per atom or draw and per
-    vector; the n_samples atom indices or d^2 draws; and a box cone norm's
-    n_samples C monomials per vector.
+    A finite law gives one (atoms, vectors) table of V(A_k x), each row
+    evaluated at the test vectors mapped by one atom. Mode "exact" weights
+    it by the probabilities, mode "mc" by the counts of n_samples >= 2
+    drawn atoms over n_samples. A sampled law (a box) has mode "mc" only,
+    over n_samples drawn matrices. Mode "mc" allows four standard errors on
+    top of the decay bound. With C the number of monomials of the
+    certificate's degree, the cap counts the n C monomials of the n test
+    vectors; the atoms x n table; the n_samples atom indices or d^2 draws;
+    and on a box, a quadratic's C_q^2 sandwich entries per draw and per
+    vector (C_q monomials of degree q) or a cone norm's n_samples C
+    monomials per vector.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """

@@ -4,8 +4,9 @@ Paths are processed in fixed-size chunks; chunk c draws from a Philox
 counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). The
 chunk workers of :func:`simulate_iid` and :func:`simulate_markov` keep only
 each step's states (and current modes), and write each path's values at
-that step (the norm and the certificate value, each from its own row) into
-(paths, horizon+1) buffers. Each moment series is reduced from its buffer
+that step into (paths, horizon+1) buffers: the norm, and the certificate
+value, which is computed from its own row alone and so does not depend on
+how many paths a chunk holds. Each moment series is reduced from its buffer
 CHUNK paths at a time, and sums over paths add the rows in path order
 exactly as numpy's axis-0 sum of the whole array does. So the working set
 is one or two value buffers and per-chunk temporaries, and no path is kept;
@@ -194,28 +195,26 @@ def _check_plan(plan: SimulationPlan, d: int, width: int, context: str) -> None:
     check_entry_cap(plan.paths * (plan.horizon + 1) * width, context)
 
 
-def _run_chunks(plan: SimulationPlan, d: int, threads: int, start, begin) -> None:
+def _run_chunks(plan: SimulationPlan, d: int, threads: int, start, record) -> None:
     """Run x(k+1) = A_k x(k) over the plan's paths in fixed-size chunks.
 
     ``start(rng, sl)`` is called once per chunk with the chunk's stream and
     path slice, and returns ``draw(k)``: the stack of step-k matrices,
-    A_(k-1), for the chunk's paths. ``begin(sl)`` returns ``record(k, x)``,
-    which is given the chunk's states at each step k in turn. Each worker
-    sets its own error state: overflowed paths are expected and truncated
-    by the moment series.
+    A_(k-1), for the chunk's paths. ``record(sl, k, x)`` is given the
+    chunk's states at each step k in turn. Each worker sets its own error
+    state: overflowed paths are expected and truncated by the moment series.
     """
     n, h = plan.paths, plan.horizon
 
     def worker(chunk_idx: int) -> None:
         sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
         draw = start(_chunk_rng(plan.seed, chunk_idx), sl)
-        record = begin(sl)
         x = np.broadcast_to(plan.initial_state, (sl.stop - sl.start, d)).copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(h + 1):
                 if k:
                     x = np.einsum("nij,nj->ni", draw(k), x)
-                record(k, x)
+                record(sl, k, x)
 
     chunks = range((n + CHUNK - 1) // CHUNK)
     if threads <= 1:
@@ -226,19 +225,6 @@ def _run_chunks(plan: SimulationPlan, d: int, threads: int, start, begin) -> Non
             list(pool.map(worker, chunks))
 
 
-#: einsum orders a row's certificate terms differently when it is given
-#: fewer rows than this. A chunk of at least this many paths evaluates its
-#: certificate values one step at a time, a smaller chunk all its steps in
-#: one call; either way each value is the one a call over all the chunk's
-#: steps gives.
-_STEP_ROWS = 3
-
-
-def _steps_per_call(m: int, h: int) -> int:
-    """Steps of a chunk of m paths whose certificate values one call evaluates."""
-    return 1 if m >= _STEP_ROWS else h + 1
-
-
 def _simulate(
     plan: SimulationPlan, d: int, threads: int, start, certificate=None
 ) -> SimulationResult:
@@ -246,37 +232,24 @@ def _simulate(
 
     The chunk workers write each step's Euclidean norm to the plan's
     exponent and, given a certificate, its value into (paths, horizon+1)
-    buffers; a worker holds the states of one step of its chunk, or of all
-    steps of a chunk of fewer than ``_STEP_ROWS`` paths. The series are
-    reduced from these buffers.
+    buffers; a worker holds the states of one step of its chunk. The series
+    are reduced from these buffers.
     """
     n, h, p = plan.paths, plan.horizon, plan.moment_exponent
     if certificate is not None:
         from .lyapunov import evaluate_rows
 
-        sizes = {min(n, CHUNK), n % CHUNK or CHUNK}
-        rows = max(m * _steps_per_call(m, h) for m in sizes)  # monomials of one call
-        check_entry_cap(rows * len(certificate.weights), "simulated certificate rows")
+        # the monomials of one step of a chunk
+        check_entry_cap(min(n, CHUNK) * len(certificate.weights), "simulated certificate rows")
         cert_values = np.empty((n, h + 1))
     norms = np.empty((n, h + 1))
 
-    def begin(sl):
-        m = sl.stop - sl.start
-        steps = _steps_per_call(m, h)
-        held = np.empty((m, steps, d))
+    def record(sl, k, x):
+        norms[sl, k] = np.linalg.norm(x, axis=1) ** p
+        if certificate is not None:
+            cert_values[sl, k] = evaluate_rows(certificate, x)
 
-        def record(k, x):
-            norms[sl, k] = np.linalg.norm(x, axis=1) ** p
-            if certificate is None:
-                return
-            held[:, k % steps] = x
-            if k % steps == steps - 1:
-                values = evaluate_rows(certificate, held.reshape(-1, d))
-                cert_values[sl, k + 1 - steps : k + 1] = values.reshape(m, steps)
-
-        return record
-
-    _run_chunks(plan, d, threads, start, begin)
+    _run_chunks(plan, d, threads, start, record)
     euclid = _moment_series(norms, f"euclidean^{p}")
     cert_series = None if certificate is None else _moment_series(cert_values, "certificate")
     return SimulationResult(euclidean=euclid, certificate=cert_series)
@@ -374,13 +347,10 @@ def simulate_paths(
     else:
         start = _iid_start(problem)
 
-    def begin(sl):
-        def record(k, x):
-            states[sl, k] = x
+    def record(sl, k, x):
+        states[sl, k] = x
 
-        return record
-
-    _run_chunks(plan, d, threads, start, begin)
+    _run_chunks(plan, d, threads, start, record)
     return states, modes
 
 

@@ -86,10 +86,14 @@ def test_values_match_the_kronecker_formula(d, q):
     g = rng.standard_normal((size, size))
     quadratic = QuadraticCertificate(h=g @ g.T + np.eye(size), gamma=0.5, lift_power=q)
     quadratic_oracle = np.einsum("ni,ij,nj->n", ys, quadratic.h, ys)
+    many = np.vstack([xs, rng.standard_normal((965, d))])  # 1025 rows
     for cert, oracle in [(cone, np.abs(ys) @ cone.f), (quadratic, quadratic_oracle)]:
         np.testing.assert_allclose(evaluate_rows(cert, xs), oracle, rtol=1e-13, atol=0)
-    if q == 1:
-        assert np.array_equal(evaluate_rows(quadratic, xs), quadratic_oracle)
+        # each value is the one its row gets alone, in calls of any size
+        alone = np.array([evaluate(cert, x) for x in xs])
+        for n in (1, 2, 3):
+            assert np.array_equal(evaluate_rows(cert, xs[:n]), alone[:n])
+        assert np.array_equal(evaluate_rows(cert, many)[:60], alone)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +597,13 @@ def test_validation_mc_needs_two_samples():
 
 
 def test_mc_validation_respects_the_lift_cap(monkeypatch):
-    """Each array of a Monte Carlo validation is counted by its own size:
-    C(d+q-1, q) monomials give C = 2 at d = 2, q = 1; C = 3 at d = 2, q = 2;
-    C = 6 at d = 3, q = 2 and at d = 2, q = 5. The n C monomials of the n
-    test vectors are counted first, so each other case has few vectors."""
+    """Each array of a Monte Carlo validation is counted by its own size. A
+    certificate of degree p evaluates C(d+p-1, p) monomials per vector: 2
+    for the cone norm (d = 2, p = 1), 3 for the quadratic (d = 2, p = 2), 5
+    and 15 for the quartics (d = 2 and 3), 6 for the quintic (d = 2). A
+    quartic's sandwiches on a box have 3^2 entries at d = 2, 6^2 at d = 3.
+    The n C monomials of the n test vectors are counted first, so each
+    other case has few vectors."""
     rng = np.random.default_rng(31)
     plane = random_atomic(rng, n_atoms=2, dim=2, target_r2=0.8)
     space = random_atomic(rng, n_atoms=2, dim=3, target_r2=0.8)
@@ -612,11 +619,13 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
     few = lyapunov_module.default_test_vectors(2, count=18)  # 20 vectors
     more = lyapunov_module.default_test_vectors(2, count=128)  # 130 vectors
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
-    # under the cap: 200 atom indices, 2 x 4 sandwiches, 20 x 4 products
+    # under the cap: 200 atom indices, 20 x 3 test monomials, 2 x 20 values
     assert validate_certificate(quadratic, plane, xs=few, mode="mc", n_samples=200).passed
-    # a finite law holds one sandwich per atom, and a sampled law's
-    # triangular factor has min(n, C^2) rows: neither holds C^4 entries
+    # a finite law maps the vectors by each atom and holds no sandwich; a
+    # sampled law holds one sandwich per draw, and its triangular factor
+    # has min(n, C^2) rows: none holds C^4 entries
     validate_certificate(quartic_plane, plane, xs=few, mode="mc", n_samples=200)
+    validate_certificate(quartic_plane, flat, xs=few, mode="mc", n_samples=100)
     validate_certificate(quartic_space, box, xs=few[:, [0, 1, 1]], mode="mc", n_samples=2)
     # a cone norm on a finite law holds the atoms x vectors table, not the
     # 200 x 6 monomials of each vector mapped by every draw
@@ -627,7 +636,7 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
         (cone, plane, few, 1200, "Monte Carlo samples", 1200),  # the atom indices
         (cone, flat, few, 300, "Monte Carlo samples", 1200),  # the draws, 300 x 2 x 2
         (quartic_space, box, few[:, [0, 1, 1]], 30, "validation sandwiches", 1080),  # 30 x 6 x 6
-        (quartic_plane, plane, more, 200, "validation monomial products", 1170),  # 130 x 3 x 3
+        (quartic_plane, flat, more, 100, "validation monomial products", 1170),  # 130 x 3 x 3
         (quadratic_eight, eight, more, 200, "validation atom values", 1040),  # 8 x 130
         (cone, eight, more, 200, "validation atom values", 1040),  # 8 x 130
         (quintic, flat, few, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
@@ -636,12 +645,10 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
         with pytest.raises(DimensionCapError, match=context) as caught:
             validate_certificate(cert, dist, xs=xs, mode="mc", n_samples=n)
         assert caught.value.requested == requested
-    # a finite law's table, sandwiches and products are counted in exact
-    # mode too
-    with pytest.raises(DimensionCapError, match="validation atom values"):
-        validate_certificate(cone, eight, xs=more, mode="exact")
-    with pytest.raises(DimensionCapError, match="validation monomial products"):
-        validate_certificate(quartic_plane, plane, xs=more, mode="exact")
+    # a finite law's table is counted in exact mode too
+    for cert in (cone, quadratic_eight):
+        with pytest.raises(DimensionCapError, match="validation atom values"):
+            validate_certificate(cert, eight, xs=more, mode="exact")
 
 
 def spy_on_monomial_rows(monkeypatch) -> list[int]:

@@ -161,15 +161,20 @@ def test_certificate_series_matches_pointwise_evaluation(interval_box):
     from switchstab import UniformEntriesDistribution, evaluate, synthesize_degree_p
 
     shrunk = UniformEntriesDistribution(lower=interval_box.lower, upper=0.8 * interval_box.upper)
-    cert = synthesize_degree_p(shrunk, 4)  # lifted shape
-    plan = SimulationPlan(paths=5, horizon=4, seed=19, initial_state=np.array([0.3, 1.0]))
-    result = simulate_iid(shrunk, plan, certificate=cert)
-    assert result.certificate is not None
-    states, _ = simulate_paths(shrunk, plan)
-    values = np.array(
-        [[evaluate(cert, states[n, k]) for k in range(5)] for n in range(5)]
-    )
-    assert np.allclose(values.mean(axis=0), result.certificate.means, rtol=1e-12)
+    law, _, cone = cone_case()
+    cases = [
+        (shrunk, synthesize_degree_p(shrunk, 4), np.array([0.3, 1.0])),  # lifted shape
+        (law, cone, np.array([0.3, 1.0, -0.5])),  # a d = 3, lift-2 cone norm
+    ]
+    for dist, cert, x0 in cases:
+        plan = SimulationPlan(paths=5, horizon=4, seed=19, initial_state=x0)
+        result = simulate_iid(dist, plan, certificate=cert)
+        assert result.certificate is not None
+        states, _ = simulate_paths(dist, plan)
+        values = np.array(
+            [[evaluate(cert, states[n, k]) for k in range(5)] for n in range(5)]
+        )
+        assert np.array_equal(values.mean(axis=0), result.certificate.means)
 
 
 def test_certificate_decay_pathwise_expectation():
@@ -245,21 +250,21 @@ def test_the_entry_cap_counts_value_buffers_not_states(monkeypatch, three_mode_s
 
 
 def test_certificate_rows_respect_the_entry_cap(monkeypatch):
-    # each step of a chunk of 400 paths at d = 2 is evaluated as 400 rows of
-    # the 3 monomials of degree 2, 1200 entries; each value buffer holds 800
+    # each step of a chunk of 201 paths at d = 2 is evaluated as 201 rows of
+    # the 5 monomials of a degree-4 quadratic, 1005 entries; each value
+    # buffer holds 402
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     cert = QuadraticCertificate(h=np.eye(4), gamma=0.5, lift_power=2)
-    plan = SimulationPlan(paths=400, horizon=1, seed=1, initial_state=np.array([1.0, 0.0]))
+    plan = SimulationPlan(paths=201, horizon=1, seed=1, initial_state=np.array([1.0, 0.0]))
     dist = single_atom(0.5 * np.eye(2))
-    assert simulate_iid(dist, plan).euclidean.n_valid[-1] == 400
-    assert simulate_iid(dist, replace(plan, paths=333), certificate=cert).certificate is not None
+    assert simulate_iid(dist, plan).euclidean.n_valid[-1] == 201
+    assert simulate_iid(dist, replace(plan, paths=200), certificate=cert).certificate is not None
     with pytest.raises(DimensionCapError) as info:
         simulate_iid(dist, plan, certificate=cert)
-    assert info.value.requested == 1200
-    # a chunk of fewer than three paths is evaluated at all its steps at once
-    with pytest.raises(DimensionCapError) as info:
-        simulate_iid(dist, replace(plan, paths=2, horizon=166), certificate=cert)
-    assert info.value.requested == 2 * 167 * 3
+    assert info.value.requested == 1005
+    # more paths than a chunk: the rows of one chunk, 1024 x 5, are counted
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "6000")
+    assert simulate_iid(dist, replace(plan, paths=2100), certificate=cert).certificate is not None
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +512,30 @@ def cone_case():
 
 
 def last_path_case():
-    """A cone norm on 1025 paths: the second chunk holds one path, and
-    einsum evaluates the cone norm at one row in another order than at
-    many."""
+    """A cone norm on 1025 paths: the second chunk holds one path, whose
+    certificate values must be those its rows get among many."""
     law, _, _ = cone_case()
     rng = np.random.default_rng(0)
     plan = SimulationPlan(paths=1025, horizon=6, seed=0, initial_state=rng.standard_normal(3))
     return law, plan, ConeNormCertificate(f=rng.random(9) + 0.1, gamma=0.5, lift_power=2)
 
 
+def one_step_quadratic_case():
+    """A d = 2, lift-1 quadratic on 1025 paths at horizon 1: the second
+    chunk evaluates the two steps of one path."""
+    rng = np.random.default_rng(1)
+    atoms = rng.standard_normal((2, 2, 2))
+    g = rng.standard_normal((2, 2))
+    plan = SimulationPlan(paths=1025, horizon=1, seed=1, initial_state=rng.standard_normal(2))
+    law = AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms)
+    return law, plan, QuadraticCertificate(h=g @ g.T + np.eye(2), gamma=0.5)
+
+
 @settings(max_examples=30, deadline=None)
 @given(simulation_cases(), st.integers(1, 3), st.booleans())
 @example(cone_case(), 2, False)
 @example(last_path_case(), 1, True)
+@example(one_step_quadratic_case(), 1, False)
 def test_chunked_kernel_equals_whole_array_reductions(case, threads, one_blas_thread):
     law, plan, cert = case
     with blas_threads(1) if one_blas_thread else nullcontext(), np.errstate(all="ignore"):
