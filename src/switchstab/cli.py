@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -170,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--p", type=int, default=1, help="moment exponent")
     cmd.add_argument("--cert", type=Path, help="certificate JSON for a second series")
     cmd.add_argument("--sigma0", type=int, help="initial mode (Markov runs)")
-    cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    cmd.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and not used: a simulation runs on one thread, with the same output",
+    )
     cmd.add_argument("--out-dir", type=Path, default=Path("."))
     cmd.add_argument("--closed-loop", action="store_true")
 

@@ -1,25 +1,23 @@
-"""Monte Carlo simulation with reproducible, worker-count-invariant streams.
+"""Monte Carlo simulation with reproducible, chunked random streams.
 
-Paths are processed in fixed-size chunks; chunk c draws from a Philox
-counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). The
-chunk workers of :func:`simulate_iid` and :func:`simulate_markov` keep only
-each step's states (and current modes), and write each path's values at
-that step into (paths, horizon+1) buffers: the norm, and the certificate
-value, which is computed from its own row alone and so does not depend on
-how many paths a chunk holds. Each moment series is reduced from its buffer
-CHUNK paths at a time, and sums over paths add the rows in path order
-exactly as numpy's axis-0 sum of the whole array does. So the working set
-is one or two value buffers and per-chunk temporaries, and no path is kept;
-:func:`simulate_paths` returns the states (and modes) of the same paths.
-Chunking is independent of the thread count and no value passes through
-BLAS, so output is bit-identical for any ``threads`` setting and BLAS
-thread count.
+Paths are drawn in fixed-size chunks; chunk c draws from a Philox
+counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). Every
+path advances one step at a time: at step k each chunk draws its step-k
+matrices and updates its rows of one (paths, d) state array, and the
+values of that step (the norm and, given a certificate, its value, each
+computed from its own row alone) are reduced at once. Sums over paths add
+the paths in order, as numpy's axis-0 sum of a whole (paths, horizon+1)
+array adds its rows. So the working set is the current states, one
+(paths,) array per series and the temporaries of one chunk-step, and no
+path is kept; :func:`simulate_paths` returns the states (and modes) of the
+same paths. Everything runs on the calling thread, and no value passes
+through BLAS, so output is bit-identical for any BLAS thread count; the
+``threads`` arguments are accepted and not used.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -37,7 +35,7 @@ from .models import (
 if TYPE_CHECKING:
     from .lyapunov import LyapunovCertificate
 
-#: paths per RNG chunk; fixed so results do not depend on the worker count
+#: paths per RNG chunk; fixed so results do not depend on how paths are run
 CHUNK = 1024
 
 
@@ -128,154 +126,119 @@ def sample_matrix(
     return out[0] if size is None else out
 
 
-def _path_sum(n: int, shape: tuple[int, ...], fill) -> np.ndarray:
-    """Sum over n paths of the per-path rows that ``fill(sl, out)`` writes
-    into ``out`` for the paths of slice ``sl``, CHUNK paths at a time.
-
-    Each block goes into rows 1.. of a buffer whose row 0 holds the running
-    total, and each block sum adds its rows in order. numpy's axis-0 sum of
-    the whole (n, *shape) array adds rows in the same order whenever a row
-    holds at least two values, so the two sums agree bit for bit.
-    """
-    buf = np.empty((CHUNK + 1, *shape))
-    first = 1  # the first block has no running total before it
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
-        fill(slice(start, stop), buf[1 : stop - start + 1])
-        buf[0] = buf[first : stop - start + 1].sum(axis=0)
-        first = 0
-    return buf[0].copy()
+def _chunks(n: int) -> list[slice]:
+    """The path slices of the RNG chunks of n paths, in path order."""
+    return [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
 
 
-def _moment_series(values: np.ndarray, label: str) -> MomentSeries:
-    """Reduce the (paths, horizon+1) per-path values in fixed path order,
-    CHUNK paths at a time in each of the two passes."""
-    n, width = values.shape
-    n_valid = np.zeros(width, dtype=np.int64)
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """Sum over paths (axis 0) of ``terms`` in path order from +0.0, the
+    order in which numpy's axis-0 sum adds the rows of a 2-D array (a 1-D
+    sum adds pairwise). The cumulative sum starts from the first path;
+    adding 0.0 maps a -0.0 total to the +0.0 that a sum from +0.0 gives."""
+    return np.cumsum(terms, axis=0)[-1] + 0.0
 
-    def chunk(sl):
-        """Values of the paths of slice sl, and the steps each counts at: a
-        path is excluded from its first non-finite step onward."""
-        v = values[sl]
-        return v, np.logical_and.accumulate(np.isfinite(v), axis=1)
 
-    def masked(sl, out):
-        v, valid = chunk(sl)
-        n_valid[:] += valid.sum(axis=0)
-        np.copyto(out, v)
-        out[~valid] = 0.0
+class _MomentFold:
+    """One value per path per step, reduced to a :class:`MomentSeries` step
+    by step: the mean over the paths that are still finite, then the sum of
+    squared deviations from it. A path is excluded from its first
+    non-finite value onward."""
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = _path_sum(n, (width,), masked) / np.maximum(n_valid, 1)
+    def __init__(self, n: int, horizon: int, label: str):
+        self.values = np.empty(n)  # the step's values, written before reduce
+        self.alive = np.ones(n, dtype=bool)
+        self.n_valid = np.zeros(horizon + 1, dtype=np.int64)
+        self.means = np.empty(horizon + 1)
+        self.squares = np.empty(horizon + 1)
+        self.label = label
 
-        def squared_deviations(sl, out):
-            v, valid = chunk(sl)
-            np.subtract(v, means, out=out)
-            out[~valid] = 0.0
-            np.square(out, out=out)
+    def reduce(self, k: int) -> None:
+        v, alive = self.values, self.alive
+        alive &= np.isfinite(v)
+        count = self.n_valid[k] = np.count_nonzero(alive)
+        mean = self.means[k] = _fold(np.where(alive, v, 0.0)) / max(count, 1)
+        deviations = v - mean
+        deviations[~alive] = 0.0
+        self.squares[k] = _fold(np.square(deviations, out=deviations))
 
-        var = _path_sum(n, (width,), squared_deviations) / np.maximum(n_valid - 1, 1)
+    def series(self) -> MomentSeries:
+        n_valid = self.n_valid
+        var = self.squares / np.maximum(n_valid - 1, 1)
         stderrs = np.sqrt(var / np.maximum(n_valid, 1))
-    means = np.where(n_valid > 0, means, np.nan)
-    stderrs = np.where(n_valid > 1, stderrs, 0.0)
-    return MomentSeries(
-        means=means,
-        stderrs=stderrs,
-        norm_label=label,
-        n_valid=n_valid.astype(int),
-        truncated_paths=int(n - n_valid[-1]),
-    )
+        return MomentSeries(
+            means=np.where(n_valid > 0, self.means, np.nan),
+            stderrs=np.where(n_valid > 1, stderrs, 0.0),
+            norm_label=self.label,
+            n_valid=n_valid.astype(int),
+            truncated_paths=int(self.alive.size - n_valid[-1]),
+        )
 
 
 def _check_plan(plan: SimulationPlan, d: int, width: int, context: str) -> None:
-    """Reject an initial state of the wrong dimension, then per-path arrays
-    of (horizon+1) x ``width`` entries larger than the entry cap."""
+    """Reject an initial state of the wrong dimension, then ``width``
+    entries per path beyond the entry cap."""
     if plan.initial_state.shape != (d,):
         raise ValueError(f"initial state must have dimension {d}")
-    check_entry_cap(plan.paths * (plan.horizon + 1) * width, context)
+    check_entry_cap(plan.paths * width, context)
 
 
-def _run_chunks(plan: SimulationPlan, d: int, threads: int, start, record) -> None:
-    """Run x(k+1) = A_k x(k) over the plan's paths in fixed-size chunks.
+def _run_steps(plan: SimulationPlan, d: int, start, step) -> None:
+    """Run x(k+1) = A_k x(k) over all of the plan's paths, one step at a time.
 
     ``start(rng, sl)`` is called once per chunk with the chunk's stream and
     path slice, and returns ``draw(k)``: the stack of step-k matrices,
-    A_(k-1), for the chunk's paths. ``record(sl, k, x)`` is given the
-    chunk's states at each step k in turn. Each worker sets its own error
-    state: overflowed paths are expected and truncated by the moment series.
+    A_(k-1), for the chunk's paths. Each chunk updates its rows of one
+    (paths, d) state array, and ``step(k, x)`` is then given the states of
+    every path at step k. Overflowed paths are expected and truncated by the
+    moment series, so floating-point errors are ignored.
     """
-    n, h = plan.paths, plan.horizon
-
-    def worker(chunk_idx: int) -> None:
-        sl = slice(chunk_idx * CHUNK, min((chunk_idx + 1) * CHUNK, n))
-        draw = start(_chunk_rng(plan.seed, chunk_idx), sl)
-        x = np.broadcast_to(plan.initial_state, (sl.stop - sl.start, d)).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(h + 1):
-                if k:
-                    x = np.einsum("nij,nj->ni", draw(k), x)
-                record(sl, k, x)
-
-    chunks = range((n + CHUNK - 1) // CHUNK)
-    if threads <= 1:
-        for c in chunks:
-            worker(c)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, chunks))
+    slices = _chunks(plan.paths)
+    draws = [start(_chunk_rng(plan.seed, c), sl) for c, sl in enumerate(slices)]
+    x = np.broadcast_to(plan.initial_state, (plan.paths, d)).copy()
+    with np.errstate(all="ignore"):
+        for k in range(plan.horizon + 1):
+            if k:
+                for sl, draw in zip(slices, draws):
+                    x[sl] = np.einsum("nij,nj->ni", draw(k), x[sl])
+            step(k, x)
 
 
 def _simulate(
-    plan: SimulationPlan, d: int, threads: int, start, certificate=None
+    problem: MatrixDistribution | MarkovJumpSystem, plan: SimulationPlan, certificate=None
 ) -> SimulationResult:
-    """Simulate the paths of a checked plan and reduce them to moment series.
+    """Simulate the plan's paths of a law or a Markov system and reduce them
+    to moment series.
 
-    The chunk workers write each step's Euclidean norm to the plan's
-    exponent and, given a certificate, its value into (paths, horizon+1)
-    buffers; a worker holds the states of one step of its chunk. The series
-    are reduced from these buffers.
+    At each step the Euclidean norm to the plan's exponent and, given a
+    certificate, its value are computed one chunk of paths at a time and
+    reduced over all paths.
     """
-    n, h, p = plan.paths, plan.horizon, plan.moment_exponent
+    n, p, d = plan.paths, plan.moment_exponent, problem.dim
+    # the states and the values of one step
+    _check_plan(plan, d, d + 1 + (certificate is not None), "simulation states and values")
+    start = _start(problem, plan)[0]
+    norms = _MomentFold(n, plan.horizon, f"euclidean^{p}")
+    folds = [norms]
     if certificate is not None:
         from .lyapunov import evaluate_rows
 
         # the monomials of one step of a chunk
         check_entry_cap(min(n, CHUNK) * len(certificate.weights), "simulated certificate rows")
-        cert_values = np.empty((n, h + 1))
-    norms = np.empty((n, h + 1))
+        cert_values = _MomentFold(n, plan.horizon, "certificate")
+        folds.append(cert_values)
+    slices = _chunks(n)
 
-    def record(sl, k, x):
-        norms[sl, k] = np.linalg.norm(x, axis=1) ** p
-        if certificate is not None:
-            cert_values[sl, k] = evaluate_rows(certificate, x)
+    def step(k, x):
+        for sl in slices:
+            norms.values[sl] = np.linalg.norm(x[sl], axis=1) ** p
+            if certificate is not None:
+                cert_values.values[sl] = evaluate_rows(certificate, x[sl])
+        for fold in folds:
+            fold.reduce(k)
 
-    _run_chunks(plan, d, threads, start, record)
-    euclid = _moment_series(norms, f"euclidean^{p}")
-    cert_series = None if certificate is None else _moment_series(cert_values, "certificate")
-    return SimulationResult(euclidean=euclid, certificate=cert_series)
-
-
-def _iid_start(dist: MatrixDistribution):
-    def start(rng, sl):
-        return lambda k: sample_matrix(dist, rng, size=sl.stop - sl.start)
-
-    return start
-
-
-def simulate_iid(
-    dist: MatrixDistribution,
-    plan: SimulationPlan,
-    certificate: LyapunovCertificate | None = None,
-    threads: int = 1,
-) -> SimulationResult:
-    """Simulate x(k+1) = A_k x(k) with A_k drawn independently from the law.
-
-    Returns the sample moments of the Euclidean norm raised to the plan's
-    exponent and optionally the certificate-value series; the paths
-    themselves are not kept (see :func:`simulate_paths`).
-    """
-    _check_plan(plan, dist.dim, 1, "simulation values")
-    return _simulate(plan, dist.dim, threads, _iid_start(dist), certificate)
+    _run_steps(plan, d, start, step)
+    return SimulationResult(*(fold.series() for fold in folds))
 
 
 def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) -> int:
@@ -289,30 +252,48 @@ def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) 
     return sigma0
 
 
-def _markov_start(system: MarkovJumpSystem, plan: SimulationPlan, modes: np.ndarray | None):
-    """Chunk start for the mode chain from the plan's initial mode: each
-    chunk keeps its paths' current modes and, given ``modes``, writes the
-    0-based mode of every step there."""
-    sigma0 = _initial_mode(system, plan.initial_mode, "Markov simulation")
-    cum_rows = np.cumsum(system.transition, axis=1)
+def _start(problem: MatrixDistribution | MarkovJumpSystem, plan: SimulationPlan):
+    """The chunk start of an i.i.d. law or a Markov system (see
+    :func:`_run_steps`), and for a Markov system the (paths,) array of every
+    path's current 0-based mode, which each chunk's ``draw(k)`` advances to
+    step k (None for an i.i.d. law). The mode chain starts from the plan's
+    initial mode."""
+    if not isinstance(problem, MarkovJumpSystem):
+
+        def start(rng, sl):
+            return lambda k: sample_matrix(problem, rng, size=sl.stop - sl.start)
+
+        return start, None
+    sigma0 = _initial_mode(problem, plan.initial_mode, "Markov simulation")
+    cum_rows = np.cumsum(problem.transition, axis=1)
+    modes = np.full(plan.paths, sigma0 - 1)
 
     def start(rng, sl):
-        m = sl.stop - sl.start
-        sigma = np.full(m, sigma0 - 1)
-        if modes is not None:
-            modes[sl, 0] = sigma
-
         def draw(k):
-            nonlocal sigma
-            matrices = system.modes[sigma]
-            sigma = _inverse_cdf(rng.random(m), cum_rows[sigma])
-            if modes is not None:
-                modes[sl, k] = sigma
+            sigma = modes[sl]
+            matrices = problem.modes[sigma]
+            modes[sl] = _inverse_cdf(rng.random(sigma.size), cum_rows[sigma])
             return matrices
 
         return draw
 
-    return start
+    return start, modes
+
+
+def simulate_iid(
+    dist: MatrixDistribution,
+    plan: SimulationPlan,
+    certificate: LyapunovCertificate | None = None,
+    threads: int = 1,
+) -> SimulationResult:
+    """Simulate x(k+1) = A_k x(k) with A_k drawn independently from the law.
+
+    Returns the sample moments of the Euclidean norm raised to the plan's
+    exponent and optionally the certificate-value series; the paths
+    themselves are not kept (see :func:`simulate_paths`). ``threads`` is
+    not used.
+    """
+    return _simulate(dist, plan, certificate)
 
 
 def simulate_markov(
@@ -320,9 +301,9 @@ def simulate_markov(
 ) -> SimulationResult:
     """Simulate x(k+1) = M_(mode k) x(k) with the mode chain driven by the
     transition matrix from the plan's initial mode, and return the moment
-    series of the Euclidean norm; neither paths nor modes are kept."""
-    _check_plan(plan, system.dim, 1, "simulation values")
-    return _simulate(plan, system.dim, threads, _markov_start(system, plan, None))
+    series of the Euclidean norm; neither paths nor modes are kept.
+    ``threads`` is not used."""
+    return _simulate(system, plan)
 
 
 def simulate_paths(
@@ -333,24 +314,23 @@ def simulate_paths(
     (paths, horizon+1), int8 up to 128 modes (None for an i.i.d. law).
 
     The paths are those that :func:`simulate_iid` and
-    :func:`simulate_markov` reduce, bit for bit, at any thread count; the
-    entry cap counts the states.
+    :func:`simulate_markov` reduce, bit for bit; the entry cap counts the
+    states. ``threads`` is not used.
     """
     d = problem.dim
-    _check_plan(plan, d, d, "simulation paths")
+    _check_plan(plan, d, (plan.horizon + 1) * d, "simulation paths")
     states = np.empty((plan.paths, plan.horizon + 1, d))
+    start, current = _start(problem, plan)
     modes = None
-    if isinstance(problem, MarkovJumpSystem):
-        dtype = np.min_scalar_type(-problem.n_modes)
-        modes = np.empty((plan.paths, plan.horizon + 1), dtype=dtype)
-        start = _markov_start(problem, plan, modes)
-    else:
-        start = _iid_start(problem)
+    if current is not None:
+        modes = np.empty(states.shape[:2], dtype=np.min_scalar_type(-problem.n_modes))
 
-    def record(sl, k, x):
-        states[sl, k] = x
+    def step(k, x):
+        states[:, k] = x
+        if modes is not None:
+            modes[:, k] = current
 
-    _run_chunks(plan, d, threads, start, record)
+    _run_steps(plan, d, start, step)
     return states, modes
 
 
@@ -378,19 +358,6 @@ def propagate_conditional_moments(
     return q
 
 
-def _mode_terms(states: np.ndarray, modes: np.ndarray, i: int, mean: np.ndarray | None = None):
-    """Fill for :func:`_path_sum` with the terms x(k) 1{mode k = i} of each
-    path or, given their mean, the squared deviations from it."""
-
-    def fill(sl, out):
-        np.multiply(states[sl], (modes[sl] == i)[:, :, None], out=out)
-        if mean is not None:
-            np.subtract(out, mean, out=out)
-            np.square(out, out=out)
-
-    return fill
-
-
 @dataclass(frozen=True)
 class QRecursionReport:
     max_residual: float  # analytic vec identity, max over steps
@@ -409,30 +376,35 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     cross-check compares simulated conditional moments against the analytic
     ones within four standard errors, so it needs at least 2 paths.
     """
-    from .radius import markov_tp
+    from .radius import markov_on_sym
 
     if plan.paths < 2:
         raise ValueError(f"the conditional-moment check needs at least 2 paths, got {plan.paths}")
     sigma0 = _initial_mode(system, plan.initial_mode, "the conditional-moment check")
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
-    t1 = markov_tp(system, 1)
+    t1 = markov_on_sym(system, 1)  # T_1: Sym^1 is R^d
     residual = 0.0
     for k in range(plan.horizon):
         lhs = q[k + 1].reshape(-1)
         rhs = t1 @ q[k].reshape(-1)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
 
-    states, modes = simulate_paths(system, plan)
-    n, shape = plan.paths, (plan.horizon + 1, system.dim)
+    d, n = system.dim, plan.paths
+    _check_plan(plan, d, 2 * d, "conditional-moment states and terms")
+    start, modes = _start(system, plan)
     # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}, with
     # its ddof-1 standard deviation, each summed as numpy's mean and std sum
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)
-    for i in range(system.n_modes):
-        mean = _path_sum(n, shape, _mode_terms(states, modes, i)) / n
-        var = _path_sum(n, shape, _mode_terms(states, modes, i, mean)) / (n - 1)
-        q_mc[:, i, :] = mean
-        stderr[:, i, :] = np.sqrt(var) / np.sqrt(n)
+
+    def step(k, x):
+        for i in range(system.n_modes):
+            terms = x * (modes == i)[:, None]
+            mean = q_mc[k, i] = _fold(terms) / n
+            np.square(np.subtract(terms, mean, out=terms), out=terms)
+            stderr[k, i] = np.sqrt(_fold(terms) / (n - 1)) / np.sqrt(n)
+
+    _run_steps(plan, d, start, step)
     diff = np.abs(q_mc - q)
     # deterministic components (stderr 0) must agree to rounding noise
     scale = np.maximum(np.abs(q), 1.0)

@@ -22,8 +22,8 @@ E[x(k)^(kron p) 1{sigma_k = j}] evolve by T_p, whose block (j, i) is
 P[i, j] M_i^(kron p), and T_p leaves Sym^p (x) R^N invariant; its
 restriction there has blocks P[i, j] S_p(M_i), N C(d+p-1, p) rows, and the
 same licences: even p, or odd p with entrywise-nonnegative modes. The full
-lift ``markov_tp`` is built only for ``--general-p`` and the first-moment
-recursion check.
+lift ``markov_tp`` is built only for ``--general-p``; the first-moment
+recursion check reads T_1 on Sym^1 (x) R^N, which is the full T_1.
 
 Each of these matrices, when licensed, maps a cone into itself, and
 :func:`~switchstab.linalg.cone_spectral_radius` reads its radius from a
@@ -252,7 +252,7 @@ def markov_tp_spectral_radius(system: MarkovJumpSystem, p: int) -> float:
     return float(rho ** (1.0 / p))
 
 
-def _markov_on_sym(system: MarkovJumpSystem, p: int) -> np.ndarray:
+def markov_on_sym(system: MarkovJumpSystem, p: int) -> np.ndarray:
     """T_p restricted to Sym^p (x) R^N: block (j, i) is P[i, j] S_p(M_i)."""
     size = system.n_modes * symmetric_dim(system.dim, p)
     check_entry_cap(size * size, "markov Sym^p operator")
@@ -268,7 +268,7 @@ def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
     silently numeric.
     """
     nonnegative, lifted_dim = bool(np.all(system.modes >= 0)), system.n_modes * system.dim**p
-    return _radius(lambda: _markov_on_sym(system, p), p, nonnegative, system.dim, lifted_dim)[0]
+    return _radius(lambda: markov_on_sym(system, p), p, nonnegative, system.dim, lifted_dim)[0]
 
 
 def markov_stability(system: MarkovJumpSystem, p: int) -> StabilityReport:

@@ -505,25 +505,25 @@ def test_simulate_cap_exits_5(capsys, docs, tmp_path, monkeypatch):
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     argv = ["simulate", "-i", str(docs["scalar.json"]), "--horizon", "10", "--seed", "1",
             "--x0", "1", "--out-dir", str(tmp_path / "sim"), "--paths"]
-    code, _ = run(capsys, *argv, "90")
+    code, _ = run(capsys, *argv, "500")
     assert code == 0
-    code, report = run(capsys, *argv, "100")  # 100 paths x 11 states x d = 1
+    code, report = run(capsys, *argv, "501")  # 501 paths x one state at d = 1 and one norm
     assert code == 5
     assert report["results"] is None
     assert report["error"]["type"] == "DimensionCapError"
-    assert "1100 entries" in report["error"]["message"]
+    assert "1002 entries" in report["error"]["message"]
 
 
-def test_simulate_cap_counts_values_not_states(capsys, docs, tmp_path, monkeypatch):
-    # d = 2: 90 paths x 11 steps are 990 values per series but 1980 states
+def test_simulate_cap_counts_one_step_of_states_and_values(capsys, docs, tmp_path, monkeypatch):
+    # d = 2: a step holds 2 states and a norm per path, at any horizon
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
-    argv = ["simulate", "-i", str(docs["pair.json"]), "--horizon", "10", "--seed", "1",
+    argv = ["simulate", "-i", str(docs["pair.json"]), "--horizon", "100", "--seed", "1",
             "--x0", "1,0", "--out-dir", str(tmp_path / "sim"), "--paths"]
-    code, _ = run(capsys, *argv, "90")
+    code, _ = run(capsys, *argv, "333")
     assert code == 0
-    code, report = run(capsys, *argv, "91")
+    code, report = run(capsys, *argv, "334")
     assert code == 5
-    assert "1001 entries" in report["error"]["message"]
+    assert "1002 entries" in report["error"]["message"]
 
 
 def test_jsr_stopped_by_the_entry_cap_warns(capsys, docs, monkeypatch):
@@ -711,9 +711,10 @@ def test_exact_certificate_commands_sample_nothing_and_simulate_does(spawned):
     assert code == 0 and "switchstab.mcsim" in modules
     code, _, modules = simulate
     assert code == 0 and "switchstab.mcsim" in modules
-    assert not modules & {"switchstab.lyapunov", "switchstab.radius"}
+    assert not modules & {"switchstab.lyapunov", "switchstab.radius", "concurrent.futures"}
     code, _, modules = simulate_with_cert
-    assert code == 0 and "switchstab.lyapunov" in modules and "switchstab.radius" not in modules
+    assert code == 0 and "switchstab.lyapunov" in modules
+    assert not modules & {"switchstab.radius", "concurrent.futures"}
 
 
 @pytest.mark.spawns(

@@ -202,7 +202,7 @@ def test_spectrum_requires_square():
 
 def markov_t2(transition, modes):
     """T_2 on Sym^2 (x) R^N: block (j, i) is P[i, j] S_2(M_i)."""
-    return radius_module._markov_on_sym(MarkovJumpSystem(transition, modes), 2)
+    return radius_module.markov_on_sym(MarkovJumpSystem(transition, modes), 2)
 
 
 def cone_radius_everywhere(m, psd_side=None):

@@ -216,43 +216,51 @@ def test_simulation_paths_respect_the_entry_cap(monkeypatch, markov):
             return simulate_markov(scalar_markov(), plan)
         return simulate_iid(scalar_uniform(0.5), plan)
 
-    simulate(90)
+    simulate(500)
     with pytest.raises(DimensionCapError) as info:
-        simulate(100)  # 100 paths x 11 values, and as many states at d = 1
-    assert info.value.requested == 1100
+        simulate(501)  # 501 paths x one state at d = 1 and one norm
+    assert info.value.requested == 1002
 
 
 @pytest.mark.parametrize("markov", [False, True])
-def test_the_entry_cap_counts_value_buffers_not_states(monkeypatch, three_mode_system, markov):
-    # d = 2: 90 paths x 11 steps are 990 entries in each value buffer but
-    # 1980 states, which only the path simulator allocates
+def test_the_entry_cap_counts_one_step_not_the_paths(monkeypatch, three_mode_system, markov):
+    # d = 2: a step holds 2 states and a norm per path, and an i.i.d. run
+    # with a certificate one value more, at any horizon; the path simulator
+    # holds 11 steps of 2 states per path, 1980 entries for 90 paths
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     if markov:
-        law, simulate = three_mode_system, simulate_markov
+        law, simulate, fits, requested = three_mode_system, simulate_markov, 333, 1002
     else:
+        fits, requested = 250, 1004
         law, cert = single_atom(0.5 * np.eye(2)), QuadraticCertificate(h=np.eye(2), gamma=0.5)
 
         def simulate(law, plan):
             return simulate_iid(law, plan, certificate=cert)
 
-    def plan(paths):
+    def plan(paths, horizon=10):
         return SimulationPlan(
-            paths=paths, horizon=10, seed=1, initial_state=np.array([1.0, 0.0]), initial_mode=1
+            paths=paths, horizon=horizon, seed=1, initial_state=np.array([1.0, 0.0]),
+            initial_mode=1,
         )
 
-    assert simulate(law, plan(90)).euclidean.n_valid[-1] == 90
+    assert simulate(law, plan(fits, horizon=100)).euclidean.n_valid[-1] == fits
     with pytest.raises(DimensionCapError) as info:
         simulate_paths(law, plan(90))
     assert info.value.requested == 1980
     with pytest.raises(DimensionCapError) as info:
-        simulate(law, plan(91))
-    assert info.value.requested == 1001
+        simulate(law, plan(fits + 1))
+    assert info.value.requested == requested
+    if markov:  # the check holds the states and one mode's terms, 4 per path
+        check_q_recursion(law, plan(250, horizon=100))
+        with pytest.raises(DimensionCapError) as info:
+            check_q_recursion(law, plan(251))
+        assert info.value.requested == 1004
 
 
 def test_certificate_rows_respect_the_entry_cap(monkeypatch):
     # each step of a chunk of 201 paths at d = 2 is evaluated as 201 rows of
-    # the 5 monomials of a degree-4 quadratic, 1005 entries; each value
-    # buffer holds 402
+    # the 5 monomials of a degree-4 quadratic, 1005 entries; the states and
+    # values of a step are 804
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
     cert = QuadraticCertificate(h=np.eye(4), gamma=0.5, lift_power=2)
     plan = SimulationPlan(paths=201, horizon=1, seed=1, initial_state=np.array([1.0, 0.0]))
@@ -262,8 +270,9 @@ def test_certificate_rows_respect_the_entry_cap(monkeypatch):
     with pytest.raises(DimensionCapError) as info:
         simulate_iid(dist, plan, certificate=cert)
     assert info.value.requested == 1005
-    # more paths than a chunk: the rows of one chunk, 1024 x 5, are counted
-    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "6000")
+    # more paths than a chunk: the rows of one chunk, 1024 x 5, are counted,
+    # beside the 2100 x 4 states and values of a step
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "8400")
     assert simulate_iid(dist, replace(plan, paths=2100), certificate=cert).certificate is not None
 
 
@@ -672,6 +681,22 @@ def test_iid_simulation_with_a_certificate_holds_two_value_buffers_and_chunk_buf
     # the norm and certificate-value buffers; each worker holds one step of
     # one chunk of paths
     assert peak < 3 * values
+
+
+@pytest.mark.parametrize("run", ["iid", "markov", "q_recursion"])
+def test_a_simulation_holds_one_step_of_its_paths(three_mode_system, run):
+    law, plan, cert = quadratic_d3_run()
+    if run != "iid":
+        plan = replace(plan, initial_state=np.array([1.0, -0.5]), initial_mode=1)
+    call = {
+        "iid": lambda: simulate_iid(law, plan, certificate=cert, threads=2),
+        "markov": lambda: simulate_markov(three_mode_system, plan, threads=2),
+        "q_recursion": lambda: check_q_recursion(three_mode_system, plan),
+    }[run]
+    values = plan.paths * (plan.horizon + 1) * 8  # bytes of one (paths, horizon+1) array
+    # the (paths, d) states, the current modes, a (paths,) array per series
+    # and the temporaries of one step
+    assert traced_peak(call) < values / 4
 
 
 @pytest.mark.parametrize("markov", [False, True])

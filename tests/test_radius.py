@@ -275,9 +275,9 @@ def test_markov_radius_p1_needs_nonnegative_modes(monkeypatch):
         modes=np.array([[[0.5, -0.1], [0.0, 0.5]], [[0.4, 0.0], [0.0, 0.4]]]),
     )
     built = []
-    build = radius_module._markov_on_sym
+    build = radius_module.markov_on_sym
     monkeypatch.setattr(
-        radius_module, "_markov_on_sym", lambda system, p: built.append(p) or build(system, p)
+        radius_module, "markov_on_sym", lambda system, p: built.append(p) or build(system, p)
     )
     for p in (1, 3, 5):
         result = markov_p_radius(system, p)
@@ -859,7 +859,7 @@ def test_markov_sym_operator_propagates_the_conditional_moments(n, p):
         terms = weights[:, None] * np.prod(states[:, exponents], axis=2)
         return np.stack([terms[modes == j].sum(axis=0) for j in range(n)]).reshape(-1)
 
-    operator = radius_module._markov_on_sym(system, p)
+    operator = radius_module.markov_on_sym(system, p)
     sigma0, x0 = n - 1, np.array([0.8, -0.6])
     states, modes, weights = x0[None], np.array([sigma0]), np.ones(1)
     moments = monomial_blocks(states, modes, weights)
