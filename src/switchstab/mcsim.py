@@ -1,18 +1,19 @@
 """Monte Carlo simulation with reproducible, chunked random streams.
 
 Paths are drawn in fixed-size chunks; chunk c draws from a Philox
-counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)). Every
-path advances one step at a time: at step k each chunk draws its step-k
-matrices and updates its rows of one (paths, d) state array, and the
+counter-based stream spawned as SeedSequence(seed, spawn_key=(c,)).
+:func:`_lockstep` advances every path one step at a time: at step k each
+chunk draws its step-k matrices and updates its rows of one (paths, d)
+state array, and each consumer, a plain loop over the steps, reduces the
 values of that step (the norm and, given a certificate, its value, each
-computed from its own row alone) are reduced at once. Sums over paths add
-the paths in order, as numpy's axis-0 sum of a whole (paths, horizon+1)
-array adds its rows. So the working set is the current states, one
-(paths,) array per series and the temporaries of one chunk-step, and no
-path is kept; :func:`simulate_paths` returns the states (and modes) of the
-same paths. Everything runs on the calling thread, and no value passes
-through BLAS, so output is bit-identical for any BLAS thread count; the
-``threads`` arguments are accepted and not used.
+computed from its own row alone) at once. Sums over paths add the paths in
+order, as numpy's axis-0 sum of a whole (paths, horizon+1) array adds its
+rows. So the working set is the current states, one (paths,) array per
+series and the temporaries of one chunk-step, and no path is kept;
+:func:`simulate_paths` returns the states (and modes) of the same paths.
+Everything runs on the calling thread, and no value passes through BLAS,
+so output is bit-identical for any BLAS thread count; the ``threads``
+arguments are accepted and not used.
 """
 
 from __future__ import annotations
@@ -183,25 +184,36 @@ def _check_plan(plan: SimulationPlan, d: int, width: int, context: str) -> None:
     check_entry_cap(plan.paths * width, context)
 
 
-def _run_steps(plan: SimulationPlan, d: int, start, step) -> None:
-    """Run x(k+1) = A_k x(k) over all of the plan's paths, one step at a time.
+def _lockstep(problem: MatrixDistribution | MarkovJumpSystem, plan: SimulationPlan):
+    """Yield ``(k, x, modes)`` for k = 0..horizon, running x(k+1) = A_k x(k)
+    over all of the plan's paths one step at a time.
 
-    ``start(rng, sl)`` is called once per chunk with the chunk's stream and
-    path slice, and returns ``draw(k)``: the stack of step-k matrices,
-    A_(k-1), for the chunk's paths. Each chunk updates its rows of one
-    (paths, d) state array, and ``step(k, x)`` is then given the states of
-    every path at step k. Overflowed paths are expected and truncated by the
-    moment series, so floating-point errors are ignored.
+    ``x`` is the (paths, d) state array and, for a Markov system, ``modes``
+    the (paths,) array of current 0-based modes from the plan's initial mode
+    (None for an i.i.d. law); the next step updates both in place. Overflowed
+    paths are expected and truncated by the moment series, so floating-point
+    errors of a step are ignored.
     """
     slices = _chunks(plan.paths)
-    draws = [start(_chunk_rng(plan.seed, c), sl) for c, sl in enumerate(slices)]
-    x = np.broadcast_to(plan.initial_state, (plan.paths, d)).copy()
-    with np.errstate(all="ignore"):
-        for k in range(plan.horizon + 1):
-            if k:
-                for sl, draw in zip(slices, draws):
-                    x[sl] = np.einsum("nij,nj->ni", draw(k), x[sl])
-            step(k, x)
+    rngs = [_chunk_rng(plan.seed, c) for c in range(len(slices))]
+    x = np.broadcast_to(plan.initial_state, (plan.paths, problem.dim)).copy()
+    modes = None
+    if isinstance(problem, MarkovJumpSystem):
+        sigma0 = _initial_mode(problem, plan.initial_mode, "Markov simulation")
+        cum_rows = np.cumsum(problem.transition, axis=1)
+        modes = np.full(plan.paths, sigma0 - 1)
+    yield 0, x, modes
+    for k in range(1, plan.horizon + 1):
+        with np.errstate(all="ignore"):
+            for sl, rng in zip(slices, rngs):
+                if modes is None:
+                    matrices = sample_matrix(problem, rng, size=sl.stop - sl.start)
+                else:
+                    sigma = modes[sl]
+                    matrices = problem.modes[sigma]
+                    modes[sl] = _inverse_cdf(rng.random(sigma.size), cum_rows[sigma])
+                x[sl] = np.einsum("nij,nj->ni", matrices, x[sl])
+        yield k, x, modes
 
 
 def _simulate(
@@ -217,7 +229,6 @@ def _simulate(
     n, p, d = plan.paths, plan.moment_exponent, problem.dim
     # the states and the values of one step
     _check_plan(plan, d, d + 1 + (certificate is not None), "simulation states and values")
-    start = _start(problem, plan)[0]
     norms = _MomentFold(n, plan.horizon, f"euclidean^{p}")
     folds = [norms]
     if certificate is not None:
@@ -228,16 +239,14 @@ def _simulate(
         cert_values = _MomentFold(n, plan.horizon, "certificate")
         folds.append(cert_values)
     slices = _chunks(n)
-
-    def step(k, x):
-        for sl in slices:
-            norms.values[sl] = np.linalg.norm(x[sl], axis=1) ** p
-            if certificate is not None:
-                cert_values.values[sl] = evaluate_rows(certificate, x[sl])
-        for fold in folds:
-            fold.reduce(k)
-
-    _run_steps(plan, d, start, step)
+    with np.errstate(all="ignore"):
+        for k, x, _ in _lockstep(problem, plan):
+            for sl in slices:
+                norms.values[sl] = np.linalg.norm(x[sl], axis=1) ** p
+                if certificate is not None:
+                    cert_values.values[sl] = evaluate_rows(certificate, x[sl])
+            for fold in folds:
+                fold.reduce(k)
     return SimulationResult(*(fold.series() for fold in folds))
 
 
@@ -250,34 +259,6 @@ def _initial_mode(system: MarkovJumpSystem, sigma0: int | None, needed_by: str) 
     if not 1 <= sigma0 <= system.n_modes:
         raise ValueError(f"initial mode must lie in 1..{system.n_modes}")
     return sigma0
-
-
-def _start(problem: MatrixDistribution | MarkovJumpSystem, plan: SimulationPlan):
-    """The chunk start of an i.i.d. law or a Markov system (see
-    :func:`_run_steps`), and for a Markov system the (paths,) array of every
-    path's current 0-based mode, which each chunk's ``draw(k)`` advances to
-    step k (None for an i.i.d. law). The mode chain starts from the plan's
-    initial mode."""
-    if not isinstance(problem, MarkovJumpSystem):
-
-        def start(rng, sl):
-            return lambda k: sample_matrix(problem, rng, size=sl.stop - sl.start)
-
-        return start, None
-    sigma0 = _initial_mode(problem, plan.initial_mode, "Markov simulation")
-    cum_rows = np.cumsum(problem.transition, axis=1)
-    modes = np.full(plan.paths, sigma0 - 1)
-
-    def start(rng, sl):
-        def draw(k):
-            sigma = modes[sl]
-            matrices = problem.modes[sigma]
-            modes[sl] = _inverse_cdf(rng.random(sigma.size), cum_rows[sigma])
-            return matrices
-
-        return draw
-
-    return start, modes
 
 
 def simulate_iid(
@@ -320,17 +301,13 @@ def simulate_paths(
     d = problem.dim
     _check_plan(plan, d, (plan.horizon + 1) * d, "simulation paths")
     states = np.empty((plan.paths, plan.horizon + 1, d))
-    start, current = _start(problem, plan)
     modes = None
-    if current is not None:
+    if isinstance(problem, MarkovJumpSystem):
         modes = np.empty(states.shape[:2], dtype=np.min_scalar_type(-problem.n_modes))
-
-    def step(k, x):
+    for k, x, current in _lockstep(problem, plan):
         states[:, k] = x
         if modes is not None:
             modes[:, k] = current
-
-    _run_steps(plan, d, start, step)
     return states, modes
 
 
@@ -360,7 +337,9 @@ def propagate_conditional_moments(
 
 @dataclass(frozen=True)
 class QRecursionReport:
-    max_residual: float  # analytic vec identity, max over steps
+    # analytic vec identity: max over steps of |Q(k+1) - T_1 Q(k)|_inf over
+    # max(|Q(k+1)|_inf, |T_1 Q(k)|_inf), taken as 0 where both are 0
+    max_residual: float
     mc_max_sigma: float  # worst |MC - analytic| in standard errors
     mc_agrees: bool
 
@@ -372,9 +351,11 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     """Verify that stacked conditional moments evolve by the lifted operator.
 
     The analytic residual max_k ||vec Q(k+1) - T_1 vec Q(k)|| is an exact
-    algebraic identity and should sit at rounding level. The Monte Carlo
-    cross-check compares simulated conditional moments against the analytic
-    ones within four standard errors, so it needs at least 2 paths.
+    algebraic identity. Each step's residual is taken relative to the larger
+    of ||vec Q(k+1)|| and ||T_1 vec Q(k)|| (max norms), so it sits at
+    rounding level however large Q grows. The Monte Carlo cross-check
+    compares simulated conditional moments against the analytic ones within
+    four standard errors, so it needs at least 2 paths.
     """
     from .radius import markov_on_sym
 
@@ -387,24 +368,23 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     for k in range(plan.horizon):
         lhs = q[k + 1].reshape(-1)
         rhs = t1 @ q[k].reshape(-1)
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
+        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        if scale > 0.0:
+            residual = max(residual, float(np.max(np.abs(lhs - rhs))) / scale)
 
     d, n = system.dim, plan.paths
     _check_plan(plan, d, 2 * d, "conditional-moment states and terms")
-    start, modes = _start(system, plan)
     # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}, with
     # its ddof-1 standard deviation, each summed as numpy's mean and std sum
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)
-
-    def step(k, x):
-        for i in range(system.n_modes):
-            terms = x * (modes == i)[:, None]
-            mean = q_mc[k, i] = _fold(terms) / n
-            np.square(np.subtract(terms, mean, out=terms), out=terms)
-            stderr[k, i] = np.sqrt(_fold(terms) / (n - 1)) / np.sqrt(n)
-
-    _run_steps(plan, d, start, step)
+    with np.errstate(all="ignore"):
+        for k, x, modes in _lockstep(system, plan):
+            for i in range(system.n_modes):
+                terms = x * (modes == i)[:, None]
+                mean = q_mc[k, i] = _fold(terms) / n
+                np.square(np.subtract(terms, mean, out=terms), out=terms)
+                stderr[k, i] = np.sqrt(_fold(terms) / (n - 1)) / np.sqrt(n)
     diff = np.abs(q_mc - q)
     # deterministic components (stderr 0) must agree to rounding noise
     scale = np.maximum(np.abs(q), 1.0)

@@ -33,10 +33,10 @@ import numpy as np
 
 from .errors import AssumptionError, SchemaError
 from .linalg import (
-    GATHER_BLOCK,
     check_entry_cap,
     check_finite,
     kron_power,
+    orbit_index,
     shift_up,
     sorted_indices,
     symmetric_dim,
@@ -248,22 +248,14 @@ class UniformEntriesDistribution(MatrixDistribution):
         if p == 1:
             return self.entry_moment(1)
         # entry (i, j) is the moment E[a^T] of the multiset T of cells
-        # (i_t, j_t), whose number is found one cell at a time; the moments
-        # are those of expected_symmetric_power, so entries are copied, not
-        # recomputed
-        plan = _cell_multisets(d, p)
-        moments = self._multiset_moments(plan, p)
-        digits = np.arange(n)[:, None] // d ** np.arange(p - 1, -1, -1) % d
-        ups = [shift_up(d * d, t + 1) for t in range(p)]
-        out = np.empty((n, n))
-        step = max(1, GATHER_BLOCK // n)
-        for first in range(0, n, step):
-            rows = digits[first : first + step]
-            at = np.zeros((rows.shape[0], n), dtype=np.intp)
-            for t, up in enumerate(ups):
-                at = up[at, rows[:, t, None] * d + digits[:, t]]
-            out[first : first + step] = moments[at]
-        return out
+        # (i_t, j_t): orbit_index numbers T from the cell digits i_t d + j_t,
+        # and the transpose puts the row digits i_t before the column digits
+        # j_t. The moments are those of expected_symmetric_power, so entries
+        # are copied, not recomputed
+        moments = self._multiset_moments(_cell_multisets(d, p), p)
+        by_cells = moments[orbit_index(d * d, p)].reshape((d, d) * p)
+        rows_first = [*range(0, 2 * p, 2), *range(1, 2 * p, 2)]
+        return by_cells.transpose(rows_first).reshape(n, n)
 
     def expected_symmetric_power(self, p: int) -> np.ndarray:
         # (A x)^alpha = prod_i (a_i . x)^(alpha_i) expands into one term per

@@ -195,13 +195,10 @@ def simulation_oracle(law, plan, certificate=None):
 
 def q_recursion_oracle(system, plan):
     """The conditional-moment report with each mode's simulated mean and
-    ddof-1 deviation taken by numpy over the whole masked path array."""
-    from switchstab import (
-        QRecursionReport,
-        markov_tp,
-        propagate_conditional_moments,
-        simulate_paths,
-    )
+    ddof-1 deviation taken by numpy over the whole masked path array of
+    :func:`simulate_paths_oracle`, and each step's analytic residual taken
+    relative to the larger max norm of its two sides."""
+    from switchstab import QRecursionReport, markov_tp, propagate_conditional_moments
 
     sigma0 = plan.initial_mode or system.initial_mode
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
@@ -210,8 +207,10 @@ def q_recursion_oracle(system, plan):
     for k in range(plan.horizon):
         lhs = q[k + 1].reshape(-1)
         rhs = t1 @ q[k].reshape(-1)
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
-    paths, modes = simulate_paths(system, plan)
+        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        if scale > 0.0:
+            residual = max(residual, float(np.max(np.abs(lhs - rhs))) / scale)
+    paths, modes = simulate_paths_oracle(system, plan)
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)
     for i in range(system.n_modes):

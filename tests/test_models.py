@@ -23,7 +23,6 @@ from switchstab import (
     problem_to_json,
     sample_matrix,
 )
-import switchstab.models as models_module
 from switchstab.linalg import orbit_index
 from conftest import expected_matrix, expected_sandwich, scalar_uniform
 
@@ -284,14 +283,6 @@ def test_builder_tables_are_guarded_when_memoised(monkeypatch, interval_box):
         monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", str(cap))
         with pytest.raises(DimensionCapError, match=context):
             build()
-
-
-def test_box_lift_in_row_blocks_is_the_same(monkeypatch):
-    rng = np.random.default_rng(22)
-    lower = rng.uniform(-1.0, 0.5, (2, 2))
-    box = UniformEntriesDistribution(lower=lower, upper=lower + rng.uniform(0.0, 1.5, (2, 2)))
-    monkeypatch.setattr(models_module, "GATHER_BLOCK", 20)  # one row of 16 per block
-    assert np.array_equal(box.expected_kron_power(4), count_array_box_lift(box, 4))
 
 
 def test_sandwich_matches_kron_route():
