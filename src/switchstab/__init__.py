@@ -27,7 +27,6 @@ _LAZY = {
         "ConeRadius",
         "Spectrum",
         "cone_spectral_radius",
-        "dominant_left_eigenvector",
         "kron_power",
         "spectrum",
     ),

@@ -1,13 +1,13 @@
 """Dense matrix arithmetic: Kronecker calculus, monomial tables and
-induced matrices on symmetric powers, spectra, Perron vectors.
+induced matrices on symmetric powers, spectra, cone spectral radii.
 
-Spectra and Perron vectors come from one dense LAPACK eigensolve each. The
-spectral radius of a matrix that maps a cone into itself can instead come
-from power steps and a few shifted LU solves that close a Collatz-Wielandt
-bracket; their step cap only hands an open bracket to the dense eigensolve,
-so it never changes an answer. All operations are pure functions on
-ndarrays and are safe to call concurrently; monomial tables are memoised
-and read-only.
+Spectra come from one dense LAPACK eigensolve. The spectral radius of a
+matrix that maps a cone into itself comes with a Collatz-Wielandt bracket
+and the point inside the cone that backs it, from power steps and a few
+shifted LU solves or from one dense eigensolve; the step cap on the solves
+only moves work to the dense route, so it never changes an answer. All
+operations are pure functions on ndarrays and are safe to call
+concurrently; monomial tables are memoised and read-only.
 Sizes of lifted arrays and of every builder table are guarded by an entry
 cap (default 10^7 entries, overridable via SWITCHSTAB_MAX_LIFT_ENTRIES),
 checked on every call, also when a table is memoised.
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionError, DimensionCapError, SolverFailureError
+from .errors import DimensionCapError, SolverFailureError
 
 DEFAULT_LIFT_ENTRY_CAP = 10_000_000
 
@@ -249,15 +249,17 @@ CONE_TOL = 1e-12
 
 
 class ConeRadius(NamedTuple):
-    """Spectral radius of a cone-preserving matrix, with the bracket that
-    backs it. On the dense route (``route == "dense"``) the bracket is the
-    eigensolve's value on both sides."""
+    """Spectral radius of a cone-preserving matrix, with its bracket and the
+    point v inside the cone that backs it, lower v <= m v <= upper v in the
+    cone's order; with no point (None, on the dense route) the bracket is
+    the eigensolve's value on both sides."""
 
     value: float
     lower: float
     upper: float
     route: str  # "orthant", "psd" or "dense"
     solves: int  # shifted linear solves made, also before a fallback
+    point: np.ndarray | None  # scaled so that its entry of largest modulus is 1
 
 
 def _collatz_wielandt(m: np.ndarray, v: np.ndarray, sym: np.ndarray | None):
@@ -319,24 +321,27 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
     (hi I - m) v' = v. For hi > rho that resolvent maps the cone into
     itself, so v' stays inside; the bounds hold at any point inside the
     cone. The value is the midpoint of the first bracket with
-    hi - lo <= ``CONE_TOL`` hi. Below ``CONE_CROSSOVER`` rows,
-    and whenever a point leaves the cone's interior, a shifted solve is
-    singular or ``CONE_STEPS`` solves leave the bracket open, the value is
-    the dense :func:`spectrum`'s; so the step cap moves work to the dense
-    route and never changes an answer. A reducible matrix on the orthant,
-    whose bracket seldom closes, goes there once the bracket at the start
-    point is open, with no solve: a matrix with a zero entry is first tested
-    for irreducibility.
+    hi - lo <= ``CONE_TOL`` hi, and the point is v. Below
+    ``CONE_CROSSOVER`` rows, and whenever a point leaves the cone's
+    interior, a shifted solve is singular or ``CONE_STEPS`` solves leave the
+    bracket open, the value is the dense eigensolve's; so the step cap moves
+    work to the dense route and never changes an answer. A reducible matrix
+    on the orthant, whose bracket seldom closes, goes there once the bracket
+    at the start point is open, with no solve: a matrix with a zero entry is
+    first tested for irreducibility. On the orthant the dense route is one
+    ``np.linalg.eig``, whose eigenvector of the largest real eigenvalue is
+    the point when it lies inside the orthant; on PSD blocks it is
+    :func:`spectrum`, with no point.
     """
     m = check_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
+    if psd_side is None and not np.all(m >= 0):
+        raise ValueError("the orthant route needs an entrywise-nonnegative matrix")
     solves = 0
     if n >= CONE_CROSSOVER:
         if psd_side is None:
-            if not np.all(m >= 0):
-                raise ValueError("the orthant route needs an entrywise-nonnegative matrix")
             sym, route, v = None, "orthant", np.ones(n)
         else:
             sym, route = shift_up(psd_side, 2), "psd"
@@ -350,7 +355,7 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
         while (bounds := _collatz_wielandt(m, v, sym)) is not None:
             lo, hi = bounds
             if hi - lo <= CONE_TOL * hi:
-                return ConeRadius(0.5 * (lo + hi), lo, hi, route, solves)
+                return ConeRadius(0.5 * (lo + hi), lo, hi, route, solves, v)
             if warm:  # power steps keep v in the cone; a zero or non-finite image ends them
                 if sym is None and not _irreducible(m):
                     break
@@ -374,35 +379,17 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
             v = v / v[np.argmax(np.abs(v))]
             if not np.all(np.isfinite(v)):
                 break
-    rho = spectrum(m).spectral_radius
-    return ConeRadius(rho, rho, rho, "dense", solves)
-
-
-def dominant_left_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and left Perron vector of an entrywise-positive matrix.
-
-    One dense eigensolve of m.T. The returned f is entrywise positive with
-    maximum entry 1 and satisfies ``norm(f @ m - lam * f, inf) <= 1e-12 * lam``.
-
-    Raises AssumptionError if m is not entrywise positive (the positivity is
-    what guarantees a simple dominant eigenvalue with a positive eigenvector),
-    SolverFailureError if the eigensolve fails or misses that residual.
-    """
-    m = check_finite(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(m > 0):
-        raise AssumptionError(
-            "dominant_left_eigenvector requires an entrywise-positive matrix"
-        )
+    if psd_side is not None:
+        rho = spectrum(m).spectral_radius
+        return ConeRadius(rho, rho, rho, "dense", solves, None)
     try:
-        values, vectors = np.linalg.eig(m.T)
+        values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
+    rho = float(np.max(np.abs(values)))
     # the Perron root is real and the only eigenvalue of largest real part
-    k = int(np.argmax(values.real))
-    lam, v = float(values[k].real), vectors[:, k].real
-    f = v / v[np.argmax(np.abs(v))]
-    if not (np.all(f > 0) and float(np.max(np.abs(f @ m - lam * f))) <= 1e-12 * lam):
-        raise SolverFailureError("eigensolve missed the Perron residual bound 1e-12")
-    return lam, f
+    v = vectors[:, np.argmax(values.real)].real
+    v = v / v[np.argmax(np.abs(v))]
+    if (bounds := _collatz_wielandt(m, v, None)) is None:
+        return ConeRadius(rho, rho, rho, "dense", solves, None)
+    return ConeRadius(rho, *bounds, "dense", solves, v)

@@ -20,9 +20,11 @@ column, with no reduction call: a value depends only on its own row, not
 on how rows are batched nor on the BLAS thread count.
 
 Cone norms are solved on Sym^p, and need its C(d+p-1, p) matrix E[S_p(A)]
-entrywise positive: its left Perron vector spreads over the Kronecker
-coordinates of each monomial, so f and the index array that maps its
-coordinates to their monomials are the only d^p-length arrays. Quadratic
+entrywise positive: the point h > 0 of one cone solve of its transpose,
+with E[S_p(A)].T h <= gamma h at the upper end gamma of the solve's
+bracket, spreads over the Kronecker coordinates of each monomial, so f and
+the index array that maps its coordinates to their monomials are the only
+d^p-length arrays. Quadratic
 certificates solve on the full lift E[A^(kron p)].
 """
 
@@ -34,11 +36,11 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, InstabilityError
+from .errors import AssumptionError, InstabilityError, SolverFailureError
 from .linalg import (
     check_entry_cap,
     check_finite,
-    dominant_left_eigenvector,
+    cone_spectral_radius,
     lift_entry_cap,
     monomials,
     orbit_index,
@@ -169,10 +171,11 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     """Cone norm with lift power p (p odd) for an orthant-invariant law whose
     Sym^p matrix F = E[S_p(A)] is entrywise positive.
 
-    The left Perron vector h > 0 of the C(d+p-1, p) matrix F gives
+    One cone solve of the C(d+p-1, p) matrix F.T gives a point h > 0 with
+    F.T h <= gamma h, gamma the upper end of its bracket on rho(F); then
     f_i = h[r] / |orbit r| at every Kronecker coordinate i of monomial r.
-    F is E[A^(kron p)] folded over the orbits, so f E[A^(kron p)] = rho f:
-    on the orthant the decay factor is rho, and the d^p x d^p lift is never
+    F is E[A^(kron p)] folded over the orbits, so f E[A^(kron p)] <= gamma f:
+    on the orthant the decay factor is gamma, and the d^p x d^p lift is never
     built. f and its index array, built once and also used to fold f onto
     the monomials, are the only d^p-length arrays.
     """
@@ -185,24 +188,26 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     if not np.all(induced > 0):
         mean = "mean" if p == 1 else f"Sym^{p} mean E[S_{p}(A)]"
         raise AssumptionError(f"{subject} requires an entrywise-positive {mean}")
-    rho, h = dominant_left_eigenvector(induced)
-    if rho >= 1.0 - DECISION_MARGIN:
+    cone = cone_spectral_radius(induced.T)
+    if cone.value >= 1.0 - DECISION_MARGIN:
         radius = "first-mean" if p == 1 else f"degree-{p}"
         raise InstabilityError(
-            f"{radius} radius {rho ** (1.0 / p):.6g} is not below 1; no certificate exists"
+            f"{radius} radius {cone.value ** (1.0 / p):.6g} is not below 1; no certificate exists"
         )
+    if cone.point is None or cone.upper >= 1.0:
+        raise SolverFailureError(f"{subject}: the cone solve gave no point that certifies decay")
     orbit = orbit_index(dist.dim, p)
-    f = (h / monomials(dist.dim, p).sizes)[orbit]
+    f = (cone.point / monomials(dist.dim, p).sizes)[orbit]
     f /= f.max()
-    return ConeNormCertificate(f=f, gamma=rho, lift_power=p, _orbit=orbit)
+    return ConeNormCertificate(f=f, gamma=cone.upper, lift_power=p, _orbit=orbit)
 
 
 def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
     """Weighted-l1 certificate for a first-mean stable orthant-invariant law.
 
-    The weight vector is the dominant left eigenvector of E[A]: on the
-    orthant the norm of E[A] induced by it equals rho(E[A]), which becomes
-    the decay factor.
+    The weight vector is the point of the cone solve of E[A].T: on the
+    orthant the norm of E[A] induced by it is at most the upper end of the
+    solve's bracket on rho(E[A]), which becomes the decay factor.
     """
     return _cone_norm(dist, 1)
 

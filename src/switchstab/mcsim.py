@@ -338,7 +338,8 @@ def propagate_conditional_moments(
 @dataclass(frozen=True)
 class QRecursionReport:
     # analytic vec identity: max over steps of |Q(k+1) - T_1 Q(k)|_inf over
-    # max(|Q(k+1)|_inf, |T_1 Q(k)|_inf), taken as 0 where both are 0
+    # | |T_1| |Q(k)| |_inf, taken as 0 where that is 0; nan when a step's
+    # moments are not finite, so that it could not be checked
     max_residual: float
     mc_max_sigma: float  # worst |MC - analytic| in standard errors
     mc_agrees: bool
@@ -351,11 +352,12 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     """Verify that stacked conditional moments evolve by the lifted operator.
 
     The analytic residual max_k ||vec Q(k+1) - T_1 vec Q(k)|| is an exact
-    algebraic identity. Each step's residual is taken relative to the larger
-    of ||vec Q(k+1)|| and ||T_1 vec Q(k)|| (max norms), so it sits at
-    rounding level however large Q grows. The Monte Carlo cross-check
-    compares simulated conditional moments against the analytic ones within
-    four standard errors, so it needs at least 2 paths.
+    algebraic identity, each step's taken relative to || |T_1| |vec Q(k)| ||
+    (max norms), the sum of the absolute terms, so it sits at rounding level
+    however large Q grows and where the terms cancel; it is nan from a step
+    whose moments or terms are not finite, which is unchecked. The Monte
+    Carlo cross-check compares simulated conditional moments against the
+    analytic ones within four standard errors, so it needs at least 2 paths.
     """
     from .radius import markov_on_sym
 
@@ -364,13 +366,17 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     sigma0 = _initial_mode(system, plan.initial_mode, "the conditional-moment check")
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
     t1 = markov_on_sym(system, 1)  # T_1: Sym^1 is R^d
-    residual = 0.0
-    for k in range(plan.horizon):
-        lhs = q[k + 1].reshape(-1)
-        rhs = t1 @ q[k].reshape(-1)
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        if scale > 0.0:
-            residual = max(residual, float(np.max(np.abs(lhs - rhs))) / scale)
+    abs_t1, residual = np.abs(t1), 0.0
+    with np.errstate(all="ignore"):
+        for k in range(plan.horizon):
+            x = q[k].reshape(-1)
+            scale = float(np.max(abs_t1 @ np.abs(x)))
+            error = float(np.max(np.abs(q[k + 1].reshape(-1) - t1 @ x)))
+            if not np.isfinite([scale, error]).all():
+                residual = np.nan
+                break
+            if scale > 0.0:
+                residual = max(residual, error / scale)
 
     d, n = system.dim, plan.paths
     _check_plan(plan, d, 2 * d, "conditional-moment states and terms")

@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import glob
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -197,19 +198,24 @@ def q_recursion_oracle(system, plan):
     """The conditional-moment report with each mode's simulated mean and
     ddof-1 deviation taken by numpy over the whole masked path array of
     :func:`simulate_paths_oracle`, and each step's analytic residual taken
-    relative to the larger max norm of its two sides."""
+    relative to the max norm of |T_1| |Q(k)|; nan from the first step whose
+    moments or terms are not finite."""
     from switchstab import QRecursionReport, markov_tp, propagate_conditional_moments
 
     sigma0 = plan.initial_mode or system.initial_mode
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
     t1 = markov_tp(system, 1)
     residual = 0.0
-    for k in range(plan.horizon):
-        lhs = q[k + 1].reshape(-1)
-        rhs = t1 @ q[k].reshape(-1)
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        if scale > 0.0:
-            residual = max(residual, float(np.max(np.abs(lhs - rhs))) / scale)
+    with np.errstate(all="ignore"):
+        for k in range(plan.horizon):
+            lhs, rhs = q[k + 1].reshape(-1), t1 @ q[k].reshape(-1)
+            scale = float(np.max(np.abs(t1) @ np.abs(q[k].reshape(-1))))
+            error = float(np.max(np.abs(lhs - rhs)))
+            if not (math.isfinite(scale) and math.isfinite(error)):
+                residual = math.nan
+                break
+            if scale > 0.0:
+                residual = max(residual, error / scale)
     paths, modes = simulate_paths_oracle(system, plan)
     q_mc = np.zeros_like(q)
     stderr = np.zeros_like(q)

@@ -13,7 +13,6 @@ from switchstab import (
     MarkovJumpSystem,
     UniformEntriesDistribution,
     cone_spectral_radius,
-    dominant_left_eigenvector,
     kron_power,
     spectrum,
 )
@@ -224,6 +223,21 @@ def assert_bracketed(result, m):
     assert result.lower - slack <= dense <= result.upper + slack
 
 
+def assert_close_ulps(value, reference, ulps=4):
+    assert abs(value - reference) <= ulps * np.spacing(reference)
+
+
+def assert_point_backs(result, m):
+    """The point lies inside the orthant and backs the bracket,
+    lower v <= m v <= upper v, to rounding; the bracket holds the value."""
+    v, slack = result.point, 4 * np.finfo(float).eps
+    w = m @ v
+    assert np.all(v > 0) and np.max(np.abs(v)) == 1.0
+    assert np.all(result.lower * v <= w * (1 + slack))
+    assert np.all(w <= result.upper * v * (1 + slack))
+    assert result.lower * (1 - slack) <= result.value <= result.upper * (1 + slack)
+
+
 @st.composite
 def nonnegative_laws(draw):
     """Nonnegative atomic laws and boxes, d <= 8 and p <= 5, with and without
@@ -247,9 +261,11 @@ def nonnegative_laws(draw):
 def test_orthant_radius_is_bracketed_and_dense(case):
     m, positive = case
     result = cone_radius_everywhere(m)
+    if result.point is not None:
+        assert_point_backs(result, m)
     if result.route == "dense":  # a reducible law; a positive one closes
         assert not positive
-        assert result.value == spectrum(m).spectral_radius
+        assert_close_ulps(result.value, spectrum(m).spectral_radius)
     else:
         assert result.route == "orthant"
         assert_bracketed(result, m)
@@ -322,7 +338,9 @@ def test_cone_radius_is_dense_below_the_crossover_and_bracketed_above():
     assert small.shape[0] < linalg_module.CONE_CROSSOVER <= large.shape[0]
     below = cone_spectral_radius(small)
     assert below.route == "dense" and below.solves == 0
-    assert below.value == below.lower == below.upper == spectrum(small).spectral_radius
+    assert_close_ulps(below.value, spectrum(small).spectral_radius)
+    assert_point_backs(below, small)
+    assert below.upper - below.lower <= 1e-12 * below.upper
     above = cone_spectral_radius(large)
     assert above.route == "orthant" and above.solves <= linalg_module.CONE_STEPS
     assert_bracketed(above, large)
@@ -393,31 +411,38 @@ def test_cone_radius_rejects_a_cone_it_cannot_hold():
         cone_radius_everywhere(np.eye(4), psd_side=2)
 
 
+# the dominant left eigenvector of m: the point of the cone solve of m.T
+
+
 def test_dominant_left_eigenvector_interval_box_mean():
-    lam, f = dominant_left_eigenvector(np.array([[0.75, 0.9], [0.075, 0.6]]))
+    cone = cone_spectral_radius(np.array([[0.75, 0.9], [0.075, 0.6]]).T)
+    f = cone.point
     assert f[1] == pytest.approx(1.0)
     assert f[0] == pytest.approx(0.3838, abs=5e-5)
-    assert lam == pytest.approx(0.9454163456597993, abs=1e-8)
+    assert cone.value == pytest.approx(0.9454163456597993, abs=1e-8)
 
 
 def test_dominant_left_eigenvector_symmetric_case():
-    lam, f = dominant_left_eigenvector(np.ones((2, 2)))
-    assert lam == pytest.approx(2.0)
-    assert np.allclose(f, [1.0, 1.0])
+    cone = cone_spectral_radius(np.ones((2, 2)).T)
+    assert cone.value == pytest.approx(2.0)
+    assert np.allclose(cone.point, [1.0, 1.0])
 
 
 def test_dominant_left_eigenvector_residual_bound():
     rng = np.random.default_rng(2)
     m = rng.uniform(0.1, 2.0, size=(3, 3))
-    lam, f = dominant_left_eigenvector(m)
+    cone = cone_spectral_radius(m.T)
+    lam, f = cone.value, cone.point
     assert np.all(f > 0)
     assert f.max() == pytest.approx(1.0)
     assert np.max(np.abs(f @ m - lam * f)) <= 1e-9 * lam
 
 
 def test_dominant_left_eigenvector_rejects_nonpositive():
-    with pytest.raises(AssumptionError):
-        dominant_left_eigenvector(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    # reducible: the eigenvector of the double root 1 has a zero entry
+    cone = cone_spectral_radius(np.array([[1.0, 0.0], [1.0, 1.0]]).T)
+    assert cone.point is None
+    assert cone.value == cone.lower == cone.upper
 
 
 def test_is_positive_semidefinite():

@@ -14,9 +14,11 @@ from switchstab import (
     DimensionCapError,
     InstabilityError,
     QuadraticCertificate,
+    SolverFailureError,
     UniformEntriesDistribution,
     certificate_from_dict,
     certificate_to_dict,
+    cone_spectral_radius,
     evaluate,
     evaluate_rows,
     p_radius,
@@ -26,6 +28,7 @@ from switchstab import (
     synthesize_quadratic,
     validate_certificate,
 )
+from switchstab.linalg import CONE_CROSSOVER, monomials, orbit_index
 from switchstab.mcsim import atom_indices
 from switchstab.radius import DECISION_MARGIN
 from conftest import (
@@ -139,6 +142,16 @@ def test_cone_norm_rejects_unstable(interval_box):
     grown = UniformEntriesDistribution(lower=interval_box.lower, upper=2.0 * interval_box.upper)
     with pytest.raises(InstabilityError):
         synthesize_cone_norm(grown)
+
+
+def test_cone_norm_without_a_certifying_point_is_a_solver_failure(monkeypatch, interval_box):
+    solve = lyapunov_module.cone_spectral_radius
+    for change in ({"point": None}, {"upper": 1.0}):
+        monkeypatch.setattr(
+            lyapunov_module, "cone_spectral_radius", lambda m, c=change: solve(m)._replace(**c)
+        )
+        with pytest.raises(SolverFailureError, match="no point that certifies"):
+            synthesize_cone_norm(interval_box)
 
 
 def test_cone_norm_eigen_identity_on_orthant(interval_box):
@@ -486,6 +499,44 @@ def test_cone_norm_certifies_every_stable_law_with_a_positive_sym_p_mean(law):
     assert np.all(cert.f > 0)
     residual = cert.f @ dist.expected_kron_power(p) - cert.gamma * cert.f
     assert np.max(np.abs(residual)) <= 1e-12 * cert.gamma
+    assert validate_certificate(cert, dist, mode="exact").passed
+
+
+@st.composite
+def positive_laws_above_the_crossover(draw):
+    """A positive 3-atom law whose Sym^p matrix has at least CONE_CROSSOVER
+    rows, rescaled to a p-radius in [0.5, 0.95]."""
+    d, p = draw(st.sampled_from([(3, 7), (4, 5), (4, 7), (4, 9)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.uniform(0.01, 1.0, (3, d, d))
+    dist = AtomicDistribution(probabilities=rng.dirichlet(np.ones(3)), atoms=atoms)
+    scale = draw(st.floats(0.5, 0.95)) / p_radius(dist, p).value
+    return AtomicDistribution(probabilities=dist.probabilities, atoms=scale * atoms), p
+
+
+def sym_p_oracle_perron(dist, p):
+    """Decay factor and weights of the cone norm from one dense eigensolve
+    of E[S_p(A)].T, spread over the Kronecker coordinates as synthesis does."""
+    values, vectors = np.linalg.eig(dist.expected_symmetric_power(p).T)
+    k = int(np.argmax(values.real))
+    h = vectors[:, k].real
+    h = h / h[np.argmax(np.abs(h))]
+    f = (h / monomials(dist.dim, p).sizes)[orbit_index(dist.dim, p)]
+    return values[k].real, f / f.max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(positive_laws_above_the_crossover())
+def test_cone_norm_above_the_crossover_comes_from_the_orthant_route(law):
+    dist, p = law
+    induced = dist.expected_symmetric_power(p)
+    assert induced.shape[0] >= CONE_CROSSOVER
+    cone = cone_spectral_radius(induced.T)
+    cert = synthesize_degree_p(dist, p)
+    assert cone.route == "orthant" and cert.gamma == cone.upper
+    gamma, f = sym_p_oracle_perron(dist, p)
+    assert abs(cert.gamma - gamma) <= 1e-11 * gamma
+    assert np.max(np.abs(cert.f - f) / f) <= 1e-11
     assert validate_certificate(cert, dist, mode="exact").passed
 
 

@@ -427,6 +427,30 @@ def test_q_recursion_residual_is_relative_to_the_moments(three_mode_system):
     assert check_q_recursion(three_mode_system, plan).max_residual <= 1e-14
 
 
+@pytest.mark.parametrize("horizon", [10, 40])
+def test_q_recursion_reports_overflowing_moments_as_unchecked(horizon):
+    # the exact conditional moments overflow within a few steps: those steps
+    # were not checked, so the residual is nan, with no warning raised
+    modes = 1e60 * np.random.default_rng(0).standard_normal((2, 2, 2))
+    transition = np.array([[0.5, 0.5], [0.3, 0.7]])
+    system = MarkovJumpSystem(transition=transition, modes=modes, initial_mode=1)
+    plan = SimulationPlan(paths=50, horizon=horizon, seed=1, initial_state=np.array([1.0, -1.0]))
+    with np.errstate(all="ignore"):
+        q = propagate_conditional_moments(system, plan.initial_state, 1, horizon)
+    assert not np.isfinite(q).all()
+    assert np.isnan(check_q_recursion(system, plan).max_residual)
+
+
+def test_q_recursion_residual_stays_at_rounding_where_the_terms_cancel():
+    # the two modes' terms cancel at step 2, so one side of the identity is 0
+    # and the other rounding noise; relative to the absolute terms that is
+    # rounding, where relative to the larger side it read 1.0
+    atoms = np.array([[[1e100]], [[-1e100]]])
+    system = MarkovJumpSystem(transition=np.full((2, 2), 0.5), modes=atoms, initial_mode=1)
+    plan = SimulationPlan(paths=50, horizon=6, seed=3, initial_state=np.array([1.0]))
+    assert check_q_recursion(system, plan).max_residual <= 1e-15
+
+
 def test_q_recursion_single_mode_degenerates():
     m = np.array([[0.7, 0.2], [0.1, 0.6]])
     system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([m]), initial_mode=1)

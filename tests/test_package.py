@@ -20,9 +20,9 @@ PUBLIC = [
     "SolverFailureError", "Spectrum", "StabilityReport", "SwitchstabError",
     "UniformEntriesDistribution", "ValidationReport", "Verdict", "apply_feedback",
     "certificate_from_dict", "certificate_to_dict", "check_mean_stability", "check_q_recursion",
-    "cone_spectral_radius", "dominant_left_eigenvector", "dump_problem", "errors",
-    "estimate_decay_rate", "evaluate", "evaluate_rows", "jsr_bounds", "kron_power",
-    "lifting_identity_check", "limit_sequence", "linalg", "load_problem", "lyapunov",
+    "cone_spectral_radius", "dump_problem", "errors", "estimate_decay_rate", "evaluate",
+    "evaluate_rows", "jsr_bounds", "kron_power", "lifting_identity_check", "limit_sequence",
+    "linalg", "load_problem", "lyapunov",
     "markov_p_radius", "markov_stability", "markov_tp", "markov_tp_spectral_radius", "mcsim",
     "models", "p_radius", "problem_to_json", "propagate_conditional_moments", "radius",
     "sample_matrix", "simulate_iid", "simulate_markov", "simulate_paths", "spectrum",
