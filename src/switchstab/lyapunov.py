@@ -19,13 +19,16 @@ these weights w, and evaluates V at a row x by adding w_j m_j(x) column by
 column, with no reduction call: a value depends only on its own row, not
 on how rows are batched nor on the BLAS thread count.
 
-Cone norms are solved on Sym^p, and need its C(d+p-1, p) matrix E[S_p(A)]
-entrywise positive: the point h > 0 of one cone solve of its transpose,
-with E[S_p(A)].T h <= gamma h at the upper end gamma of the solve's
-bracket, spreads over the Kronecker coordinates of each monomial, so f and
-the index array that maps its coordinates to their monomials are the only
-d^p-length arrays. Quadratic
-certificates solve on the full lift E[A^(kron p)].
+Cone norms are solved on Sym^p: the point h > 0 of one cone solve of the
+transpose of its C(d+p-1, p) matrix E[S_p(A)], with E[S_p(A)].T h <= gamma h
+at the upper end gamma of the solve's bracket, spreads over the Kronecker
+coordinates of each monomial, so f and the index array that maps its
+coordinates to their monomials are the only d^p-length arrays. The solve
+finds such a point for every irreducible E[S_p(A)]; a law without one is
+refused. Quadratic certificates solve on the full lift E[A^(kron p)].
+
+Validation reads E[V(A x)] as a weighted mean over one set of matrices
+(the atoms, or the Monte Carlo draws of a box), with one readout per shape.
 """
 
 from __future__ import annotations
@@ -168,11 +171,12 @@ def evaluate(cert: LyapunovCertificate, x: np.ndarray) -> float:
 
 
 def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
-    """Cone norm with lift power p (p odd) for an orthant-invariant law whose
-    Sym^p matrix F = E[S_p(A)] is entrywise positive.
+    """Cone norm with lift power p (p odd) for an orthant-invariant law.
 
-    One cone solve of the C(d+p-1, p) matrix F.T gives a point h > 0 with
-    F.T h <= gamma h, gamma the upper end of its bracket on rho(F); then
+    One cone solve of the C(d+p-1, p) matrix F.T, F = E[S_p(A)], gates and
+    gives the certificate: where it finds a point h > 0, F.T h <= gamma h
+    with gamma the upper end of its bracket on rho(F); it finds one for
+    every irreducible F, and a reducible F without one is refused. Then
     f_i = h[r] / |orbit r| at every Kronecker coordinate i of monomial r.
     F is E[A^(kron p)] folded over the orbits, so f E[A^(kron p)] <= gamma f:
     on the orthant the decay factor is gamma, and the d^p x d^p lift is never
@@ -184,17 +188,16 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     subject = "cone-norm synthesis" if p == 1 else f"odd degree {p}"
     if not dist.support_nonnegative():
         raise AssumptionError(f"{subject} requires an orthant-invariant support")
-    induced = dist.expected_symmetric_power(p)
-    if not np.all(induced > 0):
-        mean = "mean" if p == 1 else f"Sym^{p} mean E[S_{p}(A)]"
-        raise AssumptionError(f"{subject} requires an entrywise-positive {mean}")
-    cone = cone_spectral_radius(induced.T)
+    cone = cone_spectral_radius(dist.expected_symmetric_power(p).T)
     if cone.value >= 1.0 - DECISION_MARGIN:
         radius = "first-mean" if p == 1 else f"degree-{p}"
         raise InstabilityError(
             f"{radius} radius {cone.value ** (1.0 / p):.6g} is not below 1; no certificate exists"
         )
-    if cone.point is None or cone.upper >= 1.0:
+    if cone.point is None:
+        mean = "mean E[A]" if p == 1 else f"Sym^{p} mean E[S_{p}(A)]"
+        raise AssumptionError(f"{subject}: no positive cone point exists; the {mean} is reducible")
+    if cone.upper >= 1.0:
         raise SolverFailureError(f"{subject}: the cone solve gave no point that certifies decay")
     orbit = orbit_index(dist.dim, p)
     f = (cone.point / monomials(dist.dim, p).sizes)[orbit]
@@ -217,13 +220,13 @@ def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> Quadrat
     matrix ``second`` = E[B kron B] of the law of B = A^(kron q).
 
     The solve comes first. A positive definite H with E[B.T H B] = H - I
-    <= gamma H proves rho(E[B kron B]) <= gamma, so gamma below
-    (1 - DECISION_MARGIN)^2 proves the radius below 1 - DECISION_MARGIN and
-    no eigensolve is made. Otherwise the radius decides, as it would alone.
+    <= gamma H proves rho(E[B kron B]) = rho_p^p <= gamma (p = 2q), so gamma
+    below (1 - DECISION_MARGIN)^p proves rho_p below 1 - DECISION_MARGIN and
+    no eigensolve is made. Otherwise rho_p decides, as it would alone.
     """
     from .radius import DECISION_MARGIN
 
-    n = d**q
+    n, p = d**q, 2 * q
     try:
         h = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
     except np.linalg.LinAlgError:
@@ -232,12 +235,13 @@ def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> Quadrat
         h = 0.5 * (h + h.T)
         eig = np.linalg.eigvalsh(h)
         gamma = 1.0 - 1.0 / float(eig.max())
-        if eig.min() > 0 and gamma < (1.0 - DECISION_MARGIN) ** 2:
+        if eig.min() > 0 and gamma < (1.0 - DECISION_MARGIN) ** p:
             return QuadraticCertificate(h=h, gamma=gamma, lift_power=q)
-    r2 = spectrum(second).spectral_radius ** (1.0 / 2)
-    if h is None or r2 >= 1.0 - DECISION_MARGIN:
+    radius = spectrum(second).spectral_radius ** (1.0 / p)
+    if h is None or radius >= 1.0 - DECISION_MARGIN:
+        name = "mean-square" if p == 2 else f"degree-{p}"
         raise InstabilityError(
-            f"mean-square radius {r2:.6g} is not below 1; no quadratic certificate exists"
+            f"{name} radius {radius:.6g} is not below 1; no quadratic certificate exists"
         )
     return QuadraticCertificate(h=h, gamma=gamma, lift_power=q)
 
@@ -261,8 +265,9 @@ def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate
     certificate for the law of B = A^(kron q) composed with x -> x^(kron q);
     its second moment E[B kron B] is E[A^(kron p)], so no lifted law is
     built. Odd p: a cone norm with lift power p, requiring an
-    orthant-invariant support with entrywise positive E[S_p(A)]; it is
-    solved on Sym^p, so the entry cap bounds the d^p weights and their index.
+    orthant-invariant support and a positive point of the cone solve of
+    E[S_p(A)].T; it is solved on Sym^p, so the entry cap bounds the d^p
+    weights and their index.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -324,38 +329,32 @@ def _sandwich_terms(cert: QuadraticCertificate, mats: np.ndarray, xs: np.ndarray
     return sandwiches, np.einsum("ni,nj->nij", m, m).reshape(xs.shape[0], -1)
 
 
-def _atom_values(cert: LyapunovCertificate, atoms: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The (atoms, vectors) table of V(A_k x) on the atoms of a finite law."""
-    check_entry_cap(len(atoms) * xs.shape[0], "validation atom values")
-    return np.stack([evaluate_rows(cert, xs @ a.T) for a in atoms])
+def _moments(cert: LyapunovCertificate, mats: np.ndarray, weights: np.ndarray, n: int, xs):
+    """Mean of V(A_k x) over the matrices ``mats``, weighted by ``weights``
+    over n, and the weighted sum of squared deviations from it, per row x.
 
-
-def _mc_estimates(cert: LyapunovCertificate, mats: np.ndarray, xs: np.ndarray):
-    """Sample mean and standard error of V(A x) over the draws ``mats``, per row x of ``xs``."""
-    n, d = mats.shape[:2]
+    A quadratic reads both from its sandwiches: with the centred, weighted
+    sandwiches D = Q R, the squares w.T D.T D w are |R w|^2, a sum of
+    squares that cannot cancel; R has min(len(mats), C^2) rows. A cone norm
+    maps each block of vectors by every matrix in one product, a block's
+    monomials staying under the cap, and reduces the block's values."""
     if isinstance(cert, QuadraticCertificate):
-        # with the centred sandwiches D = Q R, the variance w.T D.T D w
-        # / (n-1) is |R w|^2 / (n-1), a sum of squares that cannot cancel;
-        # R has min(n, C^2) rows
         sandwiches, w = _sandwich_terms(cert, mats, xs)
-        centre = sandwiches.mean(axis=0)
-        rw = np.linalg.qr(sandwiches - centre, mode="r") @ w.T
-        var = np.einsum("in,in->n", rw, rw) / (n - 1)
-        return w @ centre, np.sqrt(var / n)
-    # cone norms: each block of vectors is mapped by every draw in one matrix
-    # product and summed in draw order; a block's monomials stay under the cap
-    c = cert.weights.shape[0]
-    check_entry_cap(n * c, "Monte Carlo certificate values")
-    draws = mats.reshape(-1, d).T
-    expected, stderr = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-    chunk = max(1, min(int(2e6), lift_entry_cap()) // (n * c))
+        centre = weights @ sandwiches / n
+        rw = np.linalg.qr(np.sqrt(weights)[:, None] * (sandwiches - centre), mode="r") @ w.T
+        return w @ centre, np.einsum("in,in->n", rw, rw)
+    (k, d), c = mats.shape[:2], cert.weights.shape[0]
+    check_entry_cap(k * c, "validation mapped monomials")
+    flat = mats.reshape(-1, d).T
+    mean, squares = np.empty(xs.shape[0]), np.empty(xs.shape[0])
+    chunk = max(1, min(int(2e6), lift_entry_cap()) // (k * c))
     for start in range(0, xs.shape[0], chunk):
-        block = xs[start : start + chunk]
-        mapped = (block @ draws).reshape(-1, d)  # A_s x_k, draw-major within each x_k
-        vals = np.ascontiguousarray(evaluate_rows(cert, mapped).reshape(-1, n).T)
-        expected[start : start + chunk] = vals.mean(axis=0)
-        stderr[start : start + chunk] = vals.std(axis=0, ddof=1) / np.sqrt(n)
-    return expected, stderr
+        block = slice(start, start + chunk)
+        mapped = (xs[block] @ flat).reshape(-1, d)  # A_j x_i at row i k + j of the block
+        vals = np.ascontiguousarray(evaluate_rows(cert, mapped).reshape(-1, k).T)
+        mean[block] = weights @ vals / n
+        squares[block] = weights @ (vals - mean[block]) ** 2
+    return mean, squares
 
 
 def validate_certificate(
@@ -368,17 +367,17 @@ def validate_certificate(
 ) -> ValidationReport:
     """Check E[V(A x)] <= gamma V(x) over a panel of test vectors.
 
-    A finite law gives one (atoms, vectors) table of V(A_k x), each row
-    evaluated at the test vectors mapped by one atom. Mode "exact" weights
-    it by the probabilities, mode "mc" by the counts of n_samples >= 2
-    drawn atoms over n_samples. A sampled law (a box) has mode "mc" only,
-    over n_samples drawn matrices. Mode "mc" allows four standard errors on
-    top of the decay bound. With C the number of monomials of the
-    certificate's degree, the cap counts the n C monomials of the n test
-    vectors; the atoms x n table; the n_samples atom indices or d^2 draws;
-    and on a box, a quadratic's C_q^2 sandwich entries per draw and per
-    vector (C_q monomials of degree q) or a cone norm's n_samples C
-    monomials per vector.
+    Each mode reads E[V(A x)] as a weighted mean over a set of matrices.
+    Mode "exact" weights the atoms of a finite law by their probabilities.
+    Mode "mc" weights the atoms by the counts of n_samples >= 2 drawn atom
+    indices over n_samples or, on a sampled law (a box), n_samples drawn
+    matrices by 1 each over n_samples; it allows four standard errors,
+    sqrt(squares / (n_samples - 1) / n_samples), on top of the decay
+    bound. With C the number of monomials of the certificate's degree, the
+    cap counts the n C monomials of the n test vectors; the n_samples atom
+    indices or the n_samples d^2 draws; and per matrix, a quadratic's C_q^2
+    sandwich entries (C_q monomials of degree q) with C_q^2 more per test
+    vector, or a cone norm's C monomials of one mapped test vector.
     ``worst_x`` is the first test vector whose margin is within 1e-12
     relative of the largest.
     """
@@ -389,35 +388,34 @@ def validate_certificate(
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"test vectors must have shape (n, {dim})")
     gamma = cert.gamma
-    # the n x C monomials of the test vectors, built for V(x) and per atom
+    # the n x C monomials of the test vectors
     check_entry_cap(xs.shape[0] * cert.weights.shape[0], "validation test vectors")
     vx = evaluate_rows(cert, xs)
 
     if mode == "exact":
         if not isinstance(dist, AtomicDistribution):
             raise AssumptionError("exact validation needs a finite atomic law")
-        expected = np.zeros(xs.shape[0])
-        for prob, row in zip(dist.probabilities, _atom_values(cert, dist.atoms, xs)):
-            expected += prob * row
-        slack = gamma * vx * (1.0 + 1e-9) + 1e-15 * np.maximum(vx, 1.0)
+        mats, weights, n = dist.atoms, dist.probabilities, 1
     elif mode == "mc":
         from .mcsim import atom_indices, sample_matrix  # sampling lives with the simulators
 
         if n_samples < 2:
             raise ValueError("Monte Carlo validation needs at least 2 samples")
-        rng = np.random.default_rng(seed)
+        rng, n = np.random.default_rng(seed), n_samples
         if isinstance(dist, AtomicDistribution):
-            check_entry_cap(n_samples, "Monte Carlo samples")  # atom indices
-            counts = np.bincount(atom_indices(dist, rng, n_samples), minlength=len(dist.atoms))
-            values = _atom_values(cert, dist.atoms, xs)
-            expected = counts @ values / n_samples
-            stderr = np.sqrt(counts @ (values - expected) ** 2 / (n_samples - 1) / n_samples)
+            check_entry_cap(n, "Monte Carlo samples")  # atom indices
+            mats = dist.atoms
+            weights = np.bincount(atom_indices(dist, rng, n), minlength=len(mats))
         else:
-            check_entry_cap(n_samples * dim * dim, "Monte Carlo samples")
-            expected, stderr = _mc_estimates(cert, sample_matrix(dist, rng, size=n_samples), xs)
-        slack = gamma * vx + 4.0 * stderr + 1e-12 * np.maximum(vx, 1.0)
+            check_entry_cap(n * dim * dim, "Monte Carlo samples")
+            mats, weights = sample_matrix(dist, rng, size=n), np.ones(n)
     else:
         raise ValueError("mode must be 'exact' or 'mc'")
+    expected, squares = _moments(cert, mats, weights, n, xs)
+    if mode == "exact":
+        slack = gamma * vx * (1.0 + 1e-9) + 1e-15 * np.maximum(vx, 1.0)
+    else:
+        slack = gamma * vx + 4.0 * np.sqrt(squares / (n - 1) / n) + 1e-12 * np.maximum(vx, 1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(vx > 0, expected / np.where(vx > 0, gamma * vx, 1.0), 0.0)

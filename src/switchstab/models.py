@@ -292,9 +292,9 @@ class ConeFlags:
     """Recomputed (never user-supplied) positivity flags.
 
     ``expectation_positive[p]`` is the entrywise test "E[S_p(A)] > 0" on the
-    Sym^p matrix of the report's radius, equal to "E[A] > 0" at p = 1. On
-    the orthant it licenses a cone-norm certificate of degree p; false must
-    not be read as a proof of failure.
+    Sym^p matrix of the report's radius, equal to "E[A] > 0" at p = 1. True
+    makes it irreducible; cone norms are gated by its cone solve, not by the
+    flag, and false must not be read as a proof of failure.
     """
 
     orthant_invariant: bool

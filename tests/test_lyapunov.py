@@ -145,13 +145,35 @@ def test_cone_norm_rejects_unstable(interval_box):
 
 
 def test_cone_norm_without_a_certifying_point_is_a_solver_failure(monkeypatch, interval_box):
+    # no positive point means a reducible mean (exit 4); a point whose
+    # bracket does not end below 1 is the solver's failure (exit 6)
     solve = lyapunov_module.cone_spectral_radius
-    for change in ({"point": None}, {"upper": 1.0}):
+    for change, error, message in (
+        ({"point": None}, AssumptionError, "no positive cone point exists; the mean E.A. is reducible"),
+        ({"upper": 1.0}, SolverFailureError, "no point that certifies"),
+    ):
         monkeypatch.setattr(
             lyapunov_module, "cone_spectral_radius", lambda m, c=change: solve(m)._replace(**c)
         )
-        with pytest.raises(SolverFailureError, match="no point that certifies"):
+        with pytest.raises(error, match=message):
             synthesize_cone_norm(interval_box)
+
+
+def anti_diagonal_pair():
+    """Two atoms that swap the coordinates: E[A] = [[0, .5], [.6, 0]] is
+    irreducible with zero entries, E[S_3(A)] is reducible."""
+    atoms = np.array([[[0.0, 0.8], [0.3, 0.0]], [[0.0, 0.2], [0.9, 0.0]]])
+    return AtomicDistribution(probabilities=np.array([0.5, 0.5]), atoms=atoms)
+
+
+def test_cone_norm_certifies_an_irreducible_mean_with_zero_entries():
+    dist = anti_diagonal_pair()
+    cert = synthesize_cone_norm(dist)
+    assert cert.gamma == pytest.approx(np.sqrt(0.3), rel=1e-12)
+    report = validate_certificate(cert, dist, mode="exact")
+    assert report.passed and report.worst_margin == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(AssumptionError, match="Sym.3 mean E.S_3.A.. is reducible"):
+        synthesize_degree_p(dist, 3)
 
 
 def test_cone_norm_eigen_identity_on_orthant(interval_box):
@@ -270,6 +292,17 @@ def test_quadratic_refusal_makes_one_spectrum(quadratic_calls, interval_box):
     with pytest.raises(InstabilityError, match="mean-square radius .* is not below 1"):
         synthesize_quadratic(interval_box)
     assert quadratic_calls == {"lift": [2], "spectrum": 1, "solve": 1}
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_even_degree_refusal_reports_the_degree_p_radius(p):
+    # E[A^(kron p)] has spectral radius rho_p^p: its square root is rho_p^(p/2)
+    rng = np.random.default_rng(1)
+    dist = AtomicDistribution(probabilities=np.full(3, 1 / 3), atoms=rng.standard_normal((3, 2, 2)))
+    radius = p_radius(dist, p).value
+    assert radius > 1.0
+    with pytest.raises(InstabilityError, match=f"degree-{p} radius {radius:.6g} is not below 1"):
+        synthesize_degree_p(dist, p)
 
 
 def test_quadratic_certificate_as_when_the_radius_came_first():
@@ -481,24 +514,63 @@ def sparse_nonnegative_laws(draw):
     return dist, p
 
 
+def is_irreducible(m):
+    """Whether the nonzero pattern of a square matrix is strongly connected:
+    (I + pattern)^(2^k) > 0 for 2^k >= its size."""
+    reach = (m > 0) | np.eye(m.shape[0], dtype=bool)
+    for _ in range(int(np.ceil(np.log2(max(m.shape[0], 2))))):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    return bool(reach.all())
+
+
 @settings(max_examples=80, deadline=None)
 @given(sparse_nonnegative_laws())
 def test_cone_norm_certifies_every_stable_law_with_a_positive_sym_p_mean(law):
+    # a positive mean is irreducible; only a reducible mean may be refused
     dist, p = law
-    positive = bool(np.all(dist.expected_symmetric_power(p) > 0))
+    induced = dist.expected_symmetric_power(p)
     stable = p_radius(dist, p).value < 1.0 - DECISION_MARGIN
     try:
         cert = synthesize_degree_p(dist, p)
     except AssumptionError:
-        assert not positive
+        assert stable and not is_irreducible(induced)
         return
     except InstabilityError:
-        assert positive and not stable
+        assert not stable
         return
-    assert positive and stable
+    assert stable
     assert np.all(cert.f > 0)
     residual = cert.f @ dist.expected_kron_power(p) - cert.gamma * cert.f
     assert np.max(np.abs(residual)) <= 1e-12 * cert.gamma
+    assert validate_certificate(cert, dist, mode="exact").passed
+
+
+@st.composite
+def irreducible_laws_with_zeros(draw):
+    """A nonnegative atomic law (d <= 4, 1 to 3 atoms) and an odd p <= 9
+    whose E[S_p(A)] has zero entries and is irreducible, rescaled to a
+    p-radius of 0.5 or 0.9: the first such law of a seeded stream."""
+    d, p = draw(st.integers(2, 4)), draw(st.sampled_from([1, 3, 5, 7, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        m = int(rng.integers(1, 4))
+        atoms = rng.uniform(0.1, 1.0, (m, d, d)) * (rng.uniform(size=(m, d, d)) >= 0.4)
+        dist = AtomicDistribution(probabilities=rng.dirichlet(np.ones(m)), atoms=atoms)
+        induced = dist.expected_symmetric_power(p)
+        if not np.all(induced > 0) and is_irreducible(induced):
+            break
+    scale = draw(st.sampled_from([0.5, 0.9])) / p_radius(dist, p).value
+    return AtomicDistribution(probabilities=dist.probabilities, atoms=scale * atoms), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(irreducible_laws_with_zeros())
+def test_cone_norm_certifies_irreducible_laws_with_zero_entries(law):
+    # each of these laws was refused while cone norms needed E[S_p(A)] > 0
+    dist, p = law
+    cert = synthesize_degree_p(dist, p)
+    assert isinstance(cert, ConeNormCertificate) and np.all(cert.f > 0)
+    assert cert.gamma == pytest.approx(p_radius(dist, p).value ** p, rel=1e-9)
     assert validate_certificate(cert, dist, mode="exact").passed
 
 
@@ -590,6 +662,29 @@ def test_validation_flags_forced_violation():
     assert report.worst_margin == pytest.approx(2.0 / 0.9, rel=1e-9)
 
 
+def test_exact_quartic_validation_is_the_per_atom_mean():
+    # 8 signed atoms, d = 3, p = 4: the mean of the sandwiches read by
+    # w = vec(m_2(x) m_2(x).T) against sum_k pi_k V(A_k x), V from the kron form
+    rng = np.random.default_rng(8)
+    raw = random_atomic(rng, n_atoms=8, dim=3)
+    dist = AtomicDistribution(
+        probabilities=raw.probabilities, atoms=raw.atoms * (0.9 / p_radius(raw, 4).value)
+    )
+    cert = synthesize_degree_p(dist, 4)
+    xs = lyapunov_module.default_test_vectors(3)
+    oracle = np.zeros(xs.shape[0])
+    for prob, a in zip(dist.probabilities, dist.atoms):
+        y = np.stack([np.kron(v, v) for v in xs @ a.T])
+        oracle += prob * np.einsum("ni,ij,nj->n", y, cert.h, y)
+    expected, _ = lyapunov_module._moments(cert, dist.atoms, dist.probabilities, 1, xs)
+    np.testing.assert_allclose(expected, oracle, rtol=1e-12, atol=0)
+    margins = oracle / (cert.gamma * np.array([evaluate(cert, x) for x in xs]))
+    report = validate_certificate(cert, dist, mode="exact")
+    assert report.passed
+    assert report.worst_margin == pytest.approx(margins.max(), rel=1e-12)
+    assert np.array_equal(report.worst_x, xs[np.argmax(margins)])
+
+
 def test_validation_exact_needs_atomic(interval_box):
     cert = synthesize_cone_norm(interval_box)
     with pytest.raises(AssumptionError):
@@ -648,21 +743,23 @@ def test_validation_mc_needs_two_samples():
 
 
 def test_mc_validation_respects_the_lift_cap(monkeypatch):
-    """Each array of a Monte Carlo validation is counted by its own size. A
-    certificate of degree p evaluates C(d+p-1, p) monomials per vector: 2
-    for the cone norm (d = 2, p = 1), 3 for the quadratic (d = 2, p = 2), 5
-    and 15 for the quartics (d = 2 and 3), 6 for the quintic (d = 2). A
-    quartic's sandwiches on a box have 3^2 entries at d = 2, 6^2 at d = 3.
-    The n C monomials of the n test vectors are counted first, so each
-    other case has few vectors."""
+    """Each array of a validation is counted by its own size. A certificate
+    of degree p evaluates C(d+p-1, p) monomials per vector: 2 for the cone
+    norm (d = 2, p = 1), 3 for the quadratic (d = 2, p = 2), 5 and 15 for
+    the quartics (d = 2 and 3), 6 for the quintic (d = 2). A quartic's
+    sandwiches have 3^2 entries per matrix at d = 2, 6^2 at d = 3; a cone
+    norm maps a vector by every matrix into that many rows of monomials.
+    The matrices are the atoms of a finite law, in either mode, or the
+    draws of a box. The n C monomials of the n test vectors are counted
+    first, so each other case has few vectors."""
     rng = np.random.default_rng(31)
     plane = random_atomic(rng, n_atoms=2, dim=2, target_r2=0.8)
     space = random_atomic(rng, n_atoms=2, dim=3, target_r2=0.8)
-    eight = random_atomic(rng, n_atoms=8, dim=2, target_r2=0.8)
+    crowd = random_atomic(rng, n_atoms=30, dim=3, target_r2=0.8)
+    swarm = random_atomic(rng, n_atoms=200, dim=2, target_r2=0.8)
     box = UniformEntriesDistribution(lower=np.full((3, 3), -0.1), upper=np.full((3, 3), 0.1))
     flat = UniformEntriesDistribution(lower=np.zeros((2, 2)), upper=np.full((2, 2), 0.4))
     quadratic = synthesize_quadratic(plane)
-    quadratic_eight = synthesize_quadratic(eight)
     quartic_plane = synthesize_degree_p(plane, 4)
     quartic_space = synthesize_degree_p(space, 4)
     cone = ConeNormCertificate(f=np.ones(2), gamma=0.5)
@@ -670,16 +767,16 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
     few = lyapunov_module.default_test_vectors(2, count=18)  # 20 vectors
     more = lyapunov_module.default_test_vectors(2, count=128)  # 130 vectors
     monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
-    # under the cap: 200 atom indices, 20 x 3 test monomials, 2 x 20 values
+    # under the cap: 200 atom indices, 20 x 3 test monomials, 2 x 2^2
+    # sandwich entries and 20 x 2^2 monomial products
     assert validate_certificate(quadratic, plane, xs=few, mode="mc", n_samples=200).passed
-    # a finite law maps the vectors by each atom and holds no sandwich; a
-    # sampled law holds one sandwich per draw, and its triangular factor
-    # has min(n, C^2) rows: none holds C^4 entries
+    # sandwiches of 2 atoms or 100 draws and a triangular factor of
+    # min(matrices, C^2) rows: none holds C^4 entries
     validate_certificate(quartic_plane, plane, xs=few, mode="mc", n_samples=200)
     validate_certificate(quartic_plane, flat, xs=few, mode="mc", n_samples=100)
     validate_certificate(quartic_space, box, xs=few[:, [0, 1, 1]], mode="mc", n_samples=2)
-    # a cone norm on a finite law holds the atoms x vectors table, not the
-    # 200 x 6 monomials of each vector mapped by every draw
+    # a cone norm on a finite law maps each vector by the 2 atoms, not by
+    # every one of the 200 draws
     validate_certificate(quintic, plane, xs=few, mode="mc", n_samples=200)
     cases = [
         (cone, plane, None, 10, "validation test vectors", 2004),  # 1002 x 2
@@ -687,19 +784,24 @@ def test_mc_validation_respects_the_lift_cap(monkeypatch):
         (cone, plane, few, 1200, "Monte Carlo samples", 1200),  # the atom indices
         (cone, flat, few, 300, "Monte Carlo samples", 1200),  # the draws, 300 x 2 x 2
         (quartic_space, box, few[:, [0, 1, 1]], 30, "validation sandwiches", 1080),  # 30 x 6 x 6
+        (quartic_space, crowd, few[:, [0, 1, 1]], 2, "validation sandwiches", 1080),  # 30 x 6 x 6
         (quartic_plane, flat, more, 100, "validation monomial products", 1170),  # 130 x 3 x 3
-        (quadratic_eight, eight, more, 200, "validation atom values", 1040),  # 8 x 130
-        (cone, eight, more, 200, "validation atom values", 1040),  # 8 x 130
-        (quintic, flat, few, 200, "Monte Carlo certificate values", 1200),  # 200 x 6
+        (quartic_plane, plane, more, 2, "validation monomial products", 1170),  # 130 x 3 x 3
+        (quintic, flat, few, 200, "validation mapped monomials", 1200),  # 200 draws x 6
+        (quintic, swarm, few, 2, "validation mapped monomials", 1200),  # 200 atoms x 6
     ]
     for cert, dist, xs, n, context, requested in cases:
         with pytest.raises(DimensionCapError, match=context) as caught:
             validate_certificate(cert, dist, xs=xs, mode="mc", n_samples=n)
         assert caught.value.requested == requested
-    # a finite law's table is counted in exact mode too
-    for cert in (cone, quadratic_eight):
-        with pytest.raises(DimensionCapError, match="validation atom values"):
-            validate_certificate(cert, eight, xs=more, mode="exact")
+    # exact mode holds the same arrays of the atoms
+    for cert, dist, xs, context in [
+        (quartic_space, crowd, few[:, [0, 1, 1]], "validation sandwiches"),
+        (quartic_plane, plane, more, "validation monomial products"),
+        (quintic, swarm, few, "validation mapped monomials"),
+    ]:
+        with pytest.raises(DimensionCapError, match=context):
+            validate_certificate(cert, dist, xs=xs, mode="exact")
 
 
 def spy_on_monomial_rows(monkeypatch) -> list[int]:
@@ -733,7 +835,19 @@ def test_atomic_cone_norm_mc_does_not_scale_with_the_draws(monkeypatch):
     rows = spy_on_monomial_rows(monkeypatch)
     report = validate_certificate(cert, law, mode="mc", n_samples=2000)
     assert report.passed
-    assert max(rows) <= report.n_vectors
+    assert max(rows) <= len(law.atoms) * report.n_vectors
+    many = list(rows)
+    rows.clear()
+    validate_certificate(cert, law, mode="mc", n_samples=20)
+    assert rows == many
+
+
+def unit_weight_estimates(cert, samples, xs):
+    """Sample mean and standard error of V(A x) from the weighted moments of
+    the draws, each weighted by 1 over their number n."""
+    n = samples.shape[0]
+    expected, squares = lyapunov_module._moments(cert, samples, np.ones(n), n, xs)
+    return expected, np.sqrt(squares / (n - 1) / n)
 
 
 def per_sample_estimates(cert, samples, xs):
@@ -764,7 +878,7 @@ def test_cone_norm_mc_matches_the_per_sample_route(d, p, n):
     cert = synthesize_degree_p(box, p)
     xs = lyapunov_module.default_test_vectors(d)
     samples = sample_matrix(box, np.random.default_rng(7), size=n)
-    expected, stderr = lyapunov_module._mc_estimates(cert, samples, xs)
+    expected, stderr = unit_weight_estimates(cert, samples, xs)
     oracle_expected, oracle_stderr = per_sample_estimates(cert, samples, xs)
     np.testing.assert_allclose(expected, oracle_expected, rtol=1e-14, atol=0)
     np.testing.assert_allclose(stderr, oracle_stderr, rtol=1e-12, atol=0)
@@ -808,7 +922,7 @@ def test_quadratic_mc_moments_match_the_per_sample_oracle(case):
     cert, dist, n, seed = case
     xs = lyapunov_module.default_test_vectors(dist.dim, count=40, seed=seed)
     samples = sample_matrix(dist, np.random.default_rng(seed), size=n)
-    expected, stderr = lyapunov_module._mc_estimates(cert, samples, xs)
+    expected, stderr = unit_weight_estimates(cert, samples, xs)
     oracle_expected, oracle_stderr = per_sample_estimates(cert, samples, xs)
     vx = np.array([evaluate(cert, x) for x in xs])
     # the moment route rounds on the scale of the terms of w . vec(B_s), not
