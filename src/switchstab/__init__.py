@@ -80,9 +80,7 @@ _LAZY = {
         "jsr_bounds",
         "lifting_identity_check",
         "limit_sequence",
-        "markov_p_radius",
         "markov_stability",
-        "markov_tp",
         "markov_tp_spectral_radius",
         "p_radius",
     ),

@@ -278,7 +278,7 @@ def _cmd_markov(args, warnings):
             "closed_loop": args.closed_loop,
         }
         return results, EXIT_OK
-    report = radius.markov_stability(system, args.p)
+    report = radius.check_mean_stability(system, args.p)
     results = report.p_radius.to_dict()
     results["verdict"] = report.verdict.value
     results["closed_loop"] = args.closed_loop

@@ -51,7 +51,7 @@ from .linalg import (
     symmetric_dim,
     symmetric_power,
 )
-from .models import AtomicDistribution, MatrixDistribution
+from .models import AtomicDistribution, MarkovJumpSystem, MatrixDistribution
 
 #: fixed seed for the default validation sample plan
 DEFAULT_VALIDATION_SEED = 1729
@@ -212,7 +212,7 @@ def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
     orthant the norm of E[A] induced by it is at most the upper end of the
     solve's bracket on rho(E[A]), which becomes the decay factor.
     """
-    return _cone_norm(dist, 1)
+    return synthesize_degree_p(dist, 1)
 
 
 def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> QuadraticCertificate:
@@ -255,7 +255,7 @@ def synthesize_quadratic(dist: MatrixDistribution) -> QuadraticCertificate:
     rho(M2) = r2^2 < 1. Then E[A.T H A] = H - I exactly and
     gamma = 1 - 1/lambda_max(H) certifies E[(Ax).T H (Ax)] <= gamma x.T H x.
     """
-    return _quadratic_from_second_moment(dist.expected_kron_power(2), dist.dim, 1)
+    return synthesize_degree_p(dist, 2)
 
 
 def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate:
@@ -267,10 +267,13 @@ def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate
     built. Odd p: a cone norm with lift power p, requiring an
     orthant-invariant support and a positive point of the cone solve of
     E[S_p(A)].T; it is solved on Sym^p, so the entry cap bounds the d^p
-    weights and their index.
+    weights and their index. A Markov jump system is refused: it needs
+    mode-dependent certificates.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
+    if isinstance(dist, MarkovJumpSystem):
+        raise AssumptionError("Markov system certificates are not implemented (ROADMAP item 5)")
     if p % 2 == 0:
         return _quadratic_from_second_moment(dist.expected_kron_power(p), dist.dim, p // 2)
     return _cone_norm(dist, p)

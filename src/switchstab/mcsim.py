@@ -322,11 +322,13 @@ def propagate_conditional_moments(
     """Exact conditional first moments Q_i(k) = E[x(k) 1{mode k = i}].
 
     Q_i(0) is x0 for the initial mode and zero elsewhere, and
-    Q_j(k+1) = sum_i P[i, j] M_i Q_i(k).
+    Q_j(k+1) = sum_i P[i, j] M_i Q_i(k). The entry cap counts the
+    (horizon+1) N d moments.
     """
     x0 = np.asarray(x0, dtype=float)
     n_modes, d = system.n_modes, system.dim
     sigma0 = _initial_mode(system, sigma0, "conditional-moment propagation")
+    check_entry_cap((horizon + 1) * n_modes * d, "conditional moments")
     q = np.zeros((horizon + 1, n_modes, d))
     q[0, sigma0 - 1] = x0
     for k in range(horizon):
@@ -349,7 +351,8 @@ class QRecursionReport:
 
 
 def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecursionReport:
-    """Verify that stacked conditional moments evolve by the lifted operator.
+    """Verify that stacked conditional moments evolve by the lifted operator
+    T_1, the system's ``expected_symmetric_power(1)``.
 
     The analytic residual max_k ||vec Q(k+1) - T_1 vec Q(k)|| is an exact
     algebraic identity, each step's taken relative to || |T_1| |vec Q(k)| ||
@@ -358,14 +361,16 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
     whose moments or terms are not finite, which is unchecked. The Monte
     Carlo cross-check compares simulated conditional moments against the
     analytic ones within four standard errors, so it needs at least 2 paths.
+    The entry cap counts the 2 d states and terms per path, and the (horizon+1)
+    N d entries that Q, its Monte Carlo means and their errors each hold.
     """
-    from .radius import markov_on_sym
-
     if plan.paths < 2:
         raise ValueError(f"the conditional-moment check needs at least 2 paths, got {plan.paths}")
     sigma0 = _initial_mode(system, plan.initial_mode, "the conditional-moment check")
+    d, n = system.dim, plan.paths
+    _check_plan(plan, d, 2 * d, "conditional-moment states and terms")
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
-    t1 = markov_on_sym(system, 1)  # T_1: Sym^1 is R^d
+    t1 = system.expected_symmetric_power(1)  # T_1: Sym^1 is R^d
     abs_t1, residual = np.abs(t1), 0.0
     with np.errstate(all="ignore"):
         for k in range(plan.horizon):
@@ -378,8 +383,6 @@ def check_q_recursion(system: MarkovJumpSystem, plan: SimulationPlan) -> QRecurs
             if scale > 0.0:
                 residual = max(residual, error / scale)
 
-    d, n = system.dim, plan.paths
-    _check_plan(plan, d, 2 * d, "conditional-moment states and terms")
     # simulated Q_i(k): the mean over all paths of x(k) 1{mode k = i}, with
     # its ddof-1 standard deviation, each summed as numpy's mean and std sum
     q_mc = np.zeros_like(q)

@@ -15,6 +15,10 @@ over the multisets of p cells, from one memoised table, and add the terms
 with one ``bincount``. The entry cap counts each builder's result and
 tables on every call.
 
+A Markov jump system has the same ``dim``, ``n_modes`` (1 for a law, the
+one-mode chain) and ``support_nonnegative``, and the same two builders for
+its operator T_p: on Sym^p (x) R^N, and the full N d^p lift.
+
 Each dataclass checks its own invariants at construction. A broken schema
 rule raises :class:`SchemaError` (a ``ValueError``) whose pointer is relative
 to the law's or the chain's section of a problem document; the JSON loader
@@ -107,9 +111,10 @@ def _build_cell_multisets(d: int, p: int) -> _CellMultisets:
 
 
 class MatrixDistribution:
-    """Common surface of all distribution families."""
+    """Common surface of all distribution families, each a one-mode chain."""
 
     dim: int
+    n_modes = 1
 
     def expected_kron_power(self, p: int) -> np.ndarray:
         raise NotImplementedError
@@ -292,9 +297,9 @@ class ConeFlags:
     """Recomputed (never user-supplied) positivity flags.
 
     ``expectation_positive[p]`` is the entrywise test "E[S_p(A)] > 0" on the
-    Sym^p matrix of the report's radius, equal to "E[A] > 0" at p = 1. True
-    makes it irreducible; cone norms are gated by its cone solve, not by the
-    flag, and false must not be read as a proof of failure.
+    Sym^p matrix of the report's radius, "E[A] > 0" at p = 1, and for a Markov
+    system "T_p > 0" on Sym^p (x) R^N. True makes it irreducible; cone norms
+    are gated by their cone solve, not by the flag, and false proves nothing.
     """
 
     orthant_invariant: bool
@@ -362,6 +367,31 @@ class MarkovJumpSystem:
     @property
     def dim(self) -> int:
         return self.modes.shape[1]
+
+    def _blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The block matrix whose block (j, i) is P[i, j] blocks[i]."""
+        size = blocks.shape[0] * blocks.shape[1]
+        return np.einsum("ij,iab->jaib", self.transition, blocks).reshape(size, size)
+
+    def expected_kron_power(self, p: int) -> np.ndarray:
+        """T_p, the lifted transition operator (P.T kron I) @ blockdiag of the
+        mode powers: block (j, i) is P[i, j] M_i^(kron p), and
+        rho(T_p)^(1/p) is the Markovian p-radius."""
+        if p < 1:
+            raise ValueError("p must be a positive integer")
+        check_entry_cap((self.n_modes * self.dim**p) ** 2, "markov_tp")
+        return self._blocks(np.stack([kron_power(m, p) for m in self.modes]))
+
+    def expected_symmetric_power(self, p: int) -> np.ndarray:
+        """T_p on Sym^p (x) R^N, block (j, i) P[i, j] S_p(M_i); T_1 at p = 1."""
+        if p < 1:
+            raise ValueError("p must be a positive integer")
+        size = self.n_modes * symmetric_dim(self.dim, p)
+        check_entry_cap(size * size, "markov Sym^p operator")
+        return self._blocks(symmetric_power(self.modes, p))
+
+    def support_nonnegative(self) -> bool:
+        return bool(np.all(self.modes >= 0))
 
 
 def apply_feedback(system: MarkovJumpSystem) -> MarkovJumpSystem:

@@ -1,4 +1,4 @@
-"""p-radius computations, Markov lifts, joint-spectral-radius brackets.
+"""p-radius computations and joint-spectral-radius brackets.
 
 The p-radius of a matrix law is rho(E[A^(kron p)])^(1/p). The formula is
 licensed either by an even p or by orthant invariance of the support;
@@ -17,13 +17,15 @@ axis. The positivity flag of a report at p is read from that same matrix,
 E[S_p(A)] > 0, and the flag at p = 1 from the mean. The entry cap counts
 every table and result of the builders.
 
-A Markov jump system is read the same way. Its conditional moments
+A Markov jump system is read through the same protocol, and a law is its
+one-mode chain P = [[1]]. Its conditional moments
 E[x(k)^(kron p) 1{sigma_k = j}] evolve by T_p, whose block (j, i) is
 P[i, j] M_i^(kron p), and T_p leaves Sym^p (x) R^N invariant; its
-restriction there has blocks P[i, j] S_p(M_i), N C(d+p-1, p) rows, and the
-same licences: even p, or odd p with entrywise-nonnegative modes. The full
-lift ``markov_tp`` is built only for ``--general-p``; the first-moment
-recursion check reads T_1 on Sym^1 (x) R^N, which is the full T_1.
+restriction there (the system's ``expected_symmetric_power``) has blocks
+P[i, j] S_p(M_i), N C(d+p-1, p) rows, and the same licences: even p, or odd
+p with entrywise-nonnegative modes; its flag at p = 1 reads T_1. So
+:func:`p_radius` and :func:`check_mean_stability` take either problem. The
+full lift ``expected_kron_power`` is read here only for ``--general-p``.
 
 Each of these matrices, when licensed, maps a cone into itself, and
 :func:`~switchstab.linalg.cone_spectral_radius` reads its radius from a
@@ -39,22 +41,13 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
-from .linalg import (
-    check_entry_cap,
-    cone_spectral_radius,
-    kron_power,
-    lift_entry_cap,
-    spectrum,
-    symmetric_dim,
-    symmetric_power,
-)
-from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution
+from .linalg import cone_spectral_radius, kron_power, lift_entry_cap, spectrum
+from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution, Problem
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
 DECISION_MARGIN = 1e-9
@@ -154,16 +147,16 @@ class LimitSequence:
         }
 
 
-def _radius(
-    build: Callable[[], np.ndarray], p: int, nonnegative: bool, side: int, lifted_dim: int
-) -> tuple[PRadiusResult, np.ndarray | None]:
-    """rho(build())^(1/p) for a Sym^p operator, when p is licensed: even p,
-    or odd p on a nonnegative support, with the matrix it read. The radius
-    is read on the orthant for a nonnegative support, on N-tuples of PSD
-    blocks of side ``side`` at p = 2, densely otherwise. An unsupported p
-    builds nothing, and its matrix is None."""
+def _sym_p_radius(problem: Problem, p: int) -> tuple[PRadiusResult, np.ndarray | None]:
+    """rho(E[S_p])^(1/p) for the problem's Sym^p operator, when p is licensed:
+    even p, or odd p on a nonnegative support, with the matrix it read. The
+    radius is read on the orthant for a nonnegative support, on N-tuples of
+    PSD blocks of side d at p = 2, densely otherwise. An unsupported p builds
+    nothing, and its matrix is None."""
     if p < 1:
         raise ValueError("p must be a positive integer")
+    nonnegative = problem.support_nonnegative()
+    lifted_dim = problem.n_modes * problem.dim**p
     if p % 2 == 0:
         path = AssumptionPath.EVEN_P
     elif nonnegative:
@@ -171,27 +164,22 @@ def _radius(
     else:
         path = AssumptionPath.UNSUPPORTED
         return PRadiusResult(p=p, value=None, lifted_dim=lifted_dim, assumption_path=path), None
-    induced = build()
+    induced = problem.expected_symmetric_power(p)
     if nonnegative:
         rho = cone_spectral_radius(induced).value
     elif p == 2:
-        rho = cone_spectral_radius(induced, psd_side=side).value
+        rho = cone_spectral_radius(induced, psd_side=problem.dim).value
     else:
         rho = spectrum(induced).spectral_radius
     value = float(rho ** (1.0 / p))
     return PRadiusResult(p=p, value=value, lifted_dim=lifted_dim, assumption_path=path), induced
 
 
-def _sym_p_radius(dist: MatrixDistribution, p: int) -> tuple[PRadiusResult, np.ndarray | None]:
-    """The p-radius with the E[S_p(A)] it was read from (None if unsupported)."""
-    nonnegative = dist.support_nonnegative()
-    return _radius(lambda: dist.expected_symmetric_power(p), p, nonnegative, dist.dim, dist.dim**p)
-
-
-def p_radius(dist: MatrixDistribution, p: int) -> PRadiusResult:
-    """p-radius rho_p = rho(E[A^(kron p)])^(1/p), when licensed, computed on
-    the symmetric power Sym^p. ``lifted_dim`` is still d^p."""
-    return _sym_p_radius(dist, p)[0]
+def p_radius(problem: Problem, p: int) -> PRadiusResult:
+    """p-radius rho_p = rho(E[A^(kron p)])^(1/p) of a law, or rho(T_p)^(1/p)
+    of a Markov system, when licensed, computed on the symmetric power.
+    ``lifted_dim`` is still N d^p (d^p for a law)."""
+    return _sym_p_radius(problem, p)[0]
 
 
 def _verdict(value: float | None) -> Verdict:
@@ -204,78 +192,32 @@ def _verdict(value: float | None) -> Verdict:
     return Verdict.MARGINAL
 
 
-def check_mean_stability(dist: MatrixDistribution, p: int) -> StabilityReport:
+def check_mean_stability(problem: Problem, p: int) -> StabilityReport:
     """Decide p-th mean stability: stable iff the p-radius is below 1.
 
     Values within ``DECISION_MARGIN`` of 1 are reported marginal since
     floating point cannot certify a strict inequality at the boundary.
-    The flag at a licensed p is read from the E[S_p(A)] the radius was
-    solved on; the flag of the mean, in every report, from E[A].
+    The flag at a licensed p is read from the Sym^p matrix the radius was
+    solved on; the flag of p = 1, in every report, from E[A] (T_1).
     """
-    result, induced = _sym_p_radius(dist, p)
+    result, induced = _sym_p_radius(problem, p)
     positive = {} if induced is None else {p: bool(np.all(induced > 0))}
     if 1 not in positive:
-        positive[1] = bool(np.all(dist.expected_symmetric_power(1) > 0))
-    flags = ConeFlags(orthant_invariant=dist.support_nonnegative(), expectation_positive=positive)
+        positive[1] = bool(np.all(problem.expected_symmetric_power(1) > 0))
+    flags = ConeFlags(problem.support_nonnegative(), expectation_positive=positive)
     return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
 
 
-# ---------------------------------------------------------------------------
-# Markov jump systems
-# ---------------------------------------------------------------------------
-
-
-def _markov_blocks(transition: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The block matrix whose block (j, i) is P[i, j] blocks[i]."""
-    size = blocks.shape[0] * blocks.shape[1]
-    return np.einsum("ij,iab->jaib", transition, blocks).reshape(size, size)
-
-
-def markov_tp(system: MarkovJumpSystem, p: int) -> np.ndarray:
-    """Lifted transition operator: (P.T kron I) @ blockdiag of mode powers.
-
-    Block (j, i) equals P[i, j] * modes[i]^(kron p); its spectral radius to
-    the power 1/p is the Markovian p-radius.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    check_entry_cap((system.n_modes * system.dim**p) ** 2, "markov_tp")
-    blocks = np.stack([kron_power(m, p) for m in system.modes])
-    return _markov_blocks(system.transition, blocks)
+#: the Markov name of :func:`check_mean_stability`
+markov_stability = check_mean_stability
 
 
 def markov_tp_spectral_radius(system: MarkovJumpSystem, p: int) -> float:
     """rho(T_p)^(1/p) from the full N d^p lift, at any p and with no verdict:
-    the reference value of :func:`markov_p_radius` where p is licensed, and
-    the only one at odd p with a negative mode entry."""
-    rho = spectrum(markov_tp(system, p)).spectral_radius
+    the reference value of :func:`p_radius` where p is licensed, and the
+    only one at odd p with a negative mode entry."""
+    rho = spectrum(system.expected_kron_power(p)).spectral_radius
     return float(rho ** (1.0 / p))
-
-
-def markov_on_sym(system: MarkovJumpSystem, p: int) -> np.ndarray:
-    """T_p restricted to Sym^p (x) R^N: block (j, i) is P[i, j] S_p(M_i)."""
-    size = system.n_modes * symmetric_dim(system.dim, p)
-    check_entry_cap(size * size, "markov Sym^p operator")
-    return _markov_blocks(system.transition, symmetric_power(system.modes, p))
-
-
-def markov_p_radius(system: MarkovJumpSystem, p: int) -> PRadiusResult:
-    """Markovian p-radius rho(T_p)^(1/p), when licensed, solved on
-    Sym^p (x) R^N, of dimension N C(d+p-1, p) against the N d^p of T_p.
-
-    Even p is licensed for any modes; odd p needs every mode entrywise
-    nonnegative, and with a negative entry the result is unsupported, not
-    silently numeric.
-    """
-    nonnegative, lifted_dim = bool(np.all(system.modes >= 0)), system.n_modes * system.dim**p
-    return _radius(lambda: markov_on_sym(system, p), p, nonnegative, system.dim, lifted_dim)[0]
-
-
-def markov_stability(system: MarkovJumpSystem, p: int) -> StabilityReport:
-    """Stability verdict for a Markov jump system from its p-radius."""
-    result = markov_p_radius(system, p)
-    flags = ConeFlags(orthant_invariant=bool(np.all(system.modes >= 0)))
-    return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +339,15 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     )
 
 
-def limit_sequence(dist: MatrixDistribution, p_max: int, even_only: bool = False) -> LimitSequence:
-    """p-radius sequence for p = 1..p_max (or even p only), which climbs
-    toward the joint spectral radius of the support. An atomic law also
-    gets the depth-8 enumeration bracket on that radius as a reference.
+def limit_sequence(dist: Problem, p_max: int, even_only: bool = False) -> LimitSequence:
+    """p-radius sequence for p = 1..p_max (or even p only) of a law or a
+    Markov system, which climbs toward the joint spectral radius of the
+    support (of the mode products the chain allows). An atomic law also gets
+    the depth-8 enumeration bracket on that radius as a reference; other
+    problems get None.
 
-    even_only works for any law since even p needs no cone hypothesis; the
-    full sequence requires orthant invariance for its odd entries. A
+    even_only works for any problem since even p needs no cone hypothesis;
+    the full sequence requires orthant invariance for its odd entries. A
     dimension cap truncates the sequence and flags it.
     """
     if p_max < 1:

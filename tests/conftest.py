@@ -200,11 +200,11 @@ def q_recursion_oracle(system, plan):
     :func:`simulate_paths_oracle`, and each step's analytic residual taken
     relative to the max norm of |T_1| |Q(k)|; nan from the first step whose
     moments or terms are not finite."""
-    from switchstab import QRecursionReport, markov_tp, propagate_conditional_moments
+    from switchstab import QRecursionReport, propagate_conditional_moments
 
     sigma0 = plan.initial_mode or system.initial_mode
     q = propagate_conditional_moments(system, plan.initial_state, sigma0, plan.horizon)
-    t1 = markov_tp(system, 1)
+    t1 = system.expected_kron_power(1)
     residual = 0.0
     with np.errstate(all="ignore"):
         for k in range(plan.horizon):

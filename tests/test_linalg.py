@@ -17,7 +17,6 @@ from switchstab import (
     spectrum,
 )
 import switchstab.linalg as linalg_module
-import switchstab.radius as radius_module
 from switchstab.linalg import monomials, orbit_index, sorted_indices, symmetric_power
 from conftest import is_positive_semidefinite
 
@@ -201,7 +200,7 @@ def test_spectrum_requires_square():
 
 def markov_t2(transition, modes):
     """T_2 on Sym^2 (x) R^N: block (j, i) is P[i, j] S_2(M_i)."""
-    return radius_module.markov_on_sym(MarkovJumpSystem(transition, modes), 2)
+    return MarkovJumpSystem(transition, modes).expected_symmetric_power(2)
 
 
 def cone_radius_everywhere(m, psd_side=None):

@@ -16,6 +16,7 @@ from switchstab import (
     QuadraticCertificate,
     SolverFailureError,
     UniformEntriesDistribution,
+    apply_feedback,
     certificate_from_dict,
     certificate_to_dict,
     cone_spectral_radius,
@@ -303,6 +304,19 @@ def test_even_degree_refusal_reports_the_degree_p_radius(p):
     assert radius > 1.0
     with pytest.raises(InstabilityError, match=f"degree-{p} radius {radius:.6g} is not below 1"):
         synthesize_degree_p(dist, p)
+
+
+@pytest.mark.parametrize("closed_loop", [False, True])
+def test_markov_systems_are_refused_with_a_typed_error(three_mode_system, closed_loop):
+    # a Markov system has the law's Sym^p and Kronecker builders, but a
+    # certificate for it needs one function per mode
+    system = apply_feedback(three_mode_system) if closed_loop else three_mode_system
+    for synthesize in (synthesize_cone_norm, synthesize_quadratic):
+        with pytest.raises(AssumptionError, match="Markov system certificates"):
+            synthesize(system)
+    for p in range(1, 5):
+        with pytest.raises(AssumptionError, match="Markov system certificates"):
+            synthesize_degree_p(system, p)
 
 
 def test_quadratic_certificate_as_when_the_radius_came_first():

@@ -22,8 +22,6 @@ from switchstab import (
     apply_feedback,
     check_q_recursion,
     estimate_decay_rate,
-    markov_p_radius,
-    markov_tp,
     p_radius,
     propagate_conditional_moments,
     sample_matrix,
@@ -356,7 +354,7 @@ def test_markov_open_loop_trends_upward(three_mode_system):
 
 def test_markov_closed_loop_decay_rate(three_mode_system):
     closed = apply_feedback(three_mode_system)
-    rho = markov_p_radius(closed, 1).value
+    rho = p_radius(closed, 1).value
     plan = SimulationPlan(
         paths=10_000, horizon=40, seed=42, initial_state=np.array([1.0, 1.0]), initial_mode=1
     )
@@ -462,11 +460,28 @@ def test_q_recursion_single_mode_degenerates():
         x = m @ x
 
 
+def test_conditional_moments_respect_the_entry_cap(monkeypatch, three_mode_system):
+    # N = 3 modes of d = 2: (horizon+1) 6 moments, and as many simulated
+    # means and standard errors; the states and terms of 2 paths are 8
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "1000")
+    x0 = np.array([1.0, 1.0])
+    plan = SimulationPlan(paths=2, horizon=165, seed=1, initial_state=x0, initial_mode=1)
+    assert propagate_conditional_moments(three_mode_system, x0, 1, 165).size == 996
+    assert check_q_recursion(three_mode_system, plan).max_residual <= 1e-14
+    for horizon, requested in ((166, 1002), (1000, 6006)):
+        with pytest.raises(DimensionCapError, match="in conditional moments") as info:
+            propagate_conditional_moments(three_mode_system, x0, 1, horizon)
+        assert info.value.requested == requested
+        with pytest.raises(DimensionCapError, match="in conditional moments") as info:
+            check_q_recursion(three_mode_system, replace(plan, horizon=horizon))
+        assert info.value.requested == requested
+
+
 def test_q_vec_identity_matches_lifted_operator(three_mode_system):
     q = propagate_conditional_moments(
         three_mode_system, np.array([1.0, 1.0]), sigma0=3, horizon=6
     )
-    t1 = markov_tp(three_mode_system, 1)
+    t1 = three_mode_system.expected_kron_power(1)
     for k in range(6):
         lhs = q[k + 1].reshape(-1)
         rhs = t1 @ q[k].reshape(-1)

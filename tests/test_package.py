@@ -23,7 +23,7 @@ PUBLIC = [
     "cone_spectral_radius", "dump_problem", "errors", "estimate_decay_rate", "evaluate",
     "evaluate_rows", "jsr_bounds", "kron_power", "lifting_identity_check", "limit_sequence",
     "linalg", "load_problem", "lyapunov",
-    "markov_p_radius", "markov_stability", "markov_tp", "markov_tp_spectral_radius", "mcsim",
+    "markov_stability", "markov_tp_spectral_radius", "mcsim",
     "models", "p_radius", "problem_to_json", "propagate_conditional_moments", "radius",
     "sample_matrix", "simulate_iid", "simulate_markov", "simulate_paths", "spectrum",
     "synthesize_cone_norm", "synthesize_degree_p", "synthesize_quadratic", "validate_certificate",

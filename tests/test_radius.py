@@ -19,9 +19,7 @@ from switchstab import (
     jsr_bounds,
     lifting_identity_check,
     limit_sequence,
-    markov_p_radius,
     markov_stability,
-    markov_tp,
     markov_tp_spectral_radius,
     p_radius,
     spectrum,
@@ -200,21 +198,21 @@ def test_markov_tp_single_mode_is_kron_power():
     for p in (1, 2):
         from switchstab import kron_power
 
-        assert np.allclose(markov_tp(system, p), kron_power(m, p), atol=1e-15)
+        assert np.allclose(system.expected_kron_power(p), kron_power(m, p), atol=1e-15)
 
 
 def test_markov_tp_scalar_modes_block_structure():
     p_mat = np.array([[0.2, 0.8], [0.6, 0.4]])
     modes = np.array([[[2.0]], [[3.0]]])
     system = MarkovJumpSystem(transition=p_mat, modes=modes)
-    t1 = markov_tp(system, 1)
+    t1 = system.expected_kron_power(1)
     for i in range(2):
         for j in range(2):
             assert t1[j, i] == pytest.approx(p_mat[i, j] * modes[i, 0, 0])
 
 
 def test_markov_tp_three_mode_block(three_mode_system):
-    t1 = markov_tp(three_mode_system, 1)
+    t1 = three_mode_system.expected_kron_power(1)
     assert t1.shape == (6, 6)
     assert np.allclose(t1[0:2, 2:4], 0.5 * three_mode_system.modes[1], atol=1e-15)
 
@@ -239,7 +237,7 @@ def test_markov_tp_is_its_blocks_bit_for_bit():
                 blocks[j * dp : (j + 1) * dp, i * dp : (i + 1) * dp] = (
                     transition[i, j] * kron_power(modes[i], p)
                 )
-        assert np.array_equal(markov_tp(system, p), blocks)
+        assert np.array_equal(system.expected_kron_power(p), blocks)
 
 
 def _oracle_t1(system):
@@ -253,7 +251,7 @@ def _oracle_t1(system):
 
 def test_markov_radius_open_loop(three_mode_system):
     oracle = spectrum(_oracle_t1(three_mode_system)).spectral_radius
-    result = markov_p_radius(three_mode_system, 1)
+    result = p_radius(three_mode_system, 1)
     assert result.assumption_path is AssumptionPath.ORTHANT_INVARIANT
     assert result.value == pytest.approx(oracle, rel=1e-12)
     assert result.value == pytest.approx(1.2210121637370406, rel=1e-10)
@@ -263,7 +261,7 @@ def test_markov_radius_open_loop(three_mode_system):
 def test_markov_radius_closed_loop(three_mode_system):
     closed = apply_feedback(three_mode_system)
     oracle = spectrum(_oracle_t1(closed)).spectral_radius
-    result = markov_p_radius(closed, 1)
+    result = p_radius(closed, 1)
     assert result.value == pytest.approx(oracle, rel=1e-12)
     assert result.value == pytest.approx(0.9590612286010841, rel=1e-10)
     assert markov_stability(closed, 1).verdict is Verdict.STABLE
@@ -275,25 +273,28 @@ def test_markov_radius_p1_needs_nonnegative_modes(monkeypatch):
         modes=np.array([[[0.5, -0.1], [0.0, 0.5]], [[0.4, 0.0], [0.0, 0.4]]]),
     )
     built = []
-    build = radius_module.markov_on_sym
+    build = MarkovJumpSystem.expected_symmetric_power
     monkeypatch.setattr(
-        radius_module, "markov_on_sym", lambda system, p: built.append(p) or build(system, p)
+        MarkovJumpSystem,
+        "expected_symmetric_power",
+        lambda system, p: built.append(p) or build(system, p),
     )
     for p in (1, 3, 5):
-        result = markov_p_radius(system, p)
+        result = p_radius(system, p)
         assert result.assumption_path is AssumptionPath.UNSUPPORTED
         assert result.value is None
         assert markov_stability(system, p).verdict is Verdict.UNSUPPORTED
-    assert built == []  # an unsupported p builds no operator
+    # an unsupported p builds no operator; each report reads T_1 for its flag
+    assert built == [1, 1, 1]
     # even p carries no sign hypothesis
     for p in (2, 4):
-        assert markov_p_radius(system, p).assumption_path is AssumptionPath.EVEN_P
-    assert built == [2, 4]
+        assert p_radius(system, p).assumption_path is AssumptionPath.EVEN_P
+    assert built == [1, 1, 1, 2, 4]
 
 
 def test_markov_radius_deterministic_contraction():
     system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([0.5 * np.eye(2)]))
-    assert markov_p_radius(system, 2).value == pytest.approx(0.5, rel=1e-12)
+    assert p_radius(system, 2).value == pytest.approx(0.5, rel=1e-12)
 
 
 def test_markov_general_p_is_fenced():
@@ -301,25 +302,44 @@ def test_markov_general_p_is_fenced():
     nonnegative modes and is unsupported with a negative entry, where only
     the full lift's rho(T_3)^(1/3) is read."""
     system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([0.5 * np.eye(2)]))
-    result = markov_p_radius(system, 3)
+    result = p_radius(system, 3)
     assert result.assumption_path is AssumptionPath.ORTHANT_INVARIANT
     assert result.value == pytest.approx(0.5, rel=1e-12)
     assert result.lifted_dim == 8
     flipped = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([-0.5 * np.eye(2)]))
-    assert markov_p_radius(flipped, 3).value is None
+    assert p_radius(flipped, 3).value is None
     assert markov_tp_spectral_radius(flipped, 3) == pytest.approx(0.5, rel=1e-10)
     with pytest.raises(ValueError):
-        markov_p_radius(system, 0)
+        p_radius(system, 0)
 
 
 def test_markov_single_mode_matches_iid_atom():
-    m = np.array([[0.6, 0.2], [0.1, 0.3]])
-    system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([m]))
-    dist = single_atom(m)
-    for p in range(1, 6):
-        assert markov_p_radius(system, p).value == pytest.approx(
-            p_radius(dist, p).value, abs=1e-10
-        )
+    """A law is the one-mode chain P = [[1]]: the chain and the law of M give
+    the same matrices, radii and reports, cone flags included."""
+    for m in (
+        np.array([[0.6, 0.2], [0.1, 0.3]]),
+        np.array([[0.6, -0.2], [0.1, 0.3]]),
+        np.array([[0.5, 0.0, 1.2], [0.3, 0.9, 0.0], [0.0, 0.2, 0.4]]),
+    ):
+        system = MarkovJumpSystem(transition=np.array([[1.0]]), modes=np.array([m]))
+        dist = single_atom(m)
+        assert system.n_modes == dist.n_modes == 1
+        assert system.support_nonnegative() == dist.support_nonnegative()
+        for p in range(1, 6):
+            assert np.array_equal(
+                system.expected_symmetric_power(p), dist.expected_symmetric_power(p)
+            )
+            assert np.array_equal(system.expected_kron_power(p), dist.expected_kron_power(p))
+            assert p_radius(system, p).to_dict() == p_radius(dist, p).to_dict()
+            report = check_mean_stability(system, p).to_dict()
+            assert report == check_mean_stability(dist, p).to_dict()
+
+
+def test_limit_sequence_of_a_markov_system(three_mode_system):
+    closed = apply_feedback(three_mode_system)
+    seq = limit_sequence(closed, p_max=5)
+    assert seq.entries == [(p, p_radius(closed, p).value) for p in range(1, 6)]
+    assert seq.jsr_reference is None and not seq.truncated
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +850,12 @@ def test_markov_sym2_radius_matches_the_dense_t2(system, p):
     """At every licensed p the spectral radius of T_p is attained on
     Sym^p (x) R^N."""
     assume(system.dim**p * system.n_modes <= 256)
-    result = markov_p_radius(system, p)
+    result = p_radius(system, p)
     assert result.lifted_dim == system.n_modes * system.dim**p
     if p % 2 and np.any(system.modes < 0):
         assert result.value is None
         return
-    value, rel = radius_with_allowance(markov_tp(system, p), p)
+    value, rel = radius_with_allowance(system.expected_kron_power(p), p)
     assert result.value == pytest.approx(value, rel=rel)
 
 
@@ -859,7 +879,7 @@ def test_markov_sym_operator_propagates_the_conditional_moments(n, p):
         terms = weights[:, None] * np.prod(states[:, exponents], axis=2)
         return np.stack([terms[modes == j].sum(axis=0) for j in range(n)]).reshape(-1)
 
-    operator = radius_module.markov_on_sym(system, p)
+    operator = system.expected_symmetric_power(p)
     sigma0, x0 = n - 1, np.array([0.8, -0.6])
     states, modes, weights = x0[None], np.array([sigma0]), np.ones(1)
     moments = monomial_blocks(states, modes, weights)
