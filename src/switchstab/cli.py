@@ -82,22 +82,6 @@ def _load(path: Path):
     return models.load_problem(text)
 
 
-def _need_distribution(problem, command: str):
-    from .models import MatrixDistribution
-
-    if not isinstance(problem, MatrixDistribution):
-        raise SwitchstabError(f"'{command}' expects an iid problem document")
-    return problem
-
-
-def _need_markov(problem, command: str):
-    from .models import MarkovJumpSystem
-
-    if not isinstance(problem, MarkovJumpSystem):
-        raise SwitchstabError(f"'{command}' expects a markov problem document")
-    return problem
-
-
 def _parse_mode(text: str) -> tuple[str, int]:
     if text == "exact":
         return "exact", 0
@@ -133,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("-i", "--input", required=True, type=Path, help="problem JSON file")
         return cmd
 
-    cmd = add("pradius", "p-radius of an iid law")
+    cmd = add("pradius", "p-radius of a law or a Markov system")
     cmd.add_argument("-p", type=int, required=True)
 
     cmd = add("stability", "p-th mean stability verdict")
@@ -153,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--even-only", action="store_true")
     cmd.add_argument("--csv", type=Path, help="sidecar CSV path (default: <input>.limit.csv)")
 
-    cmd = add("markov", "Markovian p-radius and verdict (even p, or odd p with nonnegative modes)")
+    cmd = add("markov", "p-radius and verdict of a Markov system or a law (the one-mode chain)")
     cmd.add_argument("-p", type=int, required=True)
     cmd.add_argument("--closed-loop", action="store_true", help="apply the stored feedback first")
     cmd.add_argument(
@@ -187,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_pradius(args, warnings):
     from . import radius
 
-    dist = _need_distribution(_load(args.input), "pradius")
-    result = radius.p_radius(dist, args.p)
+    result = radius.p_radius(_load(args.input), args.p)
     if result.assumption_path is radius.AssumptionPath.UNSUPPORTED:
         warnings.append("assumptions not met: odd p without an orthant-invariant support")
         return result.to_dict(), EXIT_ASSUMPTIONS
@@ -198,8 +181,7 @@ def _cmd_pradius(args, warnings):
 def _cmd_stability(args, warnings):
     from . import radius
 
-    dist = _need_distribution(_load(args.input), "stability")
-    report = radius.check_mean_stability(dist, args.p)
+    report = radius.check_mean_stability(_load(args.input), args.p)
     if report.verdict is radius.Verdict.MARGINAL:
         warnings.append("p-radius lies inside the marginal decision band around 1")
     return report.to_dict(), _VERDICT_EXIT[report.verdict.value]
@@ -208,8 +190,8 @@ def _cmd_stability(args, warnings):
 def _cmd_lyapunov(args, warnings):
     from . import lyapunov as lyap
 
-    dist = _need_distribution(_load(args.input), "lyapunov")
-    cert = lyap.synthesize_degree_p(dist, args.p)
+    problem = _load(args.input)
+    cert = lyap.synthesize_degree_p(problem, args.p)
     doc = lyap.certificate_to_dict(cert)
     results = {"certificate": doc}
     code = EXIT_OK
@@ -219,7 +201,7 @@ def _cmd_lyapunov(args, warnings):
     if args.validate:
         mode, n = _parse_mode(args.validate)
         report = lyap.validate_certificate(
-            cert, dist, mode=mode, n_samples=n or 10_000, **_seed(args)
+            cert, problem, mode=mode, n_samples=n or 10_000, **_seed(args)
         )
         results["validation"] = report.to_dict()
         if not report.passed:
@@ -231,7 +213,7 @@ def _cmd_lyapunov(args, warnings):
 def _cmd_jsr(args, warnings):
     from . import models, radius
 
-    dist = _need_distribution(_load(args.input), "jsr")
+    dist = _load(args.input)
     if not isinstance(dist, models.AtomicDistribution):
         raise AssumptionError("'jsr' requires a finite atomic law")
     bounds = radius.jsr_bounds(dist.atoms, depth=args.depth)
@@ -246,8 +228,7 @@ def _cmd_jsr(args, warnings):
 def _cmd_limit(args, warnings):
     from . import radius
 
-    dist = _need_distribution(_load(args.input), "limit")
-    seq = radius.limit_sequence(dist, args.pmax, even_only=args.even_only)
+    seq = radius.limit_sequence(_load(args.input), args.pmax, even_only=args.even_only)
     if seq.truncated:
         warnings.append("sequence truncated by the lift entry cap")
     csv_path = args.csv or args.input.with_suffix(".limit.csv")
@@ -263,7 +244,7 @@ def _cmd_limit(args, warnings):
 def _cmd_markov(args, warnings):
     from . import models, radius
 
-    system = _need_markov(_load(args.input), "markov")
+    system = _load(args.input)
     if args.closed_loop:
         system = models.apply_feedback(system)
     if args.general_p:
@@ -307,7 +288,7 @@ def _cmd_simulate(args, warnings):
 
     problem = _load(args.input)
     if args.closed_loop:
-        problem = models.apply_feedback(_need_markov(problem, "simulate --closed-loop"))
+        problem = models.apply_feedback(problem)
     x0 = _parse_x0(args.x0)
     plan = mcsim.SimulationPlan(
         paths=args.paths,
@@ -355,11 +336,11 @@ def _cmd_simulate(args, warnings):
 def _cmd_validate(args, warnings):
     from . import lyapunov as lyap
 
-    dist = _need_distribution(_load(args.input), "validate")
+    problem = _load(args.input)
     cert = lyap.certificate_from_dict(json.loads(args.cert.read_text(encoding="utf-8")))
     mode, n = _parse_mode(args.mode)
     report = lyap.validate_certificate(
-        cert, dist, mode=mode, n_samples=n or 10_000, **_seed(args)
+        cert, problem, mode=mode, n_samples=n or 10_000, **_seed(args)
     )
     if not report.passed:
         warnings.append("certificate claim violated on at least one test vector")

@@ -258,6 +258,12 @@ def synthesize_quadratic(dist: MatrixDistribution) -> QuadraticCertificate:
     return synthesize_degree_p(dist, 2)
 
 
+def _refuse_markov(problem) -> None:
+    """Certificates are per law; a Markov system needs mode-dependent ones."""
+    if isinstance(problem, MarkovJumpSystem):
+        raise AssumptionError("Markov system certificates are not implemented (ROADMAP item 5)")
+
+
 def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate:
     """Homogeneous certificate of degree p.
 
@@ -272,8 +278,7 @@ def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if isinstance(dist, MarkovJumpSystem):
-        raise AssumptionError("Markov system certificates are not implemented (ROADMAP item 5)")
+    _refuse_markov(dist)
     if p % 2 == 0:
         return _quadratic_from_second_moment(dist.expected_kron_power(p), dist.dim, p // 2)
     return _cone_norm(dist, p)
@@ -382,8 +387,9 @@ def validate_certificate(
     sandwich entries (C_q monomials of degree q) with C_q^2 more per test
     vector, or a cone norm's C monomials of one mapped test vector.
     ``worst_x`` is the first test vector whose margin is within 1e-12
-    relative of the largest.
+    relative of the largest. A Markov jump system is refused in both modes.
     """
+    _refuse_markov(dist)
     dim = dist.dim
     if xs is None:
         xs = default_test_vectors(dim, seed=seed)

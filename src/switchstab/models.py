@@ -115,6 +115,8 @@ class MatrixDistribution:
 
     dim: int
     n_modes = 1
+    # a law has no input, so :func:`apply_feedback` refuses it
+    input_vectors = feedback = None
 
     def expected_kron_power(self, p: int) -> np.ndarray:
         raise NotImplementedError
@@ -394,9 +396,10 @@ class MarkovJumpSystem:
         return bool(np.all(self.modes >= 0))
 
 
-def apply_feedback(system: MarkovJumpSystem) -> MarkovJumpSystem:
+def apply_feedback(system: Problem) -> MarkovJumpSystem:
     """Close the loop: mode i becomes M_i + n_i @ feedback; the input data is
-    consumed and cleared in the result."""
+    consumed and cleared in the result. A problem without both, a law
+    included, is refused with AssumptionError."""
     if system.input_vectors is None or system.feedback is None:
         raise AssumptionError("closed loop requires both input vectors and a feedback row")
     closed = system.modes + np.einsum("ni,j->nij", system.input_vectors, system.feedback)

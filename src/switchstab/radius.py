@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import AssumptionError, DimensionCapError
 from .linalg import cone_spectral_radius, kron_power, lift_entry_cap, spectrum
-from .models import AtomicDistribution, ConeFlags, MarkovJumpSystem, MatrixDistribution, Problem
+from .models import AtomicDistribution, ConeFlags, MatrixDistribution, Problem
 
 #: half-width of the band around 1 inside which verdicts are "marginal"
 DECISION_MARGIN = 1e-9
@@ -212,7 +212,7 @@ def check_mean_stability(problem: Problem, p: int) -> StabilityReport:
 markov_stability = check_mean_stability
 
 
-def markov_tp_spectral_radius(system: MarkovJumpSystem, p: int) -> float:
+def markov_tp_spectral_radius(system: Problem, p: int) -> float:
     """rho(T_p)^(1/p) from the full N d^p lift, at any p and with no verdict:
     the reference value of :func:`p_radius` where p is licensed, and the
     only one at odd p with a negative mode entry."""
@@ -363,7 +363,7 @@ def limit_sequence(dist: Problem, p_max: int, even_only: bool = False) -> LimitS
             break
         if result.value is None:
             raise AssumptionError(
-                f"p = {p} is unsupported for this law (odd exponent without "
+                f"p = {p} is unsupported for this problem (odd exponent without "
                 "orthant invariance); rerun with even_only"
             )
         entries.append((p, result.value))

@@ -317,6 +317,9 @@ def test_markov_systems_are_refused_with_a_typed_error(three_mode_system, closed
     for p in range(1, 5):
         with pytest.raises(AssumptionError, match="Markov system certificates"):
             synthesize_degree_p(system, p)
+    for mode in ("exact", "mc"):  # Monte Carlo validation cannot sample a chain
+        with pytest.raises(AssumptionError, match="Markov system certificates"):
+            validate_certificate(QuadraticCertificate(np.eye(2), 0.5), system, mode=mode)
 
 
 def test_quadratic_certificate_as_when_the_radius_came_first():

@@ -361,12 +361,13 @@ def test_apply_feedback_benchmark_arithmetic(three_mode_system):
     assert closed.modes[1][1, 1] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_apply_feedback_requires_input_data(three_mode_system):
+def test_apply_feedback_requires_input_data(three_mode_system, interval_box):
     bare = MarkovJumpSystem(
         transition=three_mode_system.transition, modes=three_mode_system.modes
     )
-    with pytest.raises(AssumptionError):
-        apply_feedback(bare)
+    for problem in (bare, interval_box):  # a law, the one-mode chain, has no input
+        with pytest.raises(AssumptionError, match="closed loop requires both"):
+            apply_feedback(problem)
 
 
 # ---------------------------------------------------------------------------

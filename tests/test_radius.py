@@ -340,6 +340,9 @@ def test_limit_sequence_of_a_markov_system(three_mode_system):
     seq = limit_sequence(closed, p_max=5)
     assert seq.entries == [(p, p_radius(closed, p).value) for p in range(1, 6)]
     assert seq.jsr_reference is None and not seq.truncated
+    signed = MarkovJumpSystem(three_mode_system.transition, -three_mode_system.modes)
+    with pytest.raises(AssumptionError, match="p = 1 is unsupported for this problem"):
+        limit_sequence(signed, p_max=2)
 
 
 # ---------------------------------------------------------------------------
