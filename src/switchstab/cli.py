@@ -37,6 +37,9 @@ _VERDICT_EXIT = {
     "unsupported": EXIT_ASSUMPTIONS,
 }
 
+#: the warning of every radius or verdict at a p that no lift licenses
+_UNLICENSED_P = "assumptions not met: odd p without an orthant-invariant support"
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which this tool reserves for
@@ -173,7 +176,7 @@ def _cmd_pradius(args, warnings):
 
     result = radius.p_radius(_load(args.input), args.p)
     if result.assumption_path is radius.AssumptionPath.UNSUPPORTED:
-        warnings.append("assumptions not met: odd p without an orthant-invariant support")
+        warnings.append(_UNLICENSED_P)
         return result.to_dict(), EXIT_ASSUMPTIONS
     return result.to_dict(), EXIT_OK
 
@@ -184,6 +187,8 @@ def _cmd_stability(args, warnings):
     report = radius.check_mean_stability(_load(args.input), args.p)
     if report.verdict is radius.Verdict.MARGINAL:
         warnings.append("p-radius lies inside the marginal decision band around 1")
+    if report.verdict is radius.Verdict.UNSUPPORTED:
+        warnings.append(_UNLICENSED_P)
     return report.to_dict(), _VERDICT_EXIT[report.verdict.value]
 
 
@@ -264,9 +269,7 @@ def _cmd_markov(args, warnings):
     results["verdict"] = report.verdict.value
     results["closed_loop"] = args.closed_loop
     if report.verdict is radius.Verdict.UNSUPPORTED:
-        warnings.append(
-            f"p = {args.p} requires entrywise-nonnegative modes; found a negative entry"
-        )
+        warnings.append(_UNLICENSED_P)
     return results, _VERDICT_EXIT[report.verdict.value]
 
 

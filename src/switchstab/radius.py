@@ -242,31 +242,16 @@ def _may_reach(fro: np.ndarray, bound: float) -> np.ndarray:
     return ~(fro < min(bound, high))
 
 
-def _grow(level: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The next level: P A_b for every product P (last axis of ``level``,
-    shape (d, d, n)) and atom b, as (d, d, m n) with index b n + a. Each
-    entry is sum_j P[i, j] A_b[j, k] accumulated from zero in j order (so
-    a sum of -0.0 terms is +0.0), the arithmetic of ``np.einsum``; its bits
-    do not depend on the layout. One row i of terms is formed at a time, so
-    the level is the only large array built."""
-    (d, _, n), m = level.shape, mats.shape[0]
-    grown = np.zeros((d, d, m, n))
-    term = np.empty((d, m, n))
-    # a product may overflow; eigvals then raises on it, as on any inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(d):
-            for j in range(d):
-                np.multiply(level[i, j], mats[:, j, :].T[:, :, None], out=term)
-                grown[i] += term
-    return grown.reshape(d, d, m * n)
-
-
 def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds:
     """Bracket the joint spectral radius by enumerating products up to
     ``depth``. The enumeration stops at the deepest completed length, and
     the result is flagged truncated, if the next length would exceed
     ``budget`` products in all or hold more than the lift entry cap of
     doubles (m^l d^2 for m atoms of size d at length l).
+
+    Each length's products are one (m^l, d, d) stack, grown from the last by
+    one BLAS matrix product per atom; these two stacks are the only large
+    arrays. The bracket's bits do not depend on the BLAS thread count.
 
     Every product is enumerated, but only those that can move the bracket
     reach LAPACK. Since rho(P) <= ||P||_2 <= ||P||_F, a product cannot raise
@@ -301,42 +286,41 @@ def jsr_bounds(atoms, depth: int, budget: int = JSR_PRODUCT_BUDGET) -> JsrBounds
     upper = np.inf
     produced = 0
     truncated = False
-    # the products of a level lie along the last axis
-    level = mats.transpose(1, 2, 0)
+    level = mats
     completed = 0
     for length in range(1, depth + 1):
         if length > 1:
-            count = level.shape[2] * m
+            count = level.shape[0] * m
             if produced + count > budget or count * d * d > cap:
                 truncated = True
                 break
-            level = _grow(level, mats)
-        elif level.shape[2] > budget:
+            # P A_b for every product P and atom b, at index b n + a
+            grown = np.empty((m, level.shape[0] * d, d))
+            # a product may overflow; eigvals then raises on it, as on any inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b in range(m):
+                    np.matmul(level.reshape(-1, d), mats[b], out=grown[b])
+            level = grown.reshape(count, d, d)
+        elif level.shape[0] > budget:
             truncated = True
             break
-        products = level.transpose(2, 0, 1)
-        produced += products.shape[0]
-        fro = np.sqrt(np.einsum("ikn,ikn->n", level, level))
+        produced += level.shape[0]
+        fro = np.sqrt(np.einsum("nij,nij->n", level, level))
         # eigvals first: it raises LinAlgError on a non-finite product
         with np.errstate(over="ignore", under="ignore"):
             floor = np.float64(lower * (1.0 - 1e-9)) ** length
         reach = _may_reach(fro, floor)
         if reach.any():
-            eigs = np.linalg.eigvals(products[reach])
+            eigs = np.linalg.eigvals(level[reach])
             lower = max(lower, float(np.max(np.abs(eigs)) ** (1.0 / length)))
-        top = np.linalg.svd(products[np.argmax(fro)], compute_uv=False)[0]
+        top = np.linalg.svd(level[np.argmax(fro)], compute_uv=False)[0]
         reach = _may_reach(fro, top * (1.0 - 1e-9))
-        norms = np.linalg.svd(products[reach], compute_uv=False)[:, 0]
+        norms = np.linalg.svd(level[reach], compute_uv=False)[:, 0]
         upper = min(upper, float(np.max(norms) ** (1.0 / length)))
         completed = length
     if completed == 0:
         raise AssumptionError(f"product budget {budget} admits no depth-1 enumeration")
-    return JsrBounds(
-        lower=math.ldexp(lower, shift),
-        upper=math.ldexp(upper, shift),
-        depth=completed,
-        truncated=truncated,
-    )
+    return JsrBounds(math.ldexp(lower, shift), math.ldexp(upper, shift), completed, truncated)
 
 
 def limit_sequence(dist: Problem, p_max: int, even_only: bool = False) -> LimitSequence:

@@ -3,6 +3,7 @@ import ctypes
 import glob
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -265,9 +266,26 @@ def blas_threads(n):
         set_(before)
 
 
+def traced_peak(run):
+    """Peak bytes traced by tracemalloc while ``run()`` executes."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # Fresh-interpreter jobs, run side by side
 # ---------------------------------------------------------------------------
+
+
+#: the environment at collection: spawned processes run beside in-process
+#: tests, whose monkeypatched variables (such as a lowered entry cap) they
+#: must not inherit
+SESSION_ENV = dict(os.environ)
 
 
 def pytest_configure(config):

@@ -11,6 +11,7 @@ import switchstab.linalg as linalg_module
 from switchstab.cli import main
 from switchstab.lyapunov import DEFAULT_VALIDATION_SEED
 from switchstab.models import load_problem
+from conftest import SESSION_ENV
 
 
 def run(capsys, *argv):
@@ -141,6 +142,16 @@ def test_pradius_unsupported_exits_4(capsys, docs):
     assert code == 4
     assert report["results"]["value"] is None
     assert report["warnings"]
+
+
+UNLICENSED_P = "assumptions not met: odd p without an orthant-invariant support"
+
+
+@pytest.mark.parametrize("command", ["pradius", "stability", "markov"])
+def test_a_signed_law_at_odd_p_reads_one_warning_in_every_command(capsys, docs, command):
+    code, report = run(capsys, command, "-i", str(docs["signed.json"]), "-p", "3")
+    assert code == 4
+    assert report["warnings"] == [UNLICENSED_P]
 
 
 def test_stability_exit_codes(capsys, docs):
@@ -320,9 +331,7 @@ def test_markov_general_p(capsys, docs, tmp_path):
     code, report = run(capsys, "markov", "-i", str(signed_path), "-p", "3")
     assert code == 4
     assert report["results"]["value"] is None
-    assert report["warnings"] == [
-        "p = 3 requires entrywise-nonnegative modes; found a negative entry"
-    ]
+    assert report["warnings"] == [UNLICENSED_P]
 
 
 def test_simulate_bit_identical_across_threads(capsys, docs, tmp_path):
@@ -686,12 +695,6 @@ MODULE_DUMP = (
     "atexit.register(lambda: print('MODULES', *sorted(sys.modules), file=sys.stderr))\n"
     "runpy.run_module('switchstab.cli', run_name='__main__', alter_sys=True)\n"
 )
-
-
-#: the environment at collection: spawned processes run beside in-process
-#: tests, whose monkeypatched variables (such as a lowered entry cap) they
-#: must not inherit
-SESSION_ENV = dict(os.environ)
 
 
 def cli_process(*argv, cwd):

@@ -37,6 +37,7 @@ from conftest import (
     scalar_uniform,
     simulate_paths_oracle,
     simulation_oracle,
+    traced_peak,
 )
 
 
@@ -693,17 +694,6 @@ def test_index_draws_equal_the_full_comparison_count():
     dist = AtomicDistribution(probabilities=probs, atoms=np.zeros((5, 1, 1)))
     drawn = atom_indices(dist, np.random.default_rng(9), 1000)
     assert same_bits(drawn, full_count(np.random.default_rng(9).random(1000), cum))
-
-
-def traced_peak(run):
-    """Peak bytes traced by tracemalloc while ``run()`` executes."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def quadratic_d3_run():

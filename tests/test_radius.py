@@ -1,4 +1,10 @@
+import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +31,7 @@ from switchstab import (
     spectrum,
 )
 from switchstab.linalg import sorted_indices
-from conftest import random_atomic, scalar_uniform
+from conftest import SESSION_ENV, blas_threads, random_atomic, scalar_uniform, traced_peak
 from test_models import count_array_box_lift, sym_fold
 
 
@@ -398,7 +404,7 @@ def test_jsr_budget_truncation():
 def full_enumeration_jsr_bounds(atoms, depth: int, budget: int = 1_000_000) -> JsrBounds:
     """Reference: one eigvals and one svd on every product up to ``depth``."""
     mats = np.asarray(atoms, dtype=float)
-    m = mats.shape[0]
+    m, d = mats.shape[0], mats.shape[1]
     lower = 0.0
     upper = np.inf
     produced = 0
@@ -410,7 +416,10 @@ def full_enumeration_jsr_bounds(atoms, depth: int, budget: int = 1_000_000) -> J
             if produced + level.shape[0] * m > budget:
                 truncated = True
                 break
-            level = np.einsum("aij,bjk->abik", level, mats).reshape(-1, *mats.shape[1:])
+            # P A_b at index b n + a, by the BLAS product of jsr_bounds
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = np.concatenate([level.reshape(-1, d) @ a for a in mats])
+            level = level.reshape(-1, d, d)
         elif level.shape[0] > budget:
             truncated = True
             break
@@ -493,6 +502,46 @@ def test_jsr_level_stops_under_the_entry_cap(monkeypatch):
     assert (bounds.depth, bounds.truncated) == (5, True)
     reference = full_enumeration_jsr_bounds(atoms, 5)
     assert (bounds.lower, bounds.upper) == (reference.lower, reference.upper)
+
+
+def test_jsr_peak_memory_is_the_last_two_levels():
+    # two 4 x 4 atoms at depth 18: levels of 2^17 and 2^18 products
+    atoms = np.random.default_rng(5).standard_normal((2, 4, 4))
+    last_two_levels = (2**17 + 2**18) * 16 * 8
+    assert last_two_levels == 50_331_648
+    assert traced_peak(lambda: jsr_bounds(atoms, 18)) <= 1.1 * last_two_levels
+
+
+def jsr_panel():
+    """lower and upper (as float.hex) and depth of the brackets of 20 random
+    laws of 2-3 atoms of size 2-4, each enumerated until its last level holds
+    about 2^20 entries, enough for a threaded OpenBLAS to split the products."""
+    brackets = []
+    for seed in range(20):
+        m, d = 2 + seed % 2, 2 + seed % 3
+        atoms = np.random.default_rng(seed).standard_normal((m, d, d))
+        bounds = jsr_bounds(atoms, int(math.log(2**20 / d**2, m)))
+        brackets.append([bounds.lower.hex(), bounds.upper.hex(), bounds.depth])
+    return brackets
+
+
+def one_blas_thread_panel(cwd):
+    """:func:`jsr_panel` in a fresh interpreter with BLAS at one thread."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = "import json, test_radius; print(json.dumps(test_radius.jsr_panel()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, timeout=300,
+        env=dict(SESSION_ENV, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.spawns(job=one_blas_thread_panel)
+def test_jsr_brackets_keep_their_bits_across_blas_thread_counts(spawned):
+    with blas_threads(2):
+        assert jsr_panel() == spawned
 
 
 def test_jsr_solves_only_products_that_can_move_the_bracket(monkeypatch):
