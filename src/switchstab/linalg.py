@@ -4,8 +4,8 @@ induced matrices on symmetric powers, spectra, cone spectral radii.
 Spectra come from one dense LAPACK eigensolve. The spectral radius of a
 matrix that maps a cone into itself comes with a Collatz-Wielandt bracket
 and the point inside the cone that backs it, from power steps and a few
-shifted LU solves or from one dense eigensolve; the step cap on the solves
-only moves work to the dense route, so it never changes an answer. All
+shifted LU solves or from one dense eigensolve; after the step cap on the
+solves the answer is the dense one, which no bracket checks. All
 operations are pure functions on ndarrays and are safe to call
 concurrently; monomial tables are memoised and read-only.
 Sizes of lifted arrays and of every builder table are guarded by an entry
@@ -324,8 +324,8 @@ def cone_spectral_radius(m: np.ndarray, psd_side: int | None = None) -> ConeRadi
     hi - lo <= ``CONE_TOL`` hi, and the point is v. Below
     ``CONE_CROSSOVER`` rows, and whenever a point leaves the cone's
     interior, a shifted solve is singular or ``CONE_STEPS`` solves leave the
-    bracket open, the value is the dense eigensolve's; so the step cap moves
-    work to the dense route and never changes an answer. A reducible matrix
+    bracket open, the value is the dense eigensolve's, which nothing checks
+    against the bracket: the step cap can change an answer. A reducible matrix
     on the orthant, whose bracket seldom closes, goes there once the bracket
     at the start point is open, with no solve: a matrix with a zero entry is
     first tested for irreducibility. On the orthant the dense route is one

@@ -47,7 +47,6 @@ from .linalg import (
     lift_entry_cap,
     monomials,
     orbit_index,
-    spectrum,
     symmetric_dim,
     symmetric_power,
 )
@@ -183,17 +182,15 @@ def _cone_norm(dist: MatrixDistribution, p: int) -> ConeNormCertificate:
     built. f and its index array, built once and also used to fold f onto
     the monomials, are the only d^p-length arrays.
     """
-    from .radius import DECISION_MARGIN
+    from .radius import Verdict
 
     subject = "cone-norm synthesis" if p == 1 else f"odd degree {p}"
     if not dist.support_nonnegative():
         raise AssumptionError(f"{subject} requires an orthant-invariant support")
     cone = cone_spectral_radius(dist.expected_symmetric_power(p).T)
-    if cone.value >= 1.0 - DECISION_MARGIN:
-        radius = "first-mean" if p == 1 else f"degree-{p}"
-        raise InstabilityError(
-            f"{radius} radius {cone.value ** (1.0 / p):.6g} is not below 1; no certificate exists"
-        )
+    if Verdict.of(radius := cone.value ** (1.0 / p)) is not Verdict.STABLE:
+        name = "first-mean" if p == 1 else f"degree-{p}"
+        raise InstabilityError(f"{name} radius {radius:.6g} is not below 1; no certificate exists")
     if cone.point is None:
         mean = "mean E[A]" if p == 1 else f"Sym^{p} mean E[S_{p}(A)]"
         raise AssumptionError(f"{subject}: no positive cone point exists; the {mean} is reducible")
@@ -215,18 +212,19 @@ def synthesize_cone_norm(dist: MatrixDistribution) -> ConeNormCertificate:
     return synthesize_degree_p(dist, 1)
 
 
-def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> QuadraticCertificate:
-    """Quadratic certificate on x^(kron q), x in R^d, from the second-moment
-    matrix ``second`` = E[B kron B] of the law of B = A^(kron q).
+def _quadratic_from_second_moment(dist: MatrixDistribution, p: int) -> QuadraticCertificate:
+    """Quadratic certificate of degree p = 2q on x^(kron q) from the second
+    moment E[B kron B] = E[A^(kron p)] of the law of B = A^(kron q).
 
     The solve comes first. A positive definite H with E[B.T H B] = H - I
-    <= gamma H proves rho(E[B kron B]) = rho_p^p <= gamma (p = 2q), so gamma
-    below (1 - DECISION_MARGIN)^p proves rho_p below 1 - DECISION_MARGIN and
-    no eigensolve is made. Otherwise rho_p decides, as it would alone.
+    <= gamma H proves rho(E[B kron B]) = rho_p^p <= gamma, so a stable
+    verdict on gamma^(1/p) proves one on rho_p, and no radius is solved.
+    Otherwise the verdict on rho_p, read on Sym^p, decides, as it would alone.
     """
-    from .radius import DECISION_MARGIN
+    from .radius import Verdict, p_radius
 
-    n, p = d**q, 2 * q
+    q, second = p // 2, dist.expected_kron_power(p)
+    n = dist.dim**q
     try:
         h = np.linalg.solve(np.eye(n * n) - second.T, np.eye(n).reshape(-1)).reshape(n, n)
     except np.linalg.LinAlgError:
@@ -235,10 +233,10 @@ def _quadratic_from_second_moment(second: np.ndarray, d: int, q: int) -> Quadrat
         h = 0.5 * (h + h.T)
         eig = np.linalg.eigvalsh(h)
         gamma = 1.0 - 1.0 / float(eig.max())
-        if eig.min() > 0 and gamma < (1.0 - DECISION_MARGIN) ** p:
+        if eig.min() > 0 and Verdict.of(gamma ** (1.0 / p)) is Verdict.STABLE:
             return QuadraticCertificate(h=h, gamma=gamma, lift_power=q)
-    radius = spectrum(second).spectral_radius ** (1.0 / p)
-    if h is None or radius >= 1.0 - DECISION_MARGIN:
+    radius = p_radius(dist, p).value
+    if h is None or Verdict.of(radius) is not Verdict.STABLE:
         name = "mean-square" if p == 2 else f"degree-{p}"
         raise InstabilityError(
             f"{name} radius {radius:.6g} is not below 1; no quadratic certificate exists"
@@ -280,7 +278,7 @@ def synthesize_degree_p(dist: MatrixDistribution, p: int) -> LyapunovCertificate
         raise ValueError("p must be a positive integer")
     _refuse_markov(dist)
     if p % 2 == 0:
-        return _quadratic_from_second_moment(dist.expected_kron_power(p), dist.dim, p // 2)
+        return _quadratic_from_second_moment(dist, p)
     return _cone_norm(dist, p)
 
 

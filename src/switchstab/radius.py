@@ -67,6 +67,17 @@ class Verdict(str, enum.Enum):
     MARGINAL = "marginal"
     UNSUPPORTED = "unsupported"
 
+    @classmethod
+    def of(cls, value: float | None) -> Verdict:
+        """The verdict on a p-radius, or on None where no lift licenses one."""
+        if value is None:
+            return cls.UNSUPPORTED
+        if value < 1.0 - DECISION_MARGIN:
+            return cls.STABLE
+        if value > 1.0 + DECISION_MARGIN:
+            return cls.UNSTABLE
+        return cls.MARGINAL
+
 
 @dataclass(frozen=True)
 class PRadiusResult:
@@ -182,16 +193,6 @@ def p_radius(problem: Problem, p: int) -> PRadiusResult:
     return _sym_p_radius(problem, p)[0]
 
 
-def _verdict(value: float | None) -> Verdict:
-    if value is None:
-        return Verdict.UNSUPPORTED
-    if value < 1.0 - DECISION_MARGIN:
-        return Verdict.STABLE
-    if value > 1.0 + DECISION_MARGIN:
-        return Verdict.UNSTABLE
-    return Verdict.MARGINAL
-
-
 def check_mean_stability(problem: Problem, p: int) -> StabilityReport:
     """Decide p-th mean stability: stable iff the p-radius is below 1.
 
@@ -205,7 +206,7 @@ def check_mean_stability(problem: Problem, p: int) -> StabilityReport:
     if 1 not in positive:
         positive[1] = bool(np.all(problem.expected_symmetric_power(1) > 0))
     flags = ConeFlags(problem.support_nonnegative(), expectation_positive=positive)
-    return StabilityReport(verdict=_verdict(result.value), p_radius=result, cone_flags=flags)
+    return StabilityReport(verdict=Verdict.of(result.value), p_radius=result, cone_flags=flags)
 
 
 #: the Markov name of :func:`check_mean_stability`

@@ -286,6 +286,21 @@ def test_limit_writes_csv_and_json(capsys, docs, tmp_path):
     assert report["results"]["jsr_reference"]["lower"] <= report["results"]["jsr_reference"]["upper"]
 
 
+def test_limit_stopped_by_the_entry_cap_warns(capsys, docs, tmp_path, monkeypatch):
+    monkeypatch.setenv("SWITCHSTAB_MAX_LIFT_ENTRIES", "30")
+    csv_path = tmp_path / "seq.csv"
+    code, report = run(
+        capsys, "limit", "-i", str(docs["box.json"]), "--pmax", "6", "--csv", str(csv_path)
+    )
+    assert code == 0
+    assert report["warnings"] == ["sequence truncated by the lift entry cap"]
+    entries = report["results"]["entries"]
+    assert report["results"]["truncated"] is True
+    assert 1 <= len(entries) < 6 and [p for p, _ in entries] == list(range(1, len(entries) + 1))
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["p,p_radius", *(f"{p},{v!r}" for p, v in entries)]
+
+
 def test_limit_even_only(capsys, docs):
     code, report = run(
         capsys, "limit", "-i", str(docs["signed.json"]), "--pmax", "6", "--even-only"
@@ -412,6 +427,48 @@ def test_simulate_with_certificate_series(capsys, docs, tmp_path):
     assert code == 0
     assert "certificate" in report["results"]["series"]
     assert (tmp_path / "sim" / "box.certificate.csv").exists()
+
+
+def test_simulate_of_a_markov_system_ignores_the_certificate_with_a_warning(capsys, docs, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "lyapunov", "-i", str(docs["box.json"]), "-p", "1", "-o", str(cert_path))
+    code, report = run(
+        capsys, "simulate", "-i", str(PROBLEMS / f"{SYSTEM}.json"), "--paths", "10",
+        "--horizon", "3", "--seed", "1", "--x0", "1,0", "--cert", str(cert_path),
+        "--out-dir", str(tmp_path / "sim"),
+    )
+    assert code == 0
+    assert report["warnings"] == ["certificate series are only produced for iid runs"]
+    assert list(report["results"]["series"]) == ["euclidean"]
+
+
+def test_simulate_with_overflowing_paths_warns_and_fits_no_decay(capsys, tmp_path):
+    # every path of x -> 1e200 x overflows, leaving the decay fit one point
+    law = scalar_atoms_doc(tmp_path, [1e200])
+    code, report = run(
+        capsys, "simulate", "-i", str(law), "--paths", "4", "--horizon", "3", "--seed", "1",
+        "--x0", "1", "--out-dir", str(tmp_path / "sim"),
+    )
+    assert code == 0
+    assert report["warnings"] == ["4 paths overflowed and were truncated"]
+    assert report["results"]["series"]["euclidean"]["truncated_paths"] == 4
+    assert report["results"]["decay"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lyapunov", "-p", "1", "--validate", "mc:1"], "mc sample count must be at least 2"),
+        (["simulate", "--paths", "4", "--horizon", "3", "--seed", "1", "--x0", "1,zz"],
+         "cannot parse --x0 '1,zz': could not convert string to float: 'zz'"),
+    ],
+)
+def test_unusable_option_values_exit_1(capsys, docs, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, report = run(capsys, *argv, "-i", str(docs["pair.json"]))
+    assert code == 1
+    assert report["results"] is None
+    assert report["error"] == {"type": "SwitchstabError", "message": message}
 
 
 def test_validate_pass_and_fail(capsys, docs, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchstab.lyapunov as lyapunov_module
+import switchstab.radius as radius_module
 from switchstab import (
     AssumptionError,
     AtomicDistribution,
@@ -16,9 +17,11 @@ from switchstab import (
     QuadraticCertificate,
     SolverFailureError,
     UniformEntriesDistribution,
+    Verdict,
     apply_feedback,
     certificate_from_dict,
     certificate_to_dict,
+    check_mean_stability,
     cone_spectral_radius,
     evaluate,
     evaluate_rows,
@@ -145,6 +148,15 @@ def test_cone_norm_rejects_unstable(interval_box):
         synthesize_cone_norm(grown)
 
 
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_cone_norm_refuses_a_marginal_law_at_every_odd_degree(p):
+    # rho_p = 1 - 5e-10 is marginal; at p = 3 and 5 its rho_p^p is not
+    dist = single_atom(np.array([[1.0 - 5e-10]]))
+    assert check_mean_stability(dist, p).verdict is Verdict.MARGINAL
+    with pytest.raises(InstabilityError, match=f"radius {1.0 - 5e-10:.6g} is not below 1"):
+        synthesize_degree_p(dist, p)
+
+
 def test_cone_norm_without_a_certifying_point_is_a_solver_failure(monkeypatch, interval_box):
     # no positive point means a reducible mean (exit 4); a point whose
     # bracket does not end below 1 is the solver's failure (exit 6)
@@ -256,12 +268,13 @@ def test_quadratic_is_the_direct_solve_near_the_boundary():
 
 @pytest.fixture
 def quadratic_calls(monkeypatch):
-    """Counts of the lifts, eigensolves and linear solves of quadratic
-    synthesis on a box."""
-    calls = {"lift": [], "spectrum": 0, "solve": 0}
-    lift, spectrum, solve = (
+    """Counts of the lifts, Sym^p radius solves and linear solves of
+    quadratic synthesis on a box, with the shape of every general (non-
+    symmetric) eigensolve."""
+    calls = {"lift": [], "radius": [], "solve": 0, "eig": []}
+    lift, radius, solve = (
         UniformEntriesDistribution.expected_kron_power,
-        lyapunov_module.spectrum,
+        radius_module.p_radius,
         np.linalg.solve,
     )
 
@@ -269,30 +282,54 @@ def quadratic_calls(monkeypatch):
         calls["lift"].append(p)
         return lift(self, p)
 
-    def counting_spectrum(m):
-        calls["spectrum"] += 1
-        return spectrum(m)
+    def counting_radius(problem, p):
+        calls["radius"].append(p)
+        return radius(problem, p)
 
     def counting_solve(a, b):
         calls["solve"] += 1
         return solve(a, b)
 
+    def counting_eig(eig):
+        def counted(m):
+            calls["eig"].append(m.shape)
+            return eig(m)
+        return counted
+
     monkeypatch.setattr(UniformEntriesDistribution, "expected_kron_power", counting_lift)
-    monkeypatch.setattr(lyapunov_module, "spectrum", counting_spectrum)
+    monkeypatch.setattr(radius_module, "p_radius", counting_radius)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting_eig(getattr(np.linalg, name)))
     return calls
 
 
 def test_quadratic_makes_one_lift_one_solve_and_no_spectrum(quadratic_calls, shrunk_box):
-    # the positive definite H with gamma < (1 - margin)^2 proves the radius
+    # the positive definite H with a stable verdict on gamma^(1/2) proves the radius
     synthesize_quadratic(shrunk_box)
-    assert quadratic_calls == {"lift": [2], "spectrum": 0, "solve": 1}
+    assert quadratic_calls == {"lift": [2], "radius": [], "solve": 1, "eig": []}
 
 
 def test_quadratic_refusal_makes_one_spectrum(quadratic_calls, interval_box):
+    # the one eigensolve is of the 3-row Sym^2 matrix, not of the 4-row lift
     with pytest.raises(InstabilityError, match="mean-square radius .* is not below 1"):
         synthesize_quadratic(interval_box)
-    assert quadratic_calls == {"lift": [2], "spectrum": 1, "solve": 1}
+    assert quadratic_calls == {"lift": [2], "radius": [2], "solve": 1, "eig": [(3, 3)]}
+
+
+def test_quadratic_with_a_singular_solve_is_refused():
+    # I - E[A kron A].T is zero for the identity atom: the radius, 1, refuses
+    with pytest.raises(InstabilityError, match="mean-square radius 1 is not below 1"):
+        synthesize_quadratic(single_atom(np.eye(2)))
+
+
+def test_quadratic_decay_inside_the_band_is_decided_by_the_radius():
+    # gamma = 0.99999999996625 lies in the band; rho_2 = 0.5 is stable
+    dist = single_atom(np.array([[0.5, 1e5], [0.0, 0.5]]))
+    assert p_radius(dist, 2).value == pytest.approx(0.5)
+    cert = synthesize_quadratic(dist)
+    assert 1.0 - DECISION_MARGIN <= cert.gamma ** 0.5 < 1.0
+    assert validate_certificate(cert, dist, mode="exact").passed
 
 
 @pytest.mark.parametrize("p", [4, 6])
@@ -560,6 +597,59 @@ def test_cone_norm_certifies_every_stable_law_with_a_positive_sym_p_mean(law):
     residual = cert.f @ dist.expected_kron_power(p) - cert.gamma * cert.f
     assert np.max(np.abs(residual)) <= 1e-12 * cert.gamma
     assert validate_certificate(cert, dist, mode="exact").passed
+
+
+@st.composite
+def laws_around_the_band(draw):
+    """An atomic law (1 to 3 atoms) or a box, d <= 3, signed or
+    nonnegative, and p <= 5; where p is licensed, rescaled to a p-radius of
+    0.95, 1 - 3e-10, 1 + 3e-10 or 1.05."""
+    d, p = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.sampled_from([-1.0, 0.0]))
+    if draw(st.booleans()):
+        m = int(rng.integers(1, 4))
+        probs = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+        atoms = rng.uniform(low, 1.0, (m, d, d))
+
+        def law(scale):
+            return AtomicDistribution(probabilities=probs / probs.sum(), atoms=scale * atoms)
+    else:
+        a, b = rng.uniform(low, 1.0, (2, d, d))
+
+        def law(scale):
+            return UniformEntriesDistribution(
+                lower=scale * np.minimum(a, b), upper=scale * np.maximum(a, b)
+            )
+    radius = p_radius(law(1.0), p).value
+    if not radius:
+        return law(1.0), p
+    target = draw(st.sampled_from([0.95, 1.0 - 3e-10, 1.0 + 3e-10, 1.05]))
+    return law(target / radius), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(laws_around_the_band())
+def test_synthesis_certifies_exactly_the_laws_the_verdict_calls_stable(law):
+    # a homogeneous certificate exists iff the p-th mean is stable: the
+    # verdict of check_mean_stability decides, and marginal laws are refused
+    dist, p = law
+    verdict = check_mean_stability(dist, p).verdict
+    try:
+        cert = synthesize_degree_p(dist, p)
+    except InstabilityError:
+        assert verdict in (Verdict.UNSTABLE, Verdict.MARGINAL)
+        return
+    except AssumptionError:
+        assert verdict is Verdict.UNSUPPORTED or (
+            verdict is Verdict.STABLE
+            and p % 2 == 1
+            and not is_irreducible(dist.expected_symmetric_power(p))
+        )
+        return
+    assert verdict is Verdict.STABLE
+    if isinstance(dist, AtomicDistribution):
+        assert validate_certificate(cert, dist, mode="exact").passed
 
 
 @st.composite

@@ -463,6 +463,70 @@ def test_load_reports_model_invariants_under_their_section(doc, pointer):
     assert str(err.value).startswith(f"{pointer}: ")
 
 
+def atomic_doc_with(**atom):
+    """The minimal atomic document as JSON, with its atom's fields overridden
+    (a field set to None is dropped)."""
+    doc = minimal_atomic_doc()
+    fields = {**doc["distribution"]["atoms"][0], **atom}
+    doc["distribution"]["atoms"][0] = {k: v for k, v in fields.items() if v is not None}
+    return json.dumps(doc)
+
+
+def with_distribution(distribution, **root):
+    return json.dumps({"type": "iid", "dim": 2, "distribution": distribution, **root})
+
+
+def json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc}"
+
+
+@pytest.mark.parametrize(
+    "text, pointer, message",
+    [
+        # _require
+        (atomic_doc_with(M=None), "/distribution/atoms/0", "missing required field 'M'"),
+        # _as_number
+        (atomic_doc_with(p=True), "/distribution/atoms/0/p", "expected a number"),
+        (atomic_doc_with(M=[[math.inf, 0.0], [0.0, 0.5]]), "/distribution/atoms/0/M/0/0",
+         "number must be finite"),
+        # _as_vector
+        (atomic_doc_with(M=[[0.5], [0.0, 0.5]]), "/distribution/atoms/0/M/0",
+         "expected an array of 2 numbers"),
+        # _parse_distribution
+        (with_distribution([]), "/distribution", "expected an object"),
+        (with_distribution({"kind": "atomic", "atoms": []}), "/distribution/atoms",
+         "expected a non-empty array of atoms"),
+        (with_distribution({"kind": "atomic", "atoms": [1.0]}), "/distribution/atoms/0",
+         "expected an object with 'p' and 'M'"),
+        (with_distribution({"kind": "normal"}), "/distribution/kind",
+         "unknown distribution kind 'normal'"),
+        # _parse_markov
+        (json.dumps({"type": "markov", "dim": 1, "markov": []}), "/markov", "expected an object"),
+        (json.dumps(scalar_pair_doc(P=[])), "/markov/P", "expected a non-empty square array"),
+        (json.dumps(scalar_pair_doc(modes=[[[1.0]]])), "/markov/modes", "expected 2 mode matrices"),
+        (json.dumps(scalar_pair_doc(initial_mode=1.0)), "/markov/initial_mode", "expected an integer"),
+        # load_problem
+        ('{"type": "iid",', "", json_error('{"type": "iid",')),
+        ("[]", "", "top-level value must be an object"),
+        (with_distribution({}, type="lti"), "/type", "type must be 'iid' or 'markov'"),
+        (with_distribution({}, dim=0), "/dim", "dim must be a positive integer"),
+        (with_distribution({}, markov={}), "", "exactly one of 'distribution' or 'markov' must be present"),
+        (json.dumps({"type": "iid", "dim": 1}), "",
+         "exactly one of 'distribution' or 'markov' must be present"),
+        (json.dumps({"type": "iid", "dim": 1, "markov": {}}), "",
+         "type 'iid' requires a 'distribution' section"),
+    ],
+)
+def test_load_names_each_schema_violation(text, pointer, message):
+    with pytest.raises(SchemaError) as err:
+        load_problem(text)
+    assert (err.value.pointer, err.value.message) == (pointer, message)
+    assert str(err.value) == (f"{pointer}: {message}" if pointer else message)
+
+
 def test_load_dimension_mismatch_error():
     doc = minimal_atomic_doc()
     doc["distribution"]["atoms"][0]["M"] = [[1.0, 0.0]]

@@ -88,3 +88,13 @@ def test_every_private_name_is_used_by_the_package():
         ):
             unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_the_stability_decision_lives_in_radius():
+    """Only ``radius`` reads the decision band, and ``lyapunov`` calls no
+    ``spectrum``: its refusals read the p-radius from ``radius``."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    readers = sorted(name for name, tree in trees.items()
+                     if any(use == "DECISION_MARGIN" for use, _ in references(tree)))
+    assert readers == ["radius.py"]
+    assert [line for use, line in references(trees["lyapunov.py"]) if use == "spectrum"] == []
